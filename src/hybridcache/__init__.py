@@ -24,13 +24,11 @@ from .popularity import (
     AllocationEstimate,
     AllocationEstimator,
     PopularitySnapshot,
-    empirical_popularity,
     estimate_allocation,
 )
 from .workload import (
     ParetoVolume,
     RequestTrace,
-    ZipfModel,
     generate_trace,
     sample_pareto_volume,
     snm_rate,

@@ -38,7 +38,6 @@ class FeatureRole(enum.Enum):
 # Default schema: size and transmission bandwidth are costs (smaller
 # content frees room for more items), content value and category weight
 # are benefits.
-DEFAULT_FEATURE_NAMES = ("f_size", "f_bandwidth", "f_value", "f_category")
 DEFAULT_FEATURE_ROLES = (
     FeatureRole.COST,
     FeatureRole.COST,
@@ -108,22 +107,6 @@ class Catalog:
     def irm_ids(self) -> list:
         """IRM ids in ascending order; position defines the Zipf rank."""
         return sorted(it.id for it in self.items if it.regime is Regime.IRM)
-
-    @property
-    def snm_ids(self) -> list:
-        return sorted(it.id for it in self.items if it.regime is Regime.SNM)
-
-    def __getitem__(self, content_id: int) -> ContentItem:
-        item = self.items[content_id - 1]
-        if item.id != content_id:  # items may be stored out of order
-            for it in self.items:
-                if it.id == content_id:
-                    return it
-            raise KeyError(content_id)
-        return item
-
-    def regime_of(self, content_id: int) -> Regime:
-        return self[content_id].regime
 
     def active_snm_ids(self, slot: int) -> list:
         return [

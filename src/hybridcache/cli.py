@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 configuration error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import json
@@ -31,6 +32,11 @@ SWEEP_AXES = ("library_size", "capacity")
 SWEEP_HEADER = [
     "axis", "value", "policy", "seed",
     "mean_hit_ratio", "final_regret", "config_hash",
+]
+REPORT_HEADER = [
+    "value", "policy", "n_seeds",
+    "mean_hit_ratio", "stderr_hit_ratio",
+    "mean_final_regret", "stderr_final_regret", "improvement_over",
 ]
 
 # catalog and trace draw from separated seed streams
@@ -86,15 +92,8 @@ class ExperimentConfig:
             raise ConfigError("sweep_values must be strictly increasing")
         return self
 
-    def to_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["seeds"] = list(self.seeds)
-        d["policies"] = list(self.policies)
-        d["sweep_values"] = list(self.sweep_values)
-        return d
-
     def hash(self) -> str:
-        d = self.to_dict()
+        d = dataclasses.asdict(self)
         d.pop("out")  # the output path is not part of the experiment
         blob = json.dumps(d, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
@@ -181,7 +180,7 @@ def cmd_generate(config: ExperimentConfig) -> int:
     return 0
 
 
-def _run_one(config, catalog, trace, policy, capacity, seed):
+def _run_one(config, config_hash, catalog, trace, policy, capacity, seed):
     return run_simulation(
         catalog,
         trace,
@@ -191,7 +190,7 @@ def _run_one(config, catalog, trace, policy, capacity, seed):
         exploration_beta=config.exploration_beta,
         alloc_window=config.alloc_window,
         alloc_smoothing=config.alloc_smoothing,
-        config_hash=config.hash(),
+        config_hash=config_hash,
     )
 
 
@@ -207,6 +206,7 @@ def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int
             raise ConfigError("trace: --trace is required with --catalog")
         fixed = (catalog, load_trace(trace_path, catalog))
 
+    config_hash = config.hash()
     summaries = []
     with open(outdir / "per_slot.csv", "w", newline="") as fh:
         fh.write("seed,policy,slot,hit_ratio,oracle_hit_ratio,"
@@ -217,7 +217,8 @@ def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int
             )
             for policy in config.policies:
                 metrics = _run_one(
-                    config, catalog, trace, policy, config.capacity, seed
+                    config, config_hash, catalog, trace, policy,
+                    config.capacity, seed,
                 )
                 summaries.append(metrics.summary)
                 for t, rec in enumerate(metrics.per_slot, start=1):
@@ -228,9 +229,9 @@ def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int
                     )
     with open(outdir / "metrics.json", "w") as fh:
         json.dump(
-            {"config_hash": config.hash(), "runs": summaries}, fh, indent=2
+            {"config_hash": config_hash, "runs": summaries}, fh, indent=2
         )
-    print(f"config_hash={config.hash()}")
+    print(f"config_hash={config_hash}")
     for s in summaries:
         print(
             f"policy={s['policy']} seed={s['seed']} "
@@ -240,44 +241,41 @@ def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int
     return 0
 
 
+def _sweep_points(config: ExperimentConfig):
+    """Yield (axis value, seed, (catalog, trace), capacity) in run order."""
+    if config.sweep_axis == "library_size":
+        for value in config.sweep_values:
+            for seed in config.seeds:
+                workload = make_workload(config, int(value), seed)
+                yield value, seed, workload, config.capacity
+    else:
+        for seed in config.seeds:
+            workload = make_workload(config, config.library_size, seed)
+            for value in config.sweep_values:
+                yield value, seed, workload, value
+
+
 def sweep_results(config: ExperimentConfig):
     """Run the configured sweep; yields one result row per run.
 
     A library-size sweep regenerates the workload per point; a
     capacity sweep holds each seed's workload fixed and varies C.
     """
-    if config.sweep_axis == "library_size":
-        for value in config.sweep_values:
-            for seed in config.seeds:
-                catalog, trace = make_workload(config, int(value), seed)
-                for policy in config.policies:
-                    m = _run_one(
-                        config, catalog, trace, policy, config.capacity, seed
-                    )
-                    yield {
-                        "axis": "library_size",
-                        "value": value,
-                        "policy": policy,
-                        "seed": seed,
-                        "mean_hit_ratio": m.summary["mean_hit_ratio"],
-                        "final_regret": m.summary["final_regret"],
-                        "config_hash": config.hash(),
-                    }
-    else:
-        for seed in config.seeds:
-            catalog, trace = make_workload(config, config.library_size, seed)
-            for value in config.sweep_values:
-                for policy in config.policies:
-                    m = _run_one(config, catalog, trace, policy, value, seed)
-                    yield {
-                        "axis": "capacity",
-                        "value": value,
-                        "policy": policy,
-                        "seed": seed,
-                        "mean_hit_ratio": m.summary["mean_hit_ratio"],
-                        "final_regret": m.summary["final_regret"],
-                        "config_hash": config.hash(),
-                    }
+    config_hash = config.hash()
+    for value, seed, (catalog, trace), capacity in _sweep_points(config):
+        for policy in config.policies:
+            m = _run_one(
+                config, config_hash, catalog, trace, policy, capacity, seed
+            )
+            yield {
+                "axis": config.sweep_axis,
+                "value": value,
+                "policy": policy,
+                "seed": seed,
+                "mean_hit_ratio": m.summary["mean_hit_ratio"],
+                "final_regret": m.summary["final_regret"],
+                "config_hash": config_hash,
+            }
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
@@ -285,13 +283,9 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "sweep.csv"
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(SWEEP_HEADER) + "\n")
-        for row in sweep_results(config):
-            fh.write(
-                f"{row['axis']},{row['value']!r},{row['policy']},{row['seed']},"
-                f"{row['mean_hit_ratio']!r},{row['final_regret']!r},"
-                f"{row['config_hash']}\n"
-            )
+        writer = csv.DictWriter(fh, SWEEP_HEADER, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(sweep_results(config))
     print(f"config_hash={config.hash()}")
     print(f"wrote {path}")
     return 0
@@ -300,30 +294,34 @@ def cmd_sweep(config: ExperimentConfig) -> int:
 def read_sweep_csv(path) -> list:
     rows = []
     with open(path, newline="") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise TraceParseError("empty results file", line=1)
-    header = lines[0].split(",")
-    if header != SWEEP_HEADER:
-        raise TraceParseError("bad results header", line=1)
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        try:
-            rows.append(
-                {
-                    "axis": parts[0],
-                    "value": float(parts[1]),
-                    "policy": parts[2],
-                    "seed": int(parts[3]),
-                    "mean_hit_ratio": float(parts[4]),
-                    "final_regret": float(parts[5]),
-                    "config_hash": parts[6],
-                }
-            )
-        except (ValueError, IndexError) as exc:
-            raise TraceParseError(str(exc), line=lineno) from exc
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise TraceParseError("empty results file", line=1)
+        if header != SWEEP_HEADER:
+            raise TraceParseError("bad results header", line=1)
+        for lineno, parts in enumerate(reader, start=2):
+            if not parts:
+                continue
+            if len(parts) != len(SWEEP_HEADER):
+                raise TraceParseError(
+                    f"expected {len(SWEEP_HEADER)} fields, got {len(parts)}",
+                    line=lineno,
+                )
+            try:
+                rows.append(
+                    {
+                        "axis": parts[0],
+                        "value": float(parts[1]),
+                        "policy": parts[2],
+                        "seed": int(parts[3]),
+                        "mean_hit_ratio": float(parts[4]),
+                        "final_regret": float(parts[5]),
+                        "config_hash": parts[6],
+                    }
+                )
+            except ValueError as exc:
+                raise TraceParseError(str(exc), line=lineno) from exc
     if not rows:
         raise TraceParseError("results file has no data rows", line=2)
     return rows
@@ -390,20 +388,10 @@ def cmd_report(input_path, out) -> int:
     outdir = Path(out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "report.csv"
-    cols = [
-        "value", "policy", "n_seeds",
-        "mean_hit_ratio", "stderr_hit_ratio",
-        "mean_final_regret", "stderr_final_regret", "improvement_over",
-    ]
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for entry in agg:
-            fh.write(
-                f"{entry['value']!r},{entry['policy']},{entry['n_seeds']},"
-                f"{entry['mean_hit_ratio']!r},{entry['stderr_hit_ratio']!r},"
-                f"{entry['mean_final_regret']!r},"
-                f"{entry['stderr_final_regret']!r},{entry['improvement_over']}\n"
-            )
+        writer = csv.DictWriter(fh, REPORT_HEADER, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(agg)
     print(f"{'value':>8} {'policy':>8} {'hit_ratio':>12} {'regret':>12}  improvement")
     for entry in agg:
         print(
@@ -461,21 +449,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    overrides = {}
-    for key in (
-        "out", "horizon", "library_size", "capacity", "w_snm",
-        "exploration_beta", "zipf_delta", "requests_per_slot", "sweep_axis",
-    ):
-        if getattr(args, key, None) is not None:
-            overrides[key] = getattr(args, key)
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dataclasses.fields(ExperimentConfig)
+        if getattr(args, f.name, None) is not None
+    }
     if getattr(args, "seed", None) is not None:
         overrides["seeds"] = (args.seed,)
     if getattr(args, "policy", None) is not None:
         overrides["policies"] = (args.policy,)
     if getattr(args, "values", None) is not None:
-        overrides["sweep_values"] = tuple(
-            float(x) for x in args.values.split(",")
-        )
+        overrides["sweep_values"] = _parse_value("sweep_values", args.values, tuple)
     return load_config(path=args.config, overrides=overrides)
 
 
@@ -489,9 +473,7 @@ def main(argv=None) -> int:
             return cmd_generate(config)
         if args.command == "run":
             return cmd_run(config, args.catalog, args.trace)
-        if args.command == "sweep":
-            return cmd_sweep(config)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return cmd_sweep(config)  # argparse admits no other command
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return 3

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import Catalog, Regime
+from .catalog import Catalog
 from .errors import EmptyWindow, LengthMismatch
 from .policy import (
     Placement,
@@ -40,36 +40,28 @@ class RunMetrics:
     summary: dict
 
 
-def slot_step(placement: Placement, events: Sequence[int]) -> tuple:
-    """Serve one slot's requests against a frozen cache.
+def slot_step(placement: Placement, counts: Counter) -> tuple:
+    """Serve one slot's request tally against a frozen cache.
 
-    Returns (hits, total, per-file hit counts for cached files).
+    Returns (hits, total requests).
     """
-    hits = 0
-    per_file = Counter()
     cached = placement.cached
-    for cid in events:
-        if cid in cached:
-            hits += 1
-            per_file[cid] += 1
-    return hits, len(events), per_file
+    hits = sum(c for cid, c in counts.items() if cid in cached)
+    return hits, counts.total()
 
 
-def oracle_placement(
-    events: Sequence[int], sizes: dict, capacity: float
-) -> tuple:
+def oracle_placement(counts: Counter, sizes: dict, capacity: float) -> tuple:
     """Clairvoyant per-slot optimum: exact knapsack over true counts.
 
     Returns (placement, oracle hit ratio for this slot).
     """
-    counts = Counter(events)
     ids = sorted(counts)
     values = [float(counts[cid]) for cid in ids]
     item_sizes = [sizes[cid] for cid in ids]
     placement = exact_knapsack(values, item_sizes, capacity, ids=ids)
-    hits, total, _ = slot_step(placement, events)
-    ratio = hits / total if total else 0.0
-    return placement, ratio
+    total = counts.total()
+    hits = sum(counts[cid] for cid in placement.cached)
+    return placement, hits / total if total else 0.0
 
 
 def cumulative_regret(
@@ -107,19 +99,16 @@ def run_simulation(
     )
     rng = np.random.default_rng(seed)
     sizes = {it.id: it.size for it in catalog.items}
-    regime_of = {it.id: it.regime for it in catalog.items}
     irm_ids = catalog.irm_ids
+    irm_set = set(irm_ids)
 
     estimator = AllocationEstimator(window=alloc_window, smoothing=alloc_smoothing)
-    irm_counts = Counter()
-    all_counts = Counter()
+    all_counts = Counter()  # requests per id over slots < t
     total_irm = 0
     total_all = 0
 
     events_by_slot = trace.events_by_slot()
     records = []
-    achieved = []
-    oracle = []
     total_hits = 0
 
     for t in range(1, trace.horizon + 1):
@@ -130,18 +119,15 @@ def run_simulation(
 
         irm_ranking = tuple(
             sorted(
-                ((cid, irm_counts.get(cid, 0) / total_irm if total_irm else 0.0)
+                ((cid, all_counts.get(cid, 0) / total_irm if total_irm else 0.0)
                  for cid in irm_ids),
                 key=lambda pair: (-pair[1], pair[0]),
             )
         )
-        if total_all:
-            history = PopularitySnapshot(
-                slot=t - 1,
-                freq={cid: c / total_all for cid, c in all_counts.items()},
-            )
-        else:
-            history = PopularitySnapshot(slot=t - 1, freq={})
+        history = PopularitySnapshot(
+            slot=t - 1,
+            freq={cid: c / total_all for cid, c in all_counts.items()},
+        )
 
         ctx = PolicyContext(
             slot=t,
@@ -153,14 +139,14 @@ def run_simulation(
         )
         placement = policy.place(ctx)
 
-        events = events_by_slot[t - 1]
-        hits, total, _ = slot_step(placement, events)
+        counts = Counter(events_by_slot[t - 1])
+        hits, total = slot_step(placement, counts)
         hit_ratio = hits / total if total else 0.0
         total_hits += hits
 
-        policy.update(ctx, placement, events)
+        policy.update(ctx, placement, counts)
 
-        _, oracle_ratio = oracle_placement(events, sizes, capacity)
+        _, oracle_ratio = oracle_placement(counts, sizes, capacity)
         increment = max(0.0, oracle_ratio - hit_ratio)
         records.append(
             SlotRecord(
@@ -169,27 +155,23 @@ def run_simulation(
                 regret_increment=increment,
             )
         )
-        achieved.append(hit_ratio)
-        oracle.append(oracle_ratio)
 
-        n_snm = sum(1 for cid in events if regime_of[cid] is Regime.SNM)
-        estimator.observe(n_snm, len(events) - n_snm)
-        for cid in events:
-            all_counts[cid] += 1
-            if regime_of[cid] is Regime.IRM:
-                irm_counts[cid] += 1
-        total_all += len(events)
-        total_irm += sum(1 for cid in events if regime_of[cid] is Regime.IRM)
+        all_counts.update(counts)
+        n_irm = sum(c for cid, c in counts.items() if cid in irm_set)
+        estimator.observe(total - n_irm, n_irm)
+        total_all += total
+        total_irm += n_irm
 
-    regret = cumulative_regret(achieved, oracle)
+    achieved = [r.hit_ratio for r in records]
+    regret = cumulative_regret(achieved, [r.oracle_hit_ratio for r in records])
     total_events = len(trace.events)
     summary = {
         "policy": policy_name,
         "seed": seed,
         "config_hash": config_hash,
         "mean_hit_ratio": total_hits / total_events if total_events else 0.0,
-        "slot_mean_hit_ratio": float(np.mean(achieved)) if achieved else 0.0,
-        "final_regret": float(regret[-1]) if len(regret) else 0.0,
+        "slot_mean_hit_ratio": float(np.mean(achieved)),
+        "final_regret": float(regret[-1]),
     }
     return RunMetrics(
         per_slot=tuple(records), cumulative_regret=regret, summary=summary

@@ -62,10 +62,6 @@ class ColdStart(HybridCacheError):
     """UCB index requested for a content that was never cached."""
 
 
-class NotCached(HybridCacheError):
-    """Bandit update requested for a content not cached this slot."""
-
-
 class LengthMismatch(HybridCacheError):
     """Paired per-slot series have different lengths."""
 

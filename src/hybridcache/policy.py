@@ -11,23 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .catalog import Catalog, Regime, feature_influence
-from .errors import (
-    BadInput,
-    ColdStart,
-    NeedsIntegerSizes,
-    NotCached,
-    UnknownPolicy,
-    WrongRegime,
-)
+from .errors import BadInput, ColdStart, NeedsIntegerSizes, UnknownPolicy
 from .popularity import AllocationEstimate, PopularitySnapshot
-from .workload import ZipfModel
 
 logger = logging.getLogger(__name__)
 
@@ -57,35 +48,6 @@ def _fill(ordered_ids, sizes, capacity) -> tuple:
             chosen.append(cid)
             used += s
     return chosen, used
-
-
-def hit_ratio_irm(placement: Placement, zipf: ZipfModel, irm_ids: Sequence[int]) -> float:
-    """Stationary hit ratio: summed Zipf mass of the cached IRM items."""
-    rank_prob = {cid: float(zipf.pmf[i]) for i, cid in enumerate(irm_ids)}
-    total = 0.0
-    for cid in placement.cached:
-        if cid not in rank_prob:
-            raise WrongRegime(f"id {cid} is not an IRM content")
-        total += rank_prob[cid]
-    return total
-
-
-def hit_ratio_snm(
-    placement: Placement, popularity: PopularitySnapshot, snm_ids: Sequence[int]
-) -> float:
-    """Learned hit ratio: summed empirical frequency of the cached SNM items."""
-    snm = set(snm_ids)
-    total = 0.0
-    for cid in placement.cached:
-        if cid not in snm:
-            raise WrongRegime(f"id {cid} is not an SNM content")
-        total += popularity.freq.get(cid, 0.0)
-    return total
-
-
-def hit_ratio_total(p_irm: float, p_snm: float, alloc: AllocationEstimate) -> float:
-    """Mixture hit ratio weighted by the IRM/SNM request proportions."""
-    return alloc.w_irm * p_irm + alloc.w_snm * p_snm
 
 
 def _check_knapsack_input(values, sizes):
@@ -218,8 +180,6 @@ class BanditState:
     influence: float  # static feature scalar in (0, 1]
     pulls: int = 0
     mean_reward: float = 0.0
-    reward_weight: float = 0.0
-    action_flag: int = 0
     weighted_reward: float = 0.0
 
 
@@ -250,15 +210,13 @@ def hybrid_ucb_index(
 def hybrid_update(state: BanditState, observed: float, slot_max: float) -> None:
     """Fold one slot's observed reward into a content's learning state.
 
-    The reward weight is the observation normalized by the slot's best
-    cached content; the running mean is the arithmetic mean of all
-    observations fed so far.
+    The reward weight (weighted_reward) is the observation normalized by
+    the slot's best cached content; the running mean is the arithmetic
+    mean of all observations fed so far.
     """
     if observed < 0 or slot_max < observed:
         raise ValueError("need 0 <= observed <= slot_max")
-    state.reward_weight = observed / slot_max if slot_max > 0 else 0.0
-    state.action_flag = 1
-    state.weighted_reward = state.action_flag * state.reward_weight
+    state.weighted_reward = observed / slot_max if slot_max > 0 else 0.0
     state.pulls += 1
     state.mean_reward = (
         state.mean_reward * (state.pulls - 1) + observed
@@ -302,7 +260,8 @@ def hybrid_select(
     irm_chosen, irm_used = _fill(irm_order, sizes, capacity - snm_used)
     spare = capacity - snm_used - irm_used
     if spare > 0:
-        rest = [f for f in snm_order if f not in set(snm_chosen)]
+        chosen = set(snm_chosen)
+        rest = [f for f in snm_order if f not in chosen]
         extra, extra_used = _fill(rest, sizes, spare)
         snm_chosen += extra
         snm_used += extra_used
@@ -336,7 +295,7 @@ class RandomPolicy:
     def place(self, ctx: PolicyContext) -> Placement:
         return random_place(self.catalog, self.capacity, ctx.rng)
 
-    def update(self, ctx, placement, slot_events):
+    def update(self, ctx, placement, counts):
         pass
 
 
@@ -352,7 +311,7 @@ class PopularPolicy:
             self.catalog, ctx.history_popularity, self.capacity, rng=ctx.rng
         )
 
-    def update(self, ctx, placement, slot_events):
+    def update(self, ctx, placement, counts):
         pass
 
 
@@ -369,7 +328,6 @@ class HybridPolicy:
         weight_floor: float = 0.01,
         influence_floor: float = 0.01,
     ):
-        self.catalog = catalog
         self.capacity = capacity
         self.exploration_beta = exploration_beta
         self.weight_floor = weight_floor
@@ -381,10 +339,9 @@ class HybridPolicy:
             for it in catalog.items
             if it.regime is Regime.SNM
         }
-        self._last_cached = frozenset()
 
     def place(self, ctx: PolicyContext) -> Placement:
-        placement = hybrid_select(
+        return hybrid_select(
             self.states,
             ctx.snm_candidates,
             ctx.irm_ranking,
@@ -395,24 +352,17 @@ class HybridPolicy:
             self.exploration_beta,
             self.weight_floor,
         )
-        self._last_cached = placement.cached
-        return placement
 
-    def update(self, ctx: PolicyContext, placement: Placement, slot_events) -> None:
-        """Feed each cached SNM content its popularity-share reward."""
-        cached_snm = [f for f in placement.cached if f in self.states]
-        counts = Counter(slot_events)
-        snm_total = sum(
-            c for cid, c in counts.items()
-            if self.catalog.regime_of(cid) is Regime.SNM
-        )
-        observed = {}
-        for f in cached_snm:
-            if f not in self._last_cached:
-                raise NotCached(f"content {f} was not cached this slot")
-            observed[f] = counts.get(f, 0) / snm_total if snm_total > 0 else 0.0
+    def update(self, ctx: PolicyContext, placement: Placement, counts) -> None:
+        """Feed each cached SNM content its share of the slot's SNM requests."""
+        snm_total = sum(c for cid, c in counts.items() if cid in self.states)
+        observed = {
+            f: counts.get(f, 0) / snm_total if snm_total > 0 else 0.0
+            for f in placement.cached
+            if f in self.states
+        }
         slot_max = max(observed.values(), default=0.0)
-        for f in sorted(cached_snm):
+        for f in sorted(observed):
             hybrid_update(self.states[f], observed[f], slot_max)
 
 

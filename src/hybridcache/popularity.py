@@ -1,4 +1,4 @@
-"""Online estimation of per-content popularity and the IRM/SNM split.
+"""Popularity snapshots and online estimation of the IRM/SNM split.
 
 The capacity-allocation proportions are the windowed empirical class
 ratios with optional exponential smoothing; they stand in for the
@@ -7,11 +7,10 @@ learned predictor and converge to the same target quantity.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .catalog import Catalog, Regime
 from .errors import EmptyWindow
 
 
@@ -91,27 +90,3 @@ class AllocationEstimator:
         )
         self._prior = est.w_snm
         return est
-
-
-def empirical_popularity(
-    events: Sequence[int],
-    catalog: Catalog,
-    regime_filter: Optional[Regime] = None,
-    slot: int = 0,
-) -> PopularitySnapshot:
-    """Per-content request frequencies over a batch of request ids.
-
-    With a regime filter, frequencies are relative to the filtered
-    request count only. No requests yields an empty snapshot.
-    """
-    if regime_filter is None:
-        filtered = list(events)
-    else:
-        filtered = [cid for cid in events if catalog.regime_of(cid) is regime_filter]
-    if not filtered:
-        return PopularitySnapshot(slot=slot, freq={})
-    counts = Counter(filtered)
-    total = len(filtered)
-    return PopularitySnapshot(
-        slot=slot, freq={cid: c / total for cid, c in counts.items()}
-    )

@@ -31,17 +31,6 @@ def zipf_pmf(n: int, delta: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ZipfModel:
-    n: int
-    delta: float
-    pmf: np.ndarray
-
-    @classmethod
-    def build(cls, n: int, delta: float) -> "ZipfModel":
-        return cls(n=n, delta=delta, pmf=zipf_pmf(n, delta))
-
-
-@dataclass(frozen=True)
 class ParetoVolume:
     """Pareto law for SNM total request volumes: shape beta, scale n_min."""
 
@@ -192,7 +181,10 @@ def save_trace(trace: RequestTrace, path) -> None:
 
 
 def load_trace(path, catalog: Catalog) -> RequestTrace:
-    """Load a trace CSV, validating every id against the catalog."""
+    """Load a trace CSV, validating every id against the catalog.
+
+    Slots must be >= 1 and non-decreasing from row to row.
+    """
     known = {it.id for it in catalog.items}
     events = []
     horizon = 0
@@ -206,10 +198,16 @@ def load_trace(path, catalog: Catalog) -> RequestTrace:
                 slot, content_id = int(row[0]), int(row[1])
             except (ValueError, IndexError) as exc:
                 raise TraceParseError(str(exc), line=lineno) from exc
+            if slot < 1:
+                raise TraceParseError(f"slot {slot} is below 1", line=lineno)
+            if slot < horizon:
+                raise TraceParseError(
+                    f"slot {slot} follows slot {horizon}", line=lineno
+                )
             if content_id not in known:
                 raise UnknownContent(
                     f"line {lineno}: content id {content_id} not in catalog"
                 )
             events.append((slot, content_id))
-            horizon = max(horizon, slot)
+            horizon = slot
     return RequestTrace(horizon=horizon, events=tuple(events))

@@ -135,6 +135,10 @@ class TestSweep:
         assert len(rows) == 2 * 2 * 2
         assert all(r["config_hash"] == rows[0]["config_hash"] for r in rows)
 
+    def test_unparsable_values_exit_code(self, tmp_path):
+        rc = main(["sweep", "--values", "a,b", "--out", str(tmp_path)])
+        assert rc == 2
+
     def test_sweep_report_round_trip(self, tmp_path):
         out = tmp_path / "sweep"
         cfg_path = tmp_path / "exp.cfg"
@@ -182,14 +186,18 @@ class TestReport:
 
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text(
-            "axis,value,policy,seed,mean_hit_ratio,final_regret,config_hash\n"
-            "capacity,10,hybrid,1,0.5,1.0,x\n"
-            "capacity,oops,hybrid,1,0.5,1.0,x\n"
-        )
-        with pytest.raises(TraceParseError) as exc:
-            read_sweep_csv(path)
-        assert exc.value.line == 3
+        for bad_row in (
+            "capacity,oops,hybrid,1,0.5,1.0,x\n",
+            "capacity,10,hybrid,1,0.5,1.0,x,extra\n",
+            "capacity,10,hybrid,1,0.5,1.0\n",
+        ):
+            path.write_text(
+                "axis,value,policy,seed,mean_hit_ratio,final_regret,config_hash\n"
+                "capacity,10,hybrid,1,0.5,1.0,x\n" + bad_row
+            )
+            with pytest.raises(TraceParseError) as exc:
+                read_sweep_csv(path)
+            assert exc.value.line == 3, bad_row
 
     def test_missing_input_is_io_error(self, tmp_path):
         rc = main(["report", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])

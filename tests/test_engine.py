@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -23,16 +24,15 @@ def placement_of(ids, capacity):
 
 class TestSlotStep:
     def test_partial_hits(self):
-        hits, total, per_file = slot_step(placement_of({1}, 2), [1, 1, 2, 3])
+        hits, total = slot_step(placement_of({1}, 2), Counter([1, 1, 2, 3]))
         assert (hits, total) == (2, 4)
-        assert per_file == {1: 2}
 
     def test_empty_cache(self):
-        hits, total, _ = slot_step(placement_of(set(), 2), [1, 2])
+        hits, total = slot_step(placement_of(set(), 2), Counter([1, 2]))
         assert hits == 0
 
     def test_full_coverage(self):
-        hits, total, _ = slot_step(placement_of({1, 2, 3}, 3), [1, 2, 3, 3])
+        hits, total = slot_step(placement_of({1, 2, 3}, 3), Counter([1, 2, 3, 3]))
         assert hits == total == 4
 
 
@@ -40,17 +40,17 @@ class TestOraclePlacement:
     SIZES = {i: 1.0 for i in range(1, 10)}
 
     def test_single_hot_file(self):
-        p, ratio = oracle_placement([1, 1, 1], self.SIZES, 1)
+        p, ratio = oracle_placement(Counter([1, 1, 1]), self.SIZES, 1)
         assert p.cached == {1}
         assert ratio == 1.0
 
     def test_count_then_id_ties(self):
-        p, ratio = oracle_placement([1, 1, 2, 3], self.SIZES, 2)
+        p, ratio = oracle_placement(Counter([1, 1, 2, 3]), self.SIZES, 2)
         assert p.cached == {1, 2}
         assert ratio == 0.75
 
     def test_zero_capacity(self):
-        _, ratio = oracle_placement([1, 2], self.SIZES, 0)
+        _, ratio = oracle_placement(Counter([1, 2]), self.SIZES, 0)
         assert ratio == 0.0
 
 

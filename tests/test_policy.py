@@ -7,24 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridcache.catalog import CatalogConfig, build_catalog
-from hybridcache.errors import (
-    BadInput,
-    ColdStart,
-    NeedsIntegerSizes,
-    NotCached,
-    UnknownPolicy,
-    WrongRegime,
-)
+from hybridcache.errors import BadInput, ColdStart, NeedsIntegerSizes, UnknownPolicy
 from hybridcache.policy import (
     BanditState,
-    HybridPolicy,
-    Placement,
-    PolicyContext,
     exact_knapsack,
     greedy_knapsack,
-    hit_ratio_irm,
-    hit_ratio_snm,
-    hit_ratio_total,
     hybrid_select,
     hybrid_ucb_index,
     hybrid_update,
@@ -33,7 +20,6 @@ from hybridcache.policy import (
     random_place,
 )
 from hybridcache.popularity import AllocationEstimate, PopularitySnapshot
-from hybridcache.workload import ZipfModel
 
 
 def brute_force_best(values, sizes, capacity):
@@ -47,62 +33,6 @@ def brute_force_best(values, sizes, capacity):
         value = sum(v for m, v in zip(mask, values) if m)
         best = max(best, value)
     return best
-
-
-def placement_of(ids, capacity):
-    return Placement(
-        cached=frozenset(ids), used_capacity=float(len(ids)), capacity=capacity
-    )
-
-
-class TestHitRatios:
-    def test_irm_full_coverage(self):
-        zipf = ZipfModel.build(3, 1.0)
-        p = placement_of({1, 2, 3}, 3)
-        assert hit_ratio_irm(p, zipf, [1, 2, 3]) == pytest.approx(1.0)
-
-    def test_irm_top_one(self):
-        zipf = ZipfModel.build(3, 1.0)
-        p = placement_of({1}, 1)
-        assert hit_ratio_irm(p, zipf, [1, 2, 3]) == pytest.approx(0.5455, abs=1e-4)
-
-    def test_irm_empty(self):
-        zipf = ZipfModel.build(3, 1.0)
-        assert hit_ratio_irm(placement_of(set(), 1), zipf, [1, 2, 3]) == 0.0
-
-    def test_irm_wrong_regime(self):
-        zipf = ZipfModel.build(2, 1.0)
-        with pytest.raises(WrongRegime):
-            hit_ratio_irm(placement_of({9}, 1), zipf, [1, 2])
-
-    def test_snm_lookup(self):
-        snap = PopularitySnapshot(slot=1, freq={4: 0.75, 5: 0.25})
-        assert hit_ratio_snm(placement_of({4}, 1), snap, [4, 5, 6]) == 0.75
-
-    def test_snm_full_coverage(self):
-        snap = PopularitySnapshot(slot=1, freq={4: 0.75, 5: 0.25})
-        assert hit_ratio_snm(placement_of({4, 5}, 2), snap, [4, 5]) == 1.0
-
-    def test_snm_unobserved(self):
-        snap = PopularitySnapshot(slot=1, freq={4: 1.0})
-        assert hit_ratio_snm(placement_of({6}, 1), snap, [4, 6]) == 0.0
-
-    def test_snm_wrong_regime(self):
-        snap = PopularitySnapshot(slot=1, freq={})
-        with pytest.raises(WrongRegime):
-            hit_ratio_snm(placement_of({1}, 1), snap, [4, 5])
-
-    def test_total_mixture(self):
-        alloc = AllocationEstimate.from_snm(0.8)
-        assert hit_ratio_total(1.0, 0.5, alloc) == pytest.approx(0.6)
-
-    def test_total_degenerate(self):
-        alloc = AllocationEstimate.from_snm(1.0)
-        assert hit_ratio_total(0.3, 0.7, alloc) == 0.7
-
-    def test_total_fixed_point(self):
-        alloc = AllocationEstimate.from_snm(0.37)
-        assert hit_ratio_total(0.42, 0.42, alloc) == pytest.approx(0.42)
 
 
 class TestGreedyKnapsack:
@@ -256,14 +186,12 @@ class TestHybridUpdate:
     def test_normalization_ceiling(self):
         state = BanditState(influence=0.5)
         hybrid_update(state, observed=0.3, slot_max=0.3)
-        assert state.reward_weight == 1.0
         assert state.weighted_reward == 1.0
-        assert state.action_flag == 1
 
     def test_empty_slot_convention(self):
         state = BanditState(influence=0.5, pulls=1, mean_reward=0.6)
         hybrid_update(state, observed=0.0, slot_max=0.0)
-        assert state.reward_weight == 0.0
+        assert state.weighted_reward == 0.0
         assert state.mean_reward == pytest.approx(0.3)
 
     def test_mean_equals_arithmetic_mean_exactly(self):
@@ -355,28 +283,6 @@ class TestHybridSelect:
         )
         assert p.used_capacity <= capacity + 1e-9
         assert sum(sizes[f] for f in p.cached) == pytest.approx(p.used_capacity)
-
-
-class TestHybridPolicyUpdateGuard:
-    def test_not_cached_raises(self):
-        catalog = build_catalog(
-            CatalogConfig(library_size=6, w_snm=0.5, horizon=20), seed=41
-        )
-        policy = HybridPolicy(catalog, capacity=3)
-        fake = Placement(
-            cached=frozenset({catalog.snm_ids[0]}),
-            used_capacity=1.0,
-            capacity=3,
-        )
-        ctx = PolicyContext(
-            slot=1,
-            alloc=AllocationEstimate.from_snm(0.5),
-            snm_candidates=tuple(catalog.snm_ids),
-            irm_ranking=(),
-            history_popularity=PopularitySnapshot(slot=0, freq={}),
-        )
-        with pytest.raises(NotCached):
-            policy.update(ctx, fake, [catalog.snm_ids[0]])
 
 
 def test_make_policy_unknown():

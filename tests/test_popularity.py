@@ -6,7 +6,6 @@ from hybridcache.popularity import (
     AllocationEstimate,
     AllocationEstimator,
     PopularitySnapshot,
-    empirical_popularity,
     estimate_allocation,
 )
 from hybridcache.workload import generate_trace
@@ -63,40 +62,6 @@ class TestAllocationEstimator:
             est = estimate_allocation(counts, smoothing=0.0)
             adjusted = target - trace.stats.fallback_count / trace.stats.total_requests
             assert est.w_snm == pytest.approx(adjusted, abs=0.05)
-
-
-@pytest.fixture(scope="module")
-def catalog():
-    return build_catalog(
-        CatalogConfig(library_size=10, w_snm=0.5, horizon=50), seed=23
-    )
-
-
-class TestEmpiricalPopularity:
-    def test_equal_counts(self, catalog):
-        a, b = 1, 2
-        snap = empirical_popularity([a, a, b, b], catalog)
-        assert snap.freq == {a: 0.5, b: 0.5}
-
-    def test_skewed_counts(self, catalog):
-        snap = empirical_popularity([1, 1, 1, 2], catalog)
-        assert snap.freq == {1: 0.75, 2: 0.25}
-
-    def test_empty_slot(self, catalog):
-        assert empirical_popularity([], catalog).freq == {}
-
-    def test_regime_filter(self, catalog):
-        irm_id = catalog.irm_ids[0]
-        snm_id = catalog.snm_ids[0]
-        snap = empirical_popularity(
-            [irm_id, irm_id, snm_id], catalog, regime_filter=Regime.IRM
-        )
-        assert snap.freq == {irm_id: 1.0}
-
-    def test_frequencies_sum_to_one(self, catalog):
-        snap = empirical_popularity([1, 2, 2, 3, 3, 3, 4], catalog)
-        assert sum(snap.freq.values()) == pytest.approx(1.0, abs=1e-9)
-        assert all(v >= 0 for v in snap.freq.values())
 
 
 class TestAllocationEstimateType:

@@ -167,10 +167,17 @@ class TestTraceIO:
 
     def test_malformed_row_reports_line(self, small_catalog, tmp_path):
         path = tmp_path / "bad.csv"
-        path.write_text("slot,content_id\n1,2\nabc,5\n")
-        with pytest.raises(TraceParseError) as exc:
-            load_trace(path, small_catalog)
-        assert exc.value.line == 3
+        cases = (
+            ("1,2\nabc,5\n", 3),
+            ("2,1\n0,2\n3,1\n1,3\n-1,4\n", 3),  # slot below 1
+            ("1,2\n-1,4\n", 3),
+            ("2,1\n3,1\n1,3\n", 4),  # slot lower than the row before
+        )
+        for rows, line in cases:
+            path.write_text("slot,content_id\n" + rows)
+            with pytest.raises(TraceParseError) as exc:
+                load_trace(path, small_catalog)
+            assert exc.value.line == line, rows
 
     def test_unknown_content(self, small_catalog, tmp_path):
         path = tmp_path / "unknown.csv"
