@@ -31,7 +31,6 @@ from .workload import (
     RequestTrace,
     generate_trace,
     sample_pareto_volume,
-    snm_rate,
     zipf_pmf,
 )
 

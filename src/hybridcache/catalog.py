@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,10 +63,6 @@ class SnmDynamics:
         if self.volume <= 0:
             raise ValueError("volume must be positive")
 
-    def active_at(self, slot: int) -> bool:
-        """True inside the half-open window [arrival, arrival + lifespan)."""
-        return self.arrival_slot <= slot < self.arrival_slot + self.lifespan
-
 
 @dataclass(frozen=True)
 class ContentItem:
@@ -86,8 +83,21 @@ class ContentItem:
             )
 
 
+def _frozen(values, dtype) -> np.ndarray:
+    out = np.array(values, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class Catalog:
+    """The content library. Ids are dense in 1..F; item order is free.
+
+    The per-content arrays below are built once per catalog, in
+    ascending id order, and are read-only because every caller shares
+    them.
+    """
+
     items: tuple
 
     def __post_init__(self):
@@ -95,25 +105,62 @@ class Catalog:
         if sorted(ids) != list(range(1, len(ids) + 1)):
             raise ValueError("item ids must be unique and dense in [1, N]")
 
-    @property
-    def n_irm(self) -> int:
-        return sum(1 for it in self.items if it.regime is Regime.IRM)
+    @cached_property
+    def _by_id(self) -> tuple:
+        return tuple(sorted(self.items, key=lambda it: it.id))
 
-    @property
-    def n_snm(self) -> int:
-        return sum(1 for it in self.items if it.regime is Regime.SNM)
+    @cached_property
+    def ids(self) -> np.ndarray:
+        """All ids, 1..F."""
+        return _frozen(np.arange(1, len(self.items) + 1), np.int64)
 
-    @property
-    def irm_ids(self) -> list:
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """Item sizes; position id - 1 holds the size of that id."""
+        return _frozen([it.size for it in self._by_id], float)
+
+    @cached_property
+    def irm_ids(self) -> np.ndarray:
         """IRM ids in ascending order; position defines the Zipf rank."""
-        return sorted(it.id for it in self.items if it.regime is Regime.IRM)
+        return _frozen(
+            [it.id for it in self._by_id if it.regime is Regime.IRM], np.int64
+        )
+
+    @cached_property
+    def _snm_items(self) -> tuple:
+        return tuple(it for it in self._by_id if it.regime is Regime.SNM)
+
+    @cached_property
+    def snm_ids(self) -> np.ndarray:
+        """SNM ids in ascending order; the snm_* arrays follow this order."""
+        return _frozen([it.id for it in self._snm_items], np.int64)
+
+    @cached_property
+    def snm_arrival(self) -> np.ndarray:
+        return _frozen([it.snm.arrival_slot for it in self._snm_items], np.int64)
+
+    @cached_property
+    def snm_expiry(self) -> np.ndarray:
+        """First slot after each SNM item's window: arrival + lifespan."""
+        return _frozen(
+            [it.snm.arrival_slot + it.snm.lifespan for it in self._snm_items],
+            np.int64,
+        )
+
+    @cached_property
+    def snm_volume(self) -> np.ndarray:
+        return _frozen([it.snm.volume for it in self._snm_items], float)
+
+    def snm_active_mask(self, slot: int) -> np.ndarray:
+        """Which SNM items (in snm_ids order) are live at the slot.
+
+        An item is live inside the half-open window [arrival, arrival + lifespan).
+        """
+        return (self.snm_arrival <= slot) & (slot < self.snm_expiry)
 
     def active_snm_ids(self, slot: int) -> list:
-        return [
-            it.id
-            for it in self.items
-            if it.regime is Regime.SNM and it.snm.active_at(slot)
-        ]
+        """Ids of the SNM items live at the slot, ascending."""
+        return self.snm_ids[self.snm_active_mask(slot)].tolist()
 
 
 def normalize_features(raw: Sequence[float], ranges: Sequence[tuple]) -> tuple:

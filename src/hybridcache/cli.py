@@ -90,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
             raise ConfigError("sweep_values must be strictly increasing")
+        if self.sweep_axis == "library_size" and any(
+            v < 2 or not float(v).is_integer() for v in self.sweep_values
+        ):
+            raise ConfigError("library_size sweep values must be whole numbers >= 2")
         return self
 
     def hash(self) -> str:

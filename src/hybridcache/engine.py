@@ -100,10 +100,11 @@ def run_simulation(
     rng = np.random.default_rng(seed)
     sizes = {it.id: it.size for it in catalog.items}
     irm_ids = catalog.irm_ids
-    irm_set = set(irm_ids)
+    irm_set = set(irm_ids.tolist())
 
     estimator = AllocationEstimator(window=alloc_window, smoothing=alloc_smoothing)
-    all_counts = Counter()  # requests per id over slots < t
+    # requests per id over slots < t; position = content id
+    all_counts = np.zeros(len(catalog.items) + 1, dtype=np.int64)
     total_irm = 0
     total_all = 0
 
@@ -117,17 +118,13 @@ def run_simulation(
         except EmptyWindow:
             alloc = AllocationEstimate.from_snm(0.5)
 
-        irm_ranking = tuple(
-            sorted(
-                ((cid, all_counts.get(cid, 0) / total_irm if total_irm else 0.0)
-                 for cid in irm_ids),
-                key=lambda pair: (-pair[1], pair[0]),
-            )
-        )
-        history = PopularitySnapshot(
-            slot=t - 1,
-            freq={cid: c / total_all for cid, c in all_counts.items()},
-        )
+        # IRM ids by descending count, ties by lower id; a zero total
+        # means its counts are all 0, which max(total, 1) keeps at 0
+        irm_counts = all_counts[irm_ids]
+        order = np.lexsort((irm_ids, -irm_counts))
+        irm_popularity = irm_counts[order] / max(total_irm, 1)
+        irm_ranking = tuple(zip(irm_ids[order].tolist(), irm_popularity.tolist()))
+        history = PopularitySnapshot(slot=t - 1, freq=all_counts / max(total_all, 1))
 
         ctx = PolicyContext(
             slot=t,
@@ -156,7 +153,7 @@ def run_simulation(
             )
         )
 
-        all_counts.update(counts)
+        all_counts[list(counts)] += list(counts.values())
         n_irm = sum(c for cid, c in counts.items() if cid in irm_set)
         estimator.observe(total - n_irm, n_irm)
         total_all += total

@@ -25,10 +25,6 @@ class BadUniform(HybridCacheError):
     """Inverse-CDF sampling needs a uniform draw in [0, 1)."""
 
 
-class WrongRegime(HybridCacheError):
-    """A content id of the wrong regime (IRM vs SNM) was supplied."""
-
-
 class TraceParseError(HybridCacheError):
     """A trace or results file failed to parse.
 

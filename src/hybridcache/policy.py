@@ -38,25 +38,23 @@ class Placement:
             )
 
 
-def _fill(ordered_ids, sizes, capacity) -> tuple:
-    """Admit ids in the given order, skipping any that no longer fit."""
+def _fill(ordered_ids, sizes, capacity, smallest) -> tuple:
+    """Admit ids in the given order, skipping any that no longer fit.
+
+    sizes[i] is the size of ordered_ids[i], and no size is below
+    smallest. The scan stops once smallest no longer fits, since no later
+    id could then be admitted.
+    """
     chosen = []
     used = 0.0
-    for cid in ordered_ids:
-        s = sizes[cid]
-        if used + s <= capacity + 1e-9:
-            chosen.append(cid)
-            used += s
+    limit = capacity + 1e-9
+    for cid, s in zip(ordered_ids, sizes):
+        if used + smallest > limit:
+            break
+        if used + s <= limit:
+            chosen.append(int(cid))
+            used += float(s)
     return chosen, used
-
-
-def _check_knapsack_input(values, sizes):
-    if len(values) != len(sizes):
-        raise BadInput("values and sizes must have the same length")
-    if any(v < 0 for v in values):
-        raise BadInput("values must be non-negative")
-    if any(s <= 0 for s in sizes):
-        raise BadInput("sizes must be positive")
 
 
 def greedy_knapsack(
@@ -69,17 +67,21 @@ def greedy_knapsack(
 
     Deterministic; ties broken by lower id.
     """
-    _check_knapsack_input(values, sizes)
+    values = np.asarray(values, dtype=float)
+    sizes = np.asarray(sizes, dtype=float)
+    if len(values) != len(sizes):
+        raise BadInput("values and sizes must have the same length")
+    if (values < 0).any():
+        raise BadInput("values must be non-negative")
+    if (sizes <= 0).any():
+        raise BadInput("sizes must be positive")
     if capacity < 0:
         raise BadInput("capacity must be >= 0")
-    if ids is None:
-        ids = list(range(1, len(values) + 1))
-    size_of = dict(zip(ids, sizes))
-    order = [
-        cid
-        for _, cid in sorted((-v / s, cid) for v, s, cid in zip(values, sizes, ids))
-    ]
-    chosen, used = _fill(order, size_of, capacity)
+    ids = np.arange(1, len(values) + 1) if ids is None else np.asarray(ids)
+    order = np.lexsort((ids, -values / sizes))
+    chosen, used = _fill(
+        ids[order], sizes[order], capacity, sizes.min(initial=np.inf)
+    )
     return Placement(cached=frozenset(chosen), used_capacity=used, capacity=capacity)
 
 
@@ -95,7 +97,14 @@ def exact_knapsack(
     the lexicographically smallest sorted id tuple (zero-value items
     are never included).
     """
-    _check_knapsack_input(values, sizes)
+    # item by item, unlike greedy_knapsack: the oracle passes a short list
+    # every slot, where a NumPy call costs more than the loop
+    if len(values) != len(sizes):
+        raise BadInput("values and sizes must have the same length")
+    if any(v < 0 for v in values):
+        raise BadInput("values must be non-negative")
+    if any(s <= 0 for s in sizes):
+        raise BadInput("sizes must be positive")
     if capacity < 0:
         raise BadInput("capacity must be >= 0")
     if any(not float(s).is_integer() for s in sizes):
@@ -148,10 +157,13 @@ def random_place(catalog: Catalog, capacity: float, rng: np.random.Generator) ->
     """Uniformly shuffled admission until capacity is exhausted."""
     if capacity < 0:
         raise BadInput("capacity must be >= 0")
-    ids = [it.id for it in catalog.items]
-    order = [ids[i] for i in rng.permutation(len(ids))]
-    sizes = {it.id: it.size for it in catalog.items}
-    chosen, used = _fill(order, sizes, capacity)
+    order = rng.permutation(len(catalog.ids))
+    chosen, used = _fill(
+        catalog.ids[order],
+        catalog.sizes[order],
+        capacity,
+        catalog.sizes.min(initial=np.inf),
+    )
     return Placement(cached=frozenset(chosen), used_capacity=used, capacity=capacity)
 
 
@@ -162,15 +174,13 @@ def popular_place(
     rng: Optional[np.random.Generator] = None,
 ) -> Placement:
     """Cache the historically most requested contents, regime-agnostic."""
-    if not history.freq:
+    if not history.freq.any():
         logger.warning("popular_place: empty history, falling back to random")
         if rng is None:
             rng = np.random.default_rng(0)
         return random_place(catalog, capacity, rng)
-    ids = [it.id for it in catalog.items]
-    values = [history.freq.get(cid, 0.0) for cid in ids]
-    sizes = [it.size for it in catalog.items]
-    return greedy_knapsack(values, sizes, capacity, ids=ids)
+    ids = catalog.ids
+    return greedy_knapsack(history.freq[ids], catalog.sizes, capacity, ids=ids)
 
 
 @dataclass
@@ -250,19 +260,22 @@ def hybrid_select(
             f,
         ),
     )
+
+    def fill(order, share):
+        order_sizes = [sizes[f] for f in order]
+        return _fill(order, order_sizes, share, min(order_sizes, default=0.0))
+
     snm_order = cold + warm
-    snm_chosen, snm_used = _fill(snm_order, sizes, snm_share)
+    snm_chosen, snm_used = fill(snm_order, snm_share)
 
     # unused SNM share rolls over to the IRM fill, and any capacity the
     # IRM side cannot use rolls back to the remaining SNM candidates,
     # so the cache is never left idle while candidates exist
-    irm_order = [cid for cid, _ in irm_ranking]
-    irm_chosen, irm_used = _fill(irm_order, sizes, capacity - snm_used)
+    irm_chosen, irm_used = fill([cid for cid, _ in irm_ranking], capacity - snm_used)
     spare = capacity - snm_used - irm_used
     if spare > 0:
         chosen = set(snm_chosen)
-        rest = [f for f in snm_order if f not in chosen]
-        extra, extra_used = _fill(rest, sizes, spare)
+        extra, extra_used = fill([f for f in snm_order if f not in chosen], spare)
         snm_chosen += extra
         snm_used += extra_used
 

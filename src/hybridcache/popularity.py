@@ -11,6 +11,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import EmptyWindow
 
 
@@ -37,11 +39,11 @@ class PopularitySnapshot:
     """Empirical per-content request frequencies over a slot or window."""
 
     slot: int
-    freq: dict  # content_id -> frequency in [0, 1]; empty if no requests
+    freq: np.ndarray  # position = content id (0 unused); all zero if no requests
 
     def __post_init__(self):
-        if self.freq:
-            total = sum(self.freq.values())
+        if self.freq.any():
+            total = float(self.freq.sum())
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"frequencies sum to {total}, not 1")
 

@@ -12,8 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import Catalog, ContentItem, Regime
-from .errors import BadUniform, EmptyLibrary, TraceParseError, UnknownContent, WrongRegime
+from .catalog import Catalog
+from .errors import BadUniform, EmptyLibrary, TraceParseError, UnknownContent
 
 
 def zipf_pmf(n: int, delta: float) -> np.ndarray:
@@ -49,19 +49,6 @@ def sample_pareto_volume(model: ParetoVolume, u: float) -> float:
     if not (0.0 <= u < 1.0):
         raise BadUniform(f"u={u} outside [0, 1)")
     return model.n_min * (1.0 - u) ** (-1.0 / model.beta)
-
-
-def snm_rate(item: ContentItem, slot: int) -> float:
-    """Request rate of an SNM item at a slot: a rectangular pulse.
-
-    Constant volume/lifespan inside [arrival, arrival + lifespan), zero
-    outside, so the rate integrates to the item's total volume.
-    """
-    if item.regime is not Regime.SNM:
-        raise WrongRegime(f"item {item.id} is not SNM")
-    if item.snm.active_at(slot):
-        return item.snm.volume / item.snm.lifespan
-    return 0.0
 
 
 @dataclass(frozen=True)
@@ -117,21 +104,22 @@ def generate_trace(
         raise EmptyLibrary("catalog is empty")
 
     rng = np.random.default_rng(seed)
-    irm_ids = np.array(catalog.irm_ids, dtype=int)
+    irm_ids = catalog.irm_ids
     zipf = zipf_pmf(len(irm_ids), delta) if len(irm_ids) else None
-    snm_items = [it for it in catalog.items if it.regime is Regime.SNM]
+    # an SNM item's pulse rate is volume / lifespan inside its window
+    snm_rates = catalog.snm_volume / (catalog.snm_expiry - catalog.snm_arrival)
 
     events = []
     snm_intended = 0
     snm_served = 0
     fallback = 0
     for slot in range(1, horizon + 1):
-        active = [it for it in snm_items if it.snm.active_at(slot)]
+        active = catalog.snm_active_mask(slot)
         is_snm = rng.random(requests_per_slot) < w_snm
         n_snm = int(is_snm.sum())
         n_irm = requests_per_slot - n_snm
         snm_intended += n_snm
-        if not active and n_snm:
+        if n_snm and not active.any():
             fallback += n_snm
             n_irm += n_snm
             n_snm = 0
@@ -139,26 +127,16 @@ def generate_trace(
             if zipf is None:
                 # all-SNM catalog with an empty slot: fall back to a
                 # uniform draw over the whole library
-                slot_irm = rng.choice(
-                    [it.id for it in catalog.items], size=n_irm
-                )
+                slot_irm = rng.choice(catalog.ids, size=n_irm)
             else:
                 slot_irm = rng.choice(irm_ids, size=n_irm, p=zipf)
-        else:
-            slot_irm = np.empty(0, dtype=int)
+            events.extend((slot, cid) for cid in slot_irm.tolist())
         if n_snm:
-            rates = np.array([snm_rate(it, slot) for it in active])
+            rates = snm_rates[active]
             probs = rates / rates.sum()
-            slot_snm = rng.choice(
-                [it.id for it in active], size=n_snm, p=probs
-            )
+            slot_snm = rng.choice(catalog.snm_ids[active], size=n_snm, p=probs)
+            events.extend((slot, cid) for cid in slot_snm.tolist())
             snm_served += n_snm
-        else:
-            slot_snm = np.empty(0, dtype=int)
-        for cid in slot_irm:
-            events.append((slot, int(cid)))
-        for cid in slot_snm:
-            events.append((slot, int(cid)))
 
     stats = TraceStats(
         total_requests=horizon * requests_per_slot,

@@ -1,6 +1,6 @@
-import io
-
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hybridcache.catalog import (
     Catalog,
@@ -75,12 +75,12 @@ class TestFeatureInfluence:
 class TestBuildCatalog:
     def test_paper_proportions(self):
         cat = build_catalog(CatalogConfig(library_size=150, w_snm=0.8), seed=1)
-        assert cat.n_snm == 120
-        assert cat.n_irm == 30
+        assert len(cat.snm_ids) == 120
+        assert len(cat.irm_ids) == 30
 
     def test_all_irm_boundary(self):
         cat = build_catalog(CatalogConfig(library_size=10, w_snm=0.0), seed=1)
-        assert cat.n_snm == 0
+        assert len(cat.snm_ids) == 0
         assert all(it.regime is Regime.IRM for it in cat.items)
 
     def test_determinism(self):
@@ -95,7 +95,7 @@ class TestBuildCatalog:
     def test_partition_and_item_invariants(self):
         cfg = CatalogConfig(library_size=60, w_snm=0.7)
         cat = build_catalog(cfg, seed=3)
-        assert cat.n_irm + cat.n_snm == 60
+        assert len(cat.irm_ids) + len(cat.snm_ids) == 60
         for it in cat.items:
             assert all(0.0 <= x <= 1.0 for x in it.features)
             assert it.size > 0
@@ -116,11 +116,48 @@ class TestCatalogType:
             ContentItem(id=1, size=1.0, regime=Regime.SNM, features=(0.5,))
 
     def test_active_window_half_open(self):
-        dyn = SnmDynamics(arrival_slot=10, lifespan=20, volume=40.0)
-        assert not dyn.active_at(9)
-        assert dyn.active_at(10)
-        assert dyn.active_at(29)
-        assert not dyn.active_at(30)
+        irm = ContentItem(id=1, size=1.0, regime=Regime.IRM, features=(0.5,))
+        snm = ContentItem(
+            id=2, size=1.0, regime=Regime.SNM, features=(0.5,),
+            snm=SnmDynamics(arrival_slot=10, lifespan=20, volume=40.0),
+        )
+        cat = Catalog(items=(irm, snm))
+        assert cat.active_snm_ids(9) == []
+        assert cat.active_snm_ids(10) == [2]
+        assert cat.active_snm_ids(29) == [2]
+        assert cat.active_snm_ids(30) == []
+
+    @given(data=st.data())
+    def test_active_ids_match_window_definition(self, data):
+        windows = data.draw(
+            st.lists(
+                st.none() | st.tuples(st.integers(1, 60), st.integers(1, 30)),
+                min_size=1,
+                max_size=25,
+            )
+        )
+        items = [
+            ContentItem(id=cid, size=1.0, regime=Regime.IRM, features=(0.5,))
+            if window is None
+            else ContentItem(
+                id=cid, size=1.0, regime=Regime.SNM, features=(0.5,),
+                snm=SnmDynamics(window[0], window[1], volume=1.0),
+            )
+            for cid, window in enumerate(windows, start=1)
+        ]
+        cat = Catalog(items=tuple(data.draw(st.permutations(items))))
+        edges = {0, 1, 200}  # 200 lies past every window
+        for a, n in filter(None, windows):
+            edges |= {a - 1, a, a + n - 1, a + n}
+        for slot in sorted(edges):
+            expected = []
+            for it in sorted(items, key=lambda it: it.id):
+                if it.snm is None:
+                    continue
+                arrival, lifespan = it.snm.arrival_slot, it.snm.lifespan
+                if arrival <= slot < arrival + lifespan:
+                    expected.append(it.id)
+            assert cat.active_snm_ids(slot) == expected, slot
 
 
 class TestCatalogIO:

@@ -139,6 +139,13 @@ class TestSweep:
         rc = main(["sweep", "--values", "a,b", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_bad_library_size_values_exit_code(self, tmp_path):
+        for values in ("20.7", "1,20"):
+            rc = main(["sweep", "--axis", "library_size", "--values", values,
+                       "--out", str(tmp_path)])
+            assert rc == 2, values
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_sweep_report_round_trip(self, tmp_path):
         out = tmp_path / "sweep"
         cfg_path = tmp_path / "exp.cfg"

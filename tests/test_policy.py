@@ -49,6 +49,19 @@ class TestGreedyKnapsack:
     def test_zero_capacity(self):
         assert greedy_knapsack([0.5], [1], 0).cached == frozenset()
 
+    def test_equal_density_lower_id_first(self):
+        p = greedy_knapsack([0.5, 0.5, 0.5], [1, 1, 1], 2, ids=[7, 3, 5])
+        assert p.cached == {3, 5}
+        # densities tie at 0.5: id 1 (size 1) goes first, id 2 no longer fits
+        p = greedy_knapsack([1.0, 0.5], [2, 1], 2, ids=[2, 1])
+        assert p.cached == {1}
+
+    def test_fill_continues_past_misfit(self):
+        # densities 0.2, 0.1, 0.1: id 2 does not fit after id 1, id 3 does
+        p = greedy_knapsack([0.6, 0.5, 0.1], [3, 5, 1], 4)
+        assert p.cached == {1, 3}
+        assert p.used_capacity == 4
+
     def test_bad_input(self):
         with pytest.raises(BadInput):
             greedy_knapsack([-0.1], [1], 2)
@@ -101,6 +114,14 @@ def catalog():
     )
 
 
+def snapshot(catalog, freq):
+    """A history snapshot over the catalog from an {id: frequency} dict."""
+    out = np.zeros(len(catalog.items) + 1)
+    for cid, f in freq.items():
+        out[cid] = f
+    return PopularitySnapshot(slot=1, freq=out)
+
+
 class TestBaselines:
     def test_random_all_fit(self, catalog):
         p = random_place(catalog, 100, np.random.default_rng(1))
@@ -114,22 +135,24 @@ class TestBaselines:
         a = random_place(catalog, 5, np.random.default_rng(3))
         b = random_place(catalog, 5, np.random.default_rng(3))
         assert a.cached == b.cached
+        # pinned: one permutation draw per placement, indexing ids 1..F
+        assert a.cached == {1, 3, 8, 11, 12}
 
     def test_popular_top_two(self, catalog):
-        snap = PopularitySnapshot(slot=1, freq={1: 0.5, 2: 0.3, 3: 0.2})
+        snap = snapshot(catalog, {1: 0.5, 2: 0.3, 3: 0.2})
         p = popular_place(catalog, snap, 2)
         assert {1, 2} <= p.cached
         assert 3 not in p.cached
 
     def test_popular_empty_history_falls_back(self, catalog, caplog):
-        snap = PopularitySnapshot(slot=1, freq={})
+        snap = snapshot(catalog, {})
         with caplog.at_level("WARNING"):
             p = popular_place(catalog, snap, 3, rng=np.random.default_rng(4))
         assert len(p.cached) == 3
         assert "empty history" in caplog.text
 
     def test_popular_all_fit(self, catalog):
-        snap = PopularitySnapshot(slot=1, freq={1: 1.0})
+        snap = snapshot(catalog, {1: 1.0})
         assert len(popular_place(catalog, snap, 100).cached) == 12
 
 

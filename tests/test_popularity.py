@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hybridcache.catalog import CatalogConfig, Regime, build_catalog
@@ -71,4 +72,4 @@ class TestAllocationEstimateType:
 
     def test_snapshot_rejects_bad_sum(self):
         with pytest.raises(ValueError):
-            PopularitySnapshot(slot=1, freq={1: 0.5, 2: 0.6})
+            PopularitySnapshot(slot=1, freq=np.array([0.0, 0.5, 0.6]))

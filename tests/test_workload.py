@@ -3,13 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridcache.catalog import CatalogConfig, Regime, build_catalog
+from hybridcache.catalog import (
+    Catalog,
+    CatalogConfig,
+    ContentItem,
+    Regime,
+    SnmDynamics,
+    build_catalog,
+)
 from hybridcache.errors import (
     BadUniform,
     EmptyLibrary,
     TraceParseError,
     UnknownContent,
-    WrongRegime,
 )
 from hybridcache.workload import (
     ParetoVolume,
@@ -18,7 +24,6 @@ from hybridcache.workload import (
     load_trace,
     sample_pareto_volume,
     save_trace,
-    snm_rate,
     zipf_pmf,
 )
 
@@ -89,25 +94,6 @@ def small_catalog():
     )
 
 
-class TestSnmRate:
-    def test_rectangular_pulse(self, small_catalog):
-        item = next(
-            it for it in small_catalog.items if it.regime is Regime.SNM
-        )
-        arrival, lifespan = item.snm.arrival_slot, item.snm.lifespan
-        inside = snm_rate(item, arrival)
-        assert inside == pytest.approx(item.snm.volume / lifespan)
-        assert snm_rate(item, arrival - 1) == 0.0
-        assert snm_rate(item, arrival + lifespan) == 0.0
-
-    def test_wrong_regime(self, small_catalog):
-        item = next(
-            it for it in small_catalog.items if it.regime is Regime.IRM
-        )
-        with pytest.raises(WrongRegime):
-            snm_rate(item, 1)
-
-
 class TestGenerateTrace:
     def test_snm_share_concentration(self):
         cat = build_catalog(
@@ -129,6 +115,27 @@ class TestGenerateTrace:
         a = generate_trace(small_catalog, 30, 10, 0.5, 0.8, seed=4)
         b = generate_trace(small_catalog, 30, 10, 0.5, 0.8, seed=4)
         assert a.events == b.events
+
+    def test_snm_draws_follow_pulse_rates(self):
+        # id 2 is live in slots 1..10 at rate 30/10, id 3 in 6..15 at
+        # rate 10/10; slots 16..20 have no live SNM item and fall back
+        def snm(cid, arrival, lifespan, volume):
+            return ContentItem(
+                id=cid, size=1.0, regime=Regime.SNM, features=(0.5,),
+                snm=SnmDynamics(arrival, lifespan, volume),
+            )
+
+        irm = ContentItem(id=1, size=1.0, regime=Regime.IRM, features=(0.5,))
+        cat = Catalog(items=(irm, snm(2, 1, 10, 30.0), snm(3, 6, 10, 10.0)))
+        trace = generate_trace(cat, 20, 200, w_snm=1.0, delta=0.8, seed=12)
+        slots = trace.events_by_slot()
+        assert set(slots[4]) == {2}  # slot 5: before id 3 arrives
+        assert set(slots[5]) == {2, 3}  # slot 6: id 3's arrival
+        assert set(slots[10]) == {3}  # slot 11: id 2's window has closed
+        assert set(slots[15]) == {1}  # slot 16: fallback to IRM
+        both = [cid for slot in slots[5:10] for cid in slot]
+        assert both.count(2) / len(both) == pytest.approx(0.75, abs=0.05)
+        assert trace.stats.fallback_count == 5 * 200
 
     def test_exactly_r_events_per_slot(self, small_catalog):
         trace = generate_trace(small_catalog, 40, 7, 0.5, 0.8, seed=5)
