@@ -120,6 +120,14 @@ class Catalog:
         return _frozen([it.size for it in self._by_id], float)
 
     @cached_property
+    def uniform_size(self) -> Optional[float]:
+        """The one size every item has, or None when sizes differ."""
+        sizes = self.sizes
+        if len(sizes) and sizes.min() == sizes.max():
+            return float(sizes[0])
+        return None
+
+    @cached_property
     def irm_ids(self) -> np.ndarray:
         """IRM ids in ascending order; position defines the Zipf rank."""
         return _frozen(
@@ -158,9 +166,9 @@ class Catalog:
         """
         return (self.snm_arrival <= slot) & (slot < self.snm_expiry)
 
-    def active_snm_ids(self, slot: int) -> list:
+    def active_snm_ids(self, slot: int) -> np.ndarray:
         """Ids of the SNM items live at the slot, ascending."""
-        return self.snm_ids[self.snm_active_mask(slot)].tolist()
+        return self.snm_ids[self.snm_active_mask(slot)]
 
 
 def normalize_features(raw: Sequence[float], ranges: Sequence[tuple]) -> tuple:

@@ -63,6 +63,9 @@ class ExperimentConfig:
     out: str = "results"
 
     def validate(self) -> "ExperimentConfig":
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be a finite number")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.library_size < 2:
@@ -81,13 +84,21 @@ class ExperimentConfig:
             raise ConfigError("requests_per_slot must be >= 1")
         if self.exploration_beta <= 0:
             raise ConfigError("exploration_beta must be positive")
+        if self.alloc_window < 1:
+            raise ConfigError("alloc_window must be >= 1")
+        if not (0.0 <= self.alloc_smoothing <= 1.0):
+            raise ConfigError("alloc_smoothing must lie in [0, 1]")
         if not self.seeds:
             raise ConfigError("seeds must be non-empty")
+        if any(seed < 0 for seed in self.seeds):
+            raise ConfigError("seeds must be >= 0")
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ConfigError(f"policies: unknown policy {p!r}")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
+        if not all(math.isfinite(v) for v in self.sweep_values):
+            raise ConfigError("sweep_values must be finite numbers")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
             raise ConfigError("sweep_values must be strictly increasing")
         if self.sweep_axis == "library_size" and any(
@@ -199,16 +210,18 @@ def _run_one(config, config_hash, catalog, trace, policy, capacity, seed):
 
 
 def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int:
-    outdir = Path(config.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    if catalog_path is not None and trace_path is None:
+        raise ConfigError("trace: --trace is required with --catalog")
+    if trace_path is not None and catalog_path is None:
+        raise ConfigError("catalog: --catalog is required with --trace")
     fixed = None
     if catalog_path is not None:
         from .catalog import load_catalog
 
         catalog = load_catalog(catalog_path)
-        if trace_path is None:
-            raise ConfigError("trace: --trace is required with --catalog")
         fixed = (catalog, load_trace(trace_path, catalog))
+    outdir = Path(config.out)
+    outdir.mkdir(parents=True, exist_ok=True)
 
     config_hash = config.hash()
     summaries = []

@@ -8,14 +8,13 @@ knows the slot's true request counts.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .catalog import Catalog
-from .errors import EmptyWindow, LengthMismatch
+from .errors import BadInput, EmptyWindow, LengthMismatch
 from .policy import (
     Placement,
     PolicyContext,
@@ -40,28 +39,40 @@ class RunMetrics:
     summary: dict
 
 
-def slot_step(placement: Placement, counts: Counter) -> tuple:
-    """Serve one slot's request tally against a frozen cache.
+def slot_step(placement: Placement, tally: np.ndarray) -> int:
+    """Serve one slot against a frozen cache; returns the hits.
 
-    Returns (hits, total requests).
+    tally[id] is the slot's request count of an id.
     """
-    cached = placement.cached
-    hits = sum(c for cid, c in counts.items() if cid in cached)
-    return hits, counts.total()
+    cached = np.fromiter(placement.cached, np.int64, len(placement.cached))
+    return int(tally[cached].sum())
 
 
-def oracle_placement(counts: Counter, sizes: dict, capacity: float) -> tuple:
-    """Clairvoyant per-slot optimum: exact knapsack over true counts.
+def oracle_placement(tally: np.ndarray, catalog: Catalog, capacity: float) -> int:
+    """Clairvoyant per-slot optimum over the slot's true request tally.
 
-    Returns (placement, oracle hit ratio for this slot).
+    Returns the oracle's hits. When every item has the same size the
+    optimum caches the capacity // size most requested ids, so its hits
+    are the sum of the largest counts; otherwise an exact knapsack
+    (integer sizes only) runs over the requested ids.
     """
-    ids = sorted(counts)
-    values = [float(counts[cid]) for cid in ids]
-    item_sizes = [sizes[cid] for cid in ids]
-    placement = exact_knapsack(values, item_sizes, capacity, ids=ids)
-    total = counts.total()
-    hits = sum(counts[cid] for cid in placement.cached)
-    return placement, hits / total if total else 0.0
+    if capacity < 0:
+        raise BadInput("capacity must be >= 0")
+    size = catalog.uniform_size
+    if size is not None:
+        requested = tally[tally > 0]
+        k = int(capacity // size)
+        if k >= len(requested):
+            return int(requested.sum())
+        return int(np.partition(requested, -k)[-k:].sum()) if k else 0
+    ids = np.flatnonzero(tally)
+    placement = exact_knapsack(
+        tally[ids].astype(float).tolist(),
+        catalog.sizes[ids - 1].tolist(),
+        capacity,
+        ids=ids.tolist(),
+    )
+    return slot_step(placement, tally)
 
 
 def cumulative_regret(
@@ -98,52 +109,47 @@ def run_simulation(
         policy_name, catalog, capacity, exploration_beta=exploration_beta
     )
     rng = np.random.default_rng(seed)
-    sizes = {it.id: it.size for it in catalog.items}
     irm_ids = catalog.irm_ids
-    irm_set = set(irm_ids.tolist())
+    n_ids = len(catalog.items) + 1
 
     estimator = AllocationEstimator(window=alloc_window, smoothing=alloc_smoothing)
     # requests per id over slots < t; position = content id
-    all_counts = np.zeros(len(catalog.items) + 1, dtype=np.int64)
-    total_irm = 0
+    all_counts = np.zeros(n_ids, dtype=np.int64)
     total_all = 0
 
-    events_by_slot = trace.events_by_slot()
     records = []
     total_hits = 0
 
-    for t in range(1, trace.horizon + 1):
+    for t, slot_ids in enumerate(trace.events_by_slot(), start=1):
         try:
             alloc = estimator.estimate()
         except EmptyWindow:
             alloc = AllocationEstimate.from_snm(0.5)
 
-        # IRM ids by descending count, ties by lower id; a zero total
-        # means its counts are all 0, which max(total, 1) keeps at 0
-        irm_counts = all_counts[irm_ids]
-        order = np.lexsort((irm_ids, -irm_counts))
-        irm_popularity = irm_counts[order] / max(total_irm, 1)
-        irm_ranking = tuple(zip(irm_ids[order].tolist(), irm_popularity.tolist()))
-        history = PopularitySnapshot(slot=t - 1, freq=all_counts / max(total_all, 1))
-
-        ctx = PolicyContext(
-            slot=t,
-            alloc=alloc,
-            snm_candidates=tuple(catalog.active_snm_ids(t)),
-            irm_ranking=irm_ranking,
-            history_popularity=history,
-            rng=rng,
-        )
+        # each policy gets only the inputs it reads
+        inputs = {}
+        if policy.name == "hybrid":
+            inputs["snm_candidates"] = catalog.active_snm_ids(t)
+            # IRM ids by descending count, ties by lower id
+            order = np.lexsort((irm_ids, -all_counts[irm_ids]))
+            inputs["irm_ranking"] = irm_ids[order]
+        elif policy.name == "popular":
+            inputs["history_popularity"] = PopularitySnapshot(
+                slot=t - 1, freq=all_counts / max(total_all, 1)
+            )
+        ctx = PolicyContext(slot=t, alloc=alloc, rng=rng, **inputs)
         placement = policy.place(ctx)
 
-        counts = Counter(events_by_slot[t - 1])
-        hits, total = slot_step(placement, counts)
+        tally = np.bincount(slot_ids, minlength=n_ids)
+        total = len(slot_ids)
+        hits = slot_step(placement, tally)
         hit_ratio = hits / total if total else 0.0
         total_hits += hits
 
-        policy.update(ctx, placement, counts)
+        policy.update(ctx, placement, tally)
 
-        _, oracle_ratio = oracle_placement(counts, sizes, capacity)
+        oracle_hits = oracle_placement(tally, catalog, capacity)
+        oracle_ratio = oracle_hits / total if total else 0.0
         increment = max(0.0, oracle_ratio - hit_ratio)
         records.append(
             SlotRecord(
@@ -153,11 +159,10 @@ def run_simulation(
             )
         )
 
-        all_counts[list(counts)] += list(counts.values())
-        n_irm = sum(c for cid, c in counts.items() if cid in irm_set)
+        all_counts += tally
+        n_irm = int(tally[irm_ids].sum())
         estimator.observe(total - n_irm, n_irm)
         total_all += total
-        total_irm += n_irm
 
     achieved = [r.hit_ratio for r in records]
     regret = cumulative_regret(achieved, [r.oracle_hit_ratio for r in records])

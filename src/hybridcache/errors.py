@@ -54,10 +54,6 @@ class NeedsIntegerSizes(HybridCacheError):
     """Exact knapsack requires integer item sizes."""
 
 
-class ColdStart(HybridCacheError):
-    """UCB index requested for a content that was never cached."""
-
-
 class LengthMismatch(HybridCacheError):
     """Paired per-slot series have different lengths."""
 

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .catalog import Catalog, Regime, feature_influence
-from .errors import BadInput, ColdStart, NeedsIntegerSizes, UnknownPolicy
+from .errors import BadInput, NeedsIntegerSizes, UnknownPolicy
 from .popularity import AllocationEstimate, PopularitySnapshot
 
 logger = logging.getLogger(__name__)
@@ -38,22 +38,31 @@ class Placement:
             )
 
 
-def _fill(ordered_ids, sizes, capacity, smallest) -> tuple:
+def _fill(ordered_ids: np.ndarray, sizes: np.ndarray, capacity) -> tuple:
     """Admit ids in the given order, skipping any that no longer fit.
 
-    sizes[i] is the size of ordered_ids[i], and no size is below
-    smallest. The scan stops once smallest no longer fits, since no later
-    id could then be admitted.
+    sizes[i] is the size of ordered_ids[i]. The prefix that fits whole is
+    admitted at once from the running sums (np.cumsum adds in order, as
+    an item-by-item scan would). Past the first misfit the scan goes id
+    by id and stops once the smallest remaining size no longer fits,
+    since no later id could then be admitted.
+
+    Returns (admitted ids as ints, used capacity).
     """
-    chosen = []
-    used = 0.0
     limit = capacity + 1e-9
-    for cid, s in zip(ordered_ids, sizes):
-        if used + smallest > limit:
-            break
-        if used + s <= limit:
-            chosen.append(int(cid))
-            used += float(s)
+    sums = sizes.cumsum()
+    n = int(sums.searchsorted(limit, side="right"))
+    chosen = ordered_ids[:n].tolist()
+    used = float(sums[n - 1]) if n else 0.0
+    rest = sizes[n + 1:]
+    smallest = rest.min() if len(rest) else np.inf
+    if used + smallest <= limit:
+        for cid, s in zip(ordered_ids[n + 1:].tolist(), rest.tolist()):
+            if used + smallest > limit:
+                break
+            if used + s <= limit:
+                chosen.append(cid)
+                used += s
     return chosen, used
 
 
@@ -79,9 +88,7 @@ def greedy_knapsack(
         raise BadInput("capacity must be >= 0")
     ids = np.arange(1, len(values) + 1) if ids is None else np.asarray(ids)
     order = np.lexsort((ids, -values / sizes))
-    chosen, used = _fill(
-        ids[order], sizes[order], capacity, sizes.min(initial=np.inf)
-    )
+    chosen, used = _fill(ids[order], sizes[order], capacity)
     return Placement(cached=frozenset(chosen), used_capacity=used, capacity=capacity)
 
 
@@ -97,8 +104,8 @@ def exact_knapsack(
     the lexicographically smallest sorted id tuple (zero-value items
     are never included).
     """
-    # item by item, unlike greedy_knapsack: the oracle passes a short list
-    # every slot, where a NumPy call costs more than the loop
+    # item by item, unlike greedy_knapsack: the inputs are short lists
+    # (the oracle's requested ids of a slot), where NumPy calls cost more
     if len(values) != len(sizes):
         raise BadInput("values and sizes must have the same length")
     if any(v < 0 for v in values):
@@ -115,14 +122,6 @@ def exact_knapsack(
     int_sizes = [int(s) for s in sizes]
 
     order = sorted(range(len(ids)), key=lambda i: ids[i])
-    if len(set(int_sizes)) <= 1 and int_sizes:
-        # uniform sizes: optimum is the top-k by value, lowest id first
-        k = cap // int_sizes[0]
-        ranked = sorted(order, key=lambda i: (-values[i], ids[i]))[:k]
-        chosen = sorted(ids[i] for i in ranked if values[i] > 0)
-        used = float(sum(int_sizes[0] for _ in chosen))
-        return Placement(cached=frozenset(chosen), used_capacity=used, capacity=capacity)
-
     # states: capacity used -> (total value, sorted id tuple)
     best = {0: (0.0, ())}
     for i in order:
@@ -158,12 +157,7 @@ def random_place(catalog: Catalog, capacity: float, rng: np.random.Generator) ->
     if capacity < 0:
         raise BadInput("capacity must be >= 0")
     order = rng.permutation(len(catalog.ids))
-    chosen, used = _fill(
-        catalog.ids[order],
-        catalog.sizes[order],
-        capacity,
-        catalog.sizes.min(initial=np.inf),
-    )
+    chosen, used = _fill(catalog.ids[order], catalog.sizes[order], capacity)
     return Placement(cached=frozenset(chosen), used_capacity=used, capacity=capacity)
 
 
@@ -185,97 +179,115 @@ def popular_place(
 
 @dataclass
 class BanditState:
-    """Per-SNM-content learning state for the hybrid policy."""
+    """The hybrid policy's learning state: arrays indexed by content id.
 
-    influence: float  # static feature scalar in (0, 1]
-    pulls: int = 0
-    mean_reward: float = 0.0
-    weighted_reward: float = 0.0
+    influence is each content's static feature scalar in (0, 1] (0 for
+    ids that are never learned), pulls the number of slots it was cached,
+    mean the running mean of its observed rewards, and weight its last
+    reward normalized by the slot's best cached content.
+    """
+
+    influence: np.ndarray
+    pulls: np.ndarray
+    mean: np.ndarray
+    weight: np.ndarray
+
+    @classmethod
+    def fresh(cls, influence) -> "BanditState":
+        """A never-updated state over the given per-id influences."""
+        influence = np.asarray(influence, dtype=float)
+        n = len(influence)
+        return cls(
+            influence=influence,
+            pulls=np.zeros(n, dtype=np.int64),
+            mean=np.zeros(n),
+            weight=np.zeros(n),
+        )
 
 
 def hybrid_ucb_index(
     state: BanditState,
+    ids: np.ndarray,
     t: int,
     exploration_beta: float = 2.0,
     weight_floor: float = 0.01,
-) -> float:
-    """Mean reward plus the exploration bonus for a warmed-up content.
+) -> np.ndarray:
+    """Mean reward plus the exploration bonus of each content in ids.
 
-    index = mean + sqrt(beta * max(B, floor) * x * ln t / pulls)
+    index = mean + sqrt(beta * max(B, floor) * x * ln t / pulls), taken
+    element-wise in this operation order, so each entry equals the scalar
+    formula evaluated with math. A never-cached content (pulls == 0) has
+    an infinite index, so it ranks before every warmed-up one.
     """
-    if state.pulls < 1:
-        raise ColdStart("index undefined before the first caching of a content")
     if t < 1:
         raise ValueError("t must be >= 1")
-    bonus = math.sqrt(
+    pulls = state.pulls[ids]
+    bonus = np.sqrt(
         exploration_beta
-        * max(state.weighted_reward, weight_floor)
-        * state.influence
+        * np.maximum(state.weight[ids], weight_floor)
+        * state.influence[ids]
         * math.log(t)
-        / state.pulls
+        / np.maximum(pulls, 1)
     )
-    return state.mean_reward + bonus
+    return np.where(pulls > 0, state.mean[ids] + bonus, np.inf)
 
 
-def hybrid_update(state: BanditState, observed: float, slot_max: float) -> None:
-    """Fold one slot's observed reward into a content's learning state.
+def hybrid_update(state: BanditState, ids: np.ndarray, observed) -> None:
+    """Fold one slot's observed rewards into the cached contents' state.
 
-    The reward weight (weighted_reward) is the observation normalized by
-    the slot's best cached content; the running mean is the arithmetic
-    mean of all observations fed so far.
+    observed[i] is the reward of ids[i], and ids holds no id twice. Each
+    reward weight is the observation normalized by the slot's largest
+    one; each running mean is the arithmetic mean of all observations fed
+    so far.
     """
-    if observed < 0 or slot_max < observed:
-        raise ValueError("need 0 <= observed <= slot_max")
-    state.weighted_reward = observed / slot_max if slot_max > 0 else 0.0
-    state.pulls += 1
-    state.mean_reward = (
-        state.mean_reward * (state.pulls - 1) + observed
-    ) / state.pulls
+    observed = np.asarray(observed, dtype=float)
+    if observed.min(initial=0.0) < 0:
+        raise ValueError("observed rewards must be >= 0")
+    slot_max = observed.max(initial=0.0)
+    state.weight[ids] = observed / slot_max if slot_max > 0 else 0.0
+    before = state.pulls[ids]
+    pulls = before + 1
+    state.pulls[ids] = pulls
+    state.mean[ids] = (state.mean[ids] * before + observed) / pulls
 
 
 def hybrid_select(
-    states: dict,
-    candidates: Sequence[int],
-    irm_ranking: Sequence[tuple],
+    state: BanditState,
+    candidates: np.ndarray,
+    irm_ranking: np.ndarray,
     alloc: AllocationEstimate,
     capacity: float,
-    sizes: dict,
+    sizes: np.ndarray,
     t: int,
     exploration_beta: float = 2.0,
     weight_floor: float = 0.01,
 ) -> Placement:
     """One slot's placement for the hybrid policy.
 
-    irm_ranking is the IRM ids with their popularity, already sorted
-    by descending popularity (ties by lower id).
+    candidates is the live SNM ids; irm_ranking is the IRM ids by
+    descending popularity (ties by lower id); sizes[id - 1] is the size
+    of an id. SNM candidates are admitted by descending UCB index, ties
+    by lower id, so never-cached ones (infinite index) go first.
     """
     irm_share = math.floor(alloc.w_irm * capacity)
     snm_share = capacity - irm_share
 
-    cold = sorted(f for f in candidates if states[f].pulls == 0)
-    warm = sorted(
-        (f for f in candidates if states[f].pulls > 0),
-        key=lambda f: (
-            -hybrid_ucb_index(states[f], t, exploration_beta, weight_floor),
-            f,
-        ),
-    )
+    index = hybrid_ucb_index(state, candidates, t, exploration_beta, weight_floor)
+    snm_order = candidates[np.lexsort((candidates, -index))]
 
     def fill(order, share):
-        order_sizes = [sizes[f] for f in order]
-        return _fill(order, order_sizes, share, min(order_sizes, default=0.0))
+        return _fill(order, sizes[order - 1], share)
 
-    snm_order = cold + warm
     snm_chosen, snm_used = fill(snm_order, snm_share)
 
     # unused SNM share rolls over to the IRM fill, and any capacity the
     # IRM side cannot use rolls back to the remaining SNM candidates,
     # so the cache is never left idle while candidates exist
-    irm_chosen, irm_used = fill([cid for cid, _ in irm_ranking], capacity - snm_used)
+    irm_chosen, irm_used = fill(irm_ranking, capacity - snm_used)
     spare = capacity - snm_used - irm_used
-    if spare > 0:
-        chosen = set(snm_chosen)
-        extra, extra_used = fill([f for f in snm_order if f not in chosen], spare)
+    if spare > 0 and len(snm_chosen) < len(snm_order):
+        rest = snm_order[~np.isin(snm_order, snm_chosen)]
+        extra, extra_used = fill(rest, spare)
         snm_chosen += extra
         snm_used += extra_used
 
@@ -288,14 +300,18 @@ def hybrid_select(
 
 @dataclass(frozen=True)
 class PolicyContext:
-    """Per-slot inputs the engine hands to a policy before placement."""
+    """Per-slot inputs the engine hands to a policy before placement.
+
+    The engine fills in only what the policy reads: the live SNM ids and
+    the IRM ranking for the hybrid, the history for the popular policy.
+    """
 
     slot: int
     alloc: AllocationEstimate
-    snm_candidates: tuple
-    irm_ranking: tuple  # (content_id, popularity), descending popularity
-    history_popularity: PopularitySnapshot
     rng: np.random.Generator = field(compare=False, default=None)
+    snm_candidates: Optional[np.ndarray] = None  # live SNM ids, ascending
+    irm_ranking: Optional[np.ndarray] = None  # IRM ids, descending popularity
+    history_popularity: Optional[PopularitySnapshot] = None
 
 
 class RandomPolicy:
@@ -344,18 +360,19 @@ class HybridPolicy:
         self.capacity = capacity
         self.exploration_beta = exploration_beta
         self.weight_floor = weight_floor
-        self.sizes = {it.id: it.size for it in catalog.items}
-        self.states = {
-            it.id: BanditState(
-                influence=feature_influence(it.features, floor=influence_floor)
-            )
-            for it in catalog.items
-            if it.regime is Regime.SNM
-        }
+        self.sizes = catalog.sizes
+        self.snm_ids = catalog.snm_ids
+        self.is_snm = np.zeros(len(catalog.items) + 1, dtype=bool)
+        self.is_snm[self.snm_ids] = True
+        influence = np.zeros(len(catalog.items) + 1)
+        for it in catalog.items:
+            if it.regime is Regime.SNM:
+                influence[it.id] = feature_influence(it.features, floor=influence_floor)
+        self.state = BanditState.fresh(influence)
 
     def place(self, ctx: PolicyContext) -> Placement:
         return hybrid_select(
-            self.states,
+            self.state,
             ctx.snm_candidates,
             ctx.irm_ranking,
             ctx.alloc,
@@ -366,17 +383,19 @@ class HybridPolicy:
             self.weight_floor,
         )
 
-    def update(self, ctx: PolicyContext, placement: Placement, counts) -> None:
-        """Feed each cached SNM content its share of the slot's SNM requests."""
-        snm_total = sum(c for cid, c in counts.items() if cid in self.states)
-        observed = {
-            f: counts.get(f, 0) / snm_total if snm_total > 0 else 0.0
-            for f in placement.cached
-            if f in self.states
-        }
-        slot_max = max(observed.values(), default=0.0)
-        for f in sorted(observed):
-            hybrid_update(self.states[f], observed[f], slot_max)
+    def update(self, ctx: PolicyContext, placement: Placement, tally) -> None:
+        """Feed each cached SNM content its share of the slot's SNM requests.
+
+        tally[id] is the slot's request count of an id.
+        """
+        cached = np.fromiter(placement.cached, np.int64, len(placement.cached))
+        cached = cached[self.is_snm[cached]]
+        snm_total = int(tally[self.snm_ids].sum())
+        if snm_total > 0:
+            observed = tally[cached] / snm_total
+        else:
+            observed = np.zeros(len(cached))
+        hybrid_update(self.state, cached, observed)
 
 
 POLICY_NAMES = ("hybrid", "popular", "random")

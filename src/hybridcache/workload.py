@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -73,12 +75,31 @@ class RequestTrace:
     events: tuple  # ordered (slot, content_id) pairs, slots ascending
     stats: Optional[TraceStats] = field(default=None, compare=False)
 
+    @cached_property
+    def csr(self) -> tuple:
+        """The events as compressed sparse rows: (ids, offsets).
+
+        ids is an int32 array of content ids in event order; slot t's ids
+        are ids[offsets[t - 1]:offsets[t]]. Built on first use and kept,
+        since a trace is usually run several times.
+        """
+        n = len(self.events)
+        ids = np.fromiter(map(itemgetter(1), self.events), np.int32, n)
+        slots = np.fromiter(map(itemgetter(0), self.events), np.int32, n)
+        if n and (slots[0] < 1 or slots[-1] > self.horizon):
+            raise ValueError(f"event slots must lie in [1, {self.horizon}]")
+        if (slots[1:] < slots[:-1]).any():
+            raise ValueError("event slots must be non-decreasing")
+        offsets = np.searchsorted(
+            slots, np.arange(1, self.horizon + 2, dtype=np.int32)
+        )
+        ids.flags.writeable = False
+        return ids, offsets
+
     def events_by_slot(self) -> list:
-        """Per-slot id lists, index t-1 for slot t."""
-        slots = [[] for _ in range(self.horizon)]
-        for slot, content_id in self.events:
-            slots[slot - 1].append(content_id)
-        return slots
+        """Per-slot id arrays (views into the CSR ids), index t-1 for slot t."""
+        ids, offsets = self.csr
+        return np.split(ids, offsets[1:-1])
 
 
 def generate_trace(

@@ -272,13 +272,13 @@ def test_criterion_8_exact_arithmetic(tmp_path):
     # running mean == arithmetic mean of fed observations
     rng = np.random.default_rng(81)
     observations = (rng.integers(0, 64, size=32) / 64).tolist()
-    state = BanditState(influence=0.5)
+    state = BanditState.fresh([0.0, 0.5])
     total = 0.0
     for i, obs in enumerate(observations, start=1):
-        hybrid_update(state, obs, slot_max=1.0)
+        hybrid_update(state, [1], [obs])
         total += obs
-    ok &= state.pulls == len(observations)
-    ok &= abs(state.mean_reward - total / len(observations)) < 1e-15
+    ok &= state.pulls[1] == len(observations)
+    ok &= abs(state.mean[1] - total / len(observations)) < 1e-15
 
     # capacity never violated under fuzzing across policies; the
     # Placement constructor raises on any violation

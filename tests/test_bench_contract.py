@@ -1,0 +1,57 @@
+"""The benchmark probe patches program names by lookup; they must exist.
+
+perfbench/probe.py wraps each name it instruments by reading it from
+its owner's __dict__, so renaming or deleting one would otherwise break
+only the traced benchmark run, not the test suite.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import hybridcache.cli as cli
+import hybridcache.engine as engine
+from hybridcache.popularity import AllocationEstimator
+
+PROBE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+
+
+def load_probe():
+    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up in sys.modules while being built
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+PATCHED_SPECIALLY = (
+    (engine, "make_policy"),
+    (engine, "run_simulation"),
+    (cli, "run_simulation"),
+    (cli, "sweep_results"),
+    (AllocationEstimator, "estimate"),
+)
+
+
+def test_every_spanned_name_is_an_own_attribute():
+    probe = load_probe()
+    assert probe.SPANNED
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr, _ in probe.SPANNED
+        if attr not in vars(owner)
+    ]
+    assert missing == []
+
+
+@pytest.mark.parametrize(
+    "owner, attr", PATCHED_SPECIALLY, ids=[f"{o.__name__}.{a}" for o, a in PATCHED_SPECIALLY]
+)
+def test_specially_patched_name_is_an_own_attribute(owner, attr):
+    assert attr in vars(owner)

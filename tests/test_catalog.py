@@ -122,10 +122,10 @@ class TestCatalogType:
             snm=SnmDynamics(arrival_slot=10, lifespan=20, volume=40.0),
         )
         cat = Catalog(items=(irm, snm))
-        assert cat.active_snm_ids(9) == []
-        assert cat.active_snm_ids(10) == [2]
-        assert cat.active_snm_ids(29) == [2]
-        assert cat.active_snm_ids(30) == []
+        assert cat.active_snm_ids(9).tolist() == []
+        assert cat.active_snm_ids(10).tolist() == [2]
+        assert cat.active_snm_ids(29).tolist() == [2]
+        assert cat.active_snm_ids(30).tolist() == []
 
     @given(data=st.data())
     def test_active_ids_match_window_definition(self, data):
@@ -157,7 +157,7 @@ class TestCatalogType:
                 arrival, lifespan = it.snm.arrival_slot, it.snm.lifespan
                 if arrival <= slot < arrival + lifespan:
                     expected.append(it.id)
-            assert cat.active_snm_ids(slot) == expected, slot
+            assert cat.active_snm_ids(slot).tolist() == expected, slot
 
 
 class TestCatalogIO:

@@ -60,6 +60,38 @@ class TestConfig:
         assert a != ExperimentConfig(capacity=30.0).hash()
 
 
+class TestBadValuesExitCode:
+    """Each bad value ends in exit 2 naming the field, before any output."""
+
+    def _expect_exit_2(self, argv, field, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_alloc_window_below_one(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("HYBRIDCACHE_ALLOC_WINDOW", "0")
+        self._expect_exit_2(["run", *SMALL], "alloc_window", tmp_path, capsys)
+
+    def test_alloc_smoothing_outside_unit_interval(self, tmp_path, capsys, monkeypatch):
+        for value in ("1.5", "-0.1"):
+            monkeypatch.setenv("HYBRIDCACHE_ALLOC_SMOOTHING", value)
+            self._expect_exit_2(["run", *SMALL], "alloc_smoothing", tmp_path, capsys)
+
+    def test_negative_seed(self, tmp_path, capsys):
+        self._expect_exit_2(["run", *SMALL, "--seed", "-1"], "seeds", tmp_path, capsys)
+
+    def test_non_finite_capacity(self, tmp_path, capsys):
+        for value in ("nan", "inf"):
+            argv = ["run", *SMALL, "--capacity", value]
+            self._expect_exit_2(argv, "capacity", tmp_path, capsys)
+
+    def test_non_finite_sweep_values(self, tmp_path, capsys):
+        for values in ("10,nan", "10,inf"):
+            argv = ["sweep", "--axis", "capacity", "--values", values]
+            self._expect_exit_2(argv, "sweep_values", tmp_path, capsys)
+
+
 class TestGenerate:
     def test_emits_files_with_row_contract(self, tmp_path):
         out = tmp_path / "gen"
@@ -111,6 +143,16 @@ class TestRun:
              "--trace", str(gen / "trace.csv"), "--out", str(out)]
         )
         assert rc == 0
+
+    def test_trace_without_catalog_exit_code(self, tmp_path, capsys):
+        gen = tmp_path / "gen"
+        main(["generate", *SMALL, "--out", str(gen)])
+        out = tmp_path / "run"
+        rc = main(["run", *SMALL, "--trace", str(gen / "trace.csv"),
+                   "--out", str(out)])
+        assert rc == 2
+        assert "--catalog" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_policy_exit_code(self, tmp_path):
         rc = main(["run", *SMALL, "--policy", "lfu", "--seed", "5",

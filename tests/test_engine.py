@@ -1,10 +1,13 @@
 import json
-from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hybridcache.catalog import CatalogConfig, build_catalog
+import hybridcache.engine as engine
+from hybridcache.catalog import Catalog, CatalogConfig, ContentItem, Regime, build_catalog
 from hybridcache.engine import (
     cumulative_regret,
     oracle_placement,
@@ -12,8 +15,8 @@ from hybridcache.engine import (
     slot_step,
 )
 from hybridcache.errors import LengthMismatch, UnknownPolicy
-from hybridcache.policy import Placement
-from hybridcache.workload import generate_trace
+from hybridcache.policy import POLICY_NAMES, Placement, exact_knapsack
+from hybridcache.workload import RequestTrace, generate_trace
 
 
 def placement_of(ids, capacity):
@@ -22,36 +25,69 @@ def placement_of(ids, capacity):
     )
 
 
+def tally_of(ids, n_items=9):
+    """A slot's per-id request counts; position = content id."""
+    return np.bincount(np.asarray(ids, dtype=np.int64), minlength=n_items + 1)
+
+
+def catalog_of(sizes):
+    """An all-IRM catalog whose id i has size sizes[i - 1]."""
+    return Catalog(
+        items=tuple(
+            ContentItem(id=i, size=float(s), regime=Regime.IRM, features=(0.5,))
+            for i, s in enumerate(sizes, start=1)
+        )
+    )
+
+
 class TestSlotStep:
     def test_partial_hits(self):
-        hits, total = slot_step(placement_of({1}, 2), Counter([1, 1, 2, 3]))
-        assert (hits, total) == (2, 4)
+        assert slot_step(placement_of({1}, 2), tally_of([1, 1, 2, 3])) == 2
 
     def test_empty_cache(self):
-        hits, total = slot_step(placement_of(set(), 2), Counter([1, 2]))
-        assert hits == 0
+        assert slot_step(placement_of(set(), 2), tally_of([1, 2])) == 0
 
     def test_full_coverage(self):
-        hits, total = slot_step(placement_of({1, 2, 3}, 3), Counter([1, 2, 3, 3]))
-        assert hits == total == 4
+        assert slot_step(placement_of({1, 2, 3}, 3), tally_of([1, 2, 3, 3])) == 4
 
 
 class TestOraclePlacement:
-    SIZES = {i: 1.0 for i in range(1, 10)}
+    UNIT = catalog_of([1.0] * 9)
 
     def test_single_hot_file(self):
-        p, ratio = oracle_placement(Counter([1, 1, 1]), self.SIZES, 1)
-        assert p.cached == {1}
-        assert ratio == 1.0
+        assert oracle_placement(tally_of([1, 1, 1]), self.UNIT, 1) == 3
 
     def test_count_then_id_ties(self):
-        p, ratio = oracle_placement(Counter([1, 1, 2, 3]), self.SIZES, 2)
-        assert p.cached == {1, 2}
-        assert ratio == 0.75
+        assert oracle_placement(tally_of([1, 1, 2, 3]), self.UNIT, 2) == 3
 
     def test_zero_capacity(self):
-        _, ratio = oracle_placement(Counter([1, 2]), self.SIZES, 0)
-        assert ratio == 0.0
+        assert oracle_placement(tally_of([1, 2]), self.UNIT, 0) == 0
+
+    def test_capacity_beyond_library(self):
+        assert oracle_placement(tally_of([1, 2, 9, 9]), self.UNIT, 50) == 4
+
+    def test_non_uniform_sizes_run_the_knapsack(self):
+        # id 1 (size 2) is requested 3 times, ids 2 and 3 (size 1) twice
+        # each: a top-2 by count would stop at 3 hits, the knapsack gets 4
+        catalog = catalog_of([2, 1, 1])
+        assert oracle_placement(tally_of([1, 1, 1, 2, 2, 3, 3], 3), catalog, 2) == 4
+
+    @given(
+        counts=st.lists(st.integers(0, 20), min_size=1, max_size=12),
+        size=st.integers(1, 3),
+        capacity=st.integers(0, 40),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_top_k_equals_knapsack_objective(self, counts, size, capacity):
+        # uniform integer sizes: the top-k sum is the knapsack optimum
+        catalog = catalog_of([size] * len(counts))
+        tally = np.array([0] + counts, dtype=np.int64)
+        ids = list(range(1, len(counts) + 1))
+        best = exact_knapsack(
+            [float(c) for c in counts], [size] * len(counts), capacity, ids=ids
+        )
+        objective = sum(int(tally[cid]) for cid in best.cached)
+        assert oracle_placement(tally, catalog, capacity) == objective
 
 
 class TestCumulativeRegret:
@@ -140,3 +176,56 @@ class TestRunSimulation:
         for rec in metrics.per_slot:
             hits = rec.hit_ratio * 40
             assert hits == pytest.approx(round(hits))
+
+
+def placements_of(catalog, trace, policy, capacity, seed):
+    """The cached id sets of every slot of one run, in slot order."""
+    placements = []
+    original = engine.make_policy
+
+    def recording(*args, **kwargs):
+        made = original(*args, **kwargs)
+        place = made.place
+
+        def placed(ctx):
+            placement = place(ctx)
+            placements.append(placement.cached)
+            return placement
+
+        made.place = placed
+        return made
+
+    with mock.patch.object(engine, "make_policy", recording):
+        run_simulation(catalog, trace, policy, capacity, seed=seed)
+    return placements
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@given(
+    t=st.integers(min_value=1, max_value=80),
+    seed=st.integers(min_value=0, max_value=2**16),
+    capacity=st.integers(min_value=0, max_value=15),
+)
+@settings(max_examples=15, deadline=None)
+def test_no_lookahead(workload, policy, t, seed, capacity):
+    """Changing any event at slots >= t leaves the placements up to t alone.
+
+    A policy places at the start of slot t, so slot t's own requests must
+    not reach it either.
+    """
+    catalog, trace = workload
+    rng = np.random.default_rng(seed)
+    n_items = len(catalog.items)
+    altered = RequestTrace(
+        horizon=trace.horizon,
+        events=tuple(
+            (slot, cid) if slot < t else (slot, int(rng.integers(1, n_items + 1)))
+            for slot, cid in trace.events
+            # also drop some of the later events, so later slot sizes change
+            if slot < t or rng.random() < 0.8
+        ),
+    )
+    before = placements_of(catalog, trace, policy, capacity, seed)
+    after = placements_of(catalog, altered, policy, capacity, seed)
+    assert len(before) == len(after) == trace.horizon
+    assert after[:t] == before[:t]

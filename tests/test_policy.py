@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hybridcache.catalog import CatalogConfig, build_catalog
-from hybridcache.errors import BadInput, ColdStart, NeedsIntegerSizes, UnknownPolicy
+from hybridcache.errors import BadInput, NeedsIntegerSizes, UnknownPolicy
 from hybridcache.policy import (
     BanditState,
+    _fill,
     exact_knapsack,
     greedy_knapsack,
     hybrid_select,
@@ -156,126 +157,172 @@ class TestBaselines:
         assert len(popular_place(catalog, snap, 100).cached) == 12
 
 
+def bandit(entries):
+    """A bandit state from {id: (pulls, mean, weight, influence)}."""
+    state = BanditState.fresh(np.zeros(max(entries, default=0) + 1))
+    for f, (pulls, mean, weight, influence) in entries.items():
+        state.pulls[f] = pulls
+        state.mean[f] = mean
+        state.weight[f] = weight
+        state.influence[f] = influence
+    return state
+
+
+def index_of(state, f, t, **kwargs):
+    return float(hybrid_ucb_index(state, np.array([f]), t, **kwargs)[0])
+
+
 class TestUcbIndex:
     def test_hand_evaluated_bonus(self):
         # beta * B * x = 2 * 1 * 0.5 = 1, ln t = 1, one pull
-        state = BanditState(influence=0.5, pulls=1, mean_reward=0.3,
-                            weighted_reward=1.0)
-        idx = hybrid_ucb_index(state, math.e, exploration_beta=2.0)
-        assert idx == pytest.approx(1.3)
+        state = bandit({1: (1, 0.3, 1.0, 0.5)})
+        assert index_of(state, 1, math.e, exploration_beta=2.0) == pytest.approx(1.3)
 
     def test_zero_bonus_at_t1(self):
-        state = BanditState(influence=0.5, pulls=3, mean_reward=0.4,
-                            weighted_reward=0.8)
-        assert hybrid_ucb_index(state, 1) == pytest.approx(0.4)
+        state = bandit({1: (3, 0.4, 0.8, 0.5)})
+        assert index_of(state, 1, 1) == pytest.approx(0.4)
 
     def test_bonus_vanishes_with_pulls(self):
-        state = BanditState(influence=0.5, pulls=10**9, mean_reward=0.4,
-                            weighted_reward=0.8)
-        assert hybrid_ucb_index(state, 100) == pytest.approx(0.4, abs=1e-3)
+        state = bandit({1: (10**9, 0.4, 0.8, 0.5)})
+        assert index_of(state, 1, 100) == pytest.approx(0.4, abs=1e-3)
 
     def test_cold_start(self):
-        with pytest.raises(ColdStart):
-            hybrid_ucb_index(BanditState(influence=0.5), 10)
+        # a never-cached content ranks before any warmed-up one
+        state = bandit({1: (0, 0.0, 0.0, 0.5), 2: (3, 0.4, 0.8, 0.5)})
+        indices = hybrid_ucb_index(state, np.array([2, 1]), 10)
+        assert np.isfinite(indices[0])
+        assert indices[1] == np.inf
+
+    def test_t_below_one(self):
+        with pytest.raises(ValueError):
+            hybrid_ucb_index(bandit({1: (1, 0.4, 0.8, 0.5)}), np.array([1]), 0)
 
     def test_strictly_decreasing_in_pulls(self):
-        prev = None
-        for pulls in (1, 2, 5, 20, 100):
-            state = BanditState(influence=0.7, pulls=pulls, mean_reward=0.3,
-                                weighted_reward=0.6)
-            idx = hybrid_ucb_index(state, 50)
-            if prev is not None:
-                assert idx < prev
-            prev = idx
+        pulls = (1, 2, 5, 20, 100)
+        state = bandit({i: (n, 0.3, 0.6, 0.7) for i, n in enumerate(pulls, 1)})
+        indices = hybrid_ucb_index(state, np.arange(1, len(pulls) + 1), 50)
+        assert np.all(np.diff(indices) < 0)
 
     def test_ordering_matches_means_when_symmetric(self):
         means = [0.1, 0.7, 0.4, 0.9]
-        states = [
-            BanditState(influence=0.5, pulls=4, mean_reward=m,
-                        weighted_reward=0.5)
-            for m in means
-        ]
-        indices = [hybrid_ucb_index(s, 20) for s in states]
+        state = bandit({i: (4, m, 0.5, 0.5) for i, m in enumerate(means, 1)})
+        indices = hybrid_ucb_index(state, np.arange(1, 5), 20)
         assert np.argsort(indices).tolist() == np.argsort(means).tolist()
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(1, 10**6),
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0),
+                st.floats(0.01, 1.0),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        t=st.integers(1, 10**6),
+        beta=st.floats(0.01, 10.0),
+        floor=st.floats(0.0, 0.1),
+    )
+    def test_equals_closed_form_bit_for_bit(self, rows, t, beta, floor):
+        state = bandit(dict(enumerate(rows, start=1)))
+        ids = np.arange(1, len(rows) + 1)
+        got = hybrid_ucb_index(state, ids, t, beta, floor)
+        for f, (pulls, mean, weight, influence) in zip(ids, rows):
+            want = mean + math.sqrt(
+                beta * max(weight, floor) * influence * math.log(t) / pulls
+            )
+            assert float(got[f - 1]) == want
 
 
 class TestHybridUpdate:
     def test_running_mean_arithmetic(self):
-        state = BanditState(influence=0.5, pulls=4, mean_reward=0.4)
-        hybrid_update(state, observed=0.9, slot_max=0.9)
-        assert state.pulls == 5
-        assert state.mean_reward == pytest.approx(0.5)
+        state = bandit({1: (4, 0.4, 0.0, 0.5)})
+        hybrid_update(state, np.array([1]), [0.9])
+        assert state.pulls[1] == 5
+        assert state.mean[1] == pytest.approx(0.5)
 
     def test_normalization_ceiling(self):
-        state = BanditState(influence=0.5)
-        hybrid_update(state, observed=0.3, slot_max=0.3)
-        assert state.weighted_reward == 1.0
+        state = bandit({1: (0, 0.0, 0.0, 0.5)})
+        hybrid_update(state, np.array([1]), [0.3])
+        assert state.weight[1] == 1.0
+
+    def test_weights_relative_to_slot_max(self):
+        state = bandit({1: (0, 0.0, 0.0, 0.5), 2: (2, 0.5, 0.0, 0.5)})
+        hybrid_update(state, np.array([1, 2]), [0.125, 0.5])
+        assert state.weight[1:].tolist() == [0.25, 1.0]
+        assert state.pulls[1:].tolist() == [1, 3]
+        assert state.mean[1:].tolist() == [0.125, 0.5]
 
     def test_empty_slot_convention(self):
-        state = BanditState(influence=0.5, pulls=1, mean_reward=0.6)
-        hybrid_update(state, observed=0.0, slot_max=0.0)
-        assert state.weighted_reward == 0.0
-        assert state.mean_reward == pytest.approx(0.3)
+        state = bandit({1: (1, 0.6, 0.0, 0.5)})
+        hybrid_update(state, np.array([1]), [0.0])
+        assert state.weight[1] == 0.0
+        assert state.mean[1] == pytest.approx(0.3)
+
+    def test_negative_reward_rejected(self):
+        state = bandit({1: (1, 0.6, 0.0, 0.5)})
+        with pytest.raises(ValueError):
+            hybrid_update(state, np.array([1]), [-0.1])
 
     def test_mean_equals_arithmetic_mean_exactly(self):
         observations = [0.25, 0.5, 0.125, 0.75, 0.0, 1.0, 0.375, 0.625]
-        state = BanditState(influence=0.5)
+        state = bandit({1: (0, 0.0, 0.0, 0.5)})
         for obs in observations:
-            hybrid_update(state, obs, slot_max=1.0)
-        assert state.pulls == len(observations)
+            hybrid_update(state, np.array([1]), [obs])
+        assert state.pulls[1] == len(observations)
         # integer-denominator observations keep the comparison exact
-        assert state.mean_reward == sum(observations) / len(observations)
+        assert state.mean[1] == sum(observations) / len(observations)
+
+
+def ids(*values):
+    return np.array(values, dtype=np.int64)
+
+
+def unit_sizes(n):
+    return np.ones(n)
 
 
 class TestHybridSelect:
-    def _states(self, entries):
-        return {
-            f: BanditState(influence=x, pulls=n, mean_reward=m,
-                           weighted_reward=w)
-            for f, (n, m, w, x) in entries.items()
-        }
-
     def test_cold_start_priority_and_tie(self):
-        states = self._states({10: (0, 0, 0, 0.5), 11: (0, 0, 0, 0.5)})
+        state = bandit({10: (0, 0, 0, 0.5), 11: (0, 0, 0, 0.5)})
         alloc = AllocationEstimate.from_snm(1.0)
         p = hybrid_select(
-            states, [10, 11], irm_ranking=(), alloc=alloc, capacity=1,
-            sizes={10: 1.0, 11: 1.0}, t=3,
+            state, ids(10, 11), irm_ranking=ids(), alloc=alloc, capacity=1,
+            sizes=unit_sizes(11), t=3,
         )
         assert p.cached == {10}
 
     def test_warm_top_by_index(self):
-        states = self._states({
+        state = bandit({
             10: (5, 0.9, 0.9, 0.5),
             11: (5, 0.1, 0.9, 0.5),
             12: (5, 0.5, 0.9, 0.5),
         })
         alloc = AllocationEstimate.from_snm(1.0)
         p = hybrid_select(
-            states, [10, 11, 12], irm_ranking=(), alloc=alloc, capacity=2,
-            sizes={10: 1.0, 11: 1.0, 12: 1.0}, t=10,
+            state, ids(10, 11, 12), irm_ranking=ids(), alloc=alloc, capacity=2,
+            sizes=unit_sizes(12), t=10,
         )
-        indices = {f: hybrid_ucb_index(states[f], 10) for f in (10, 11, 12)}
+        indices = {f: index_of(state, f, 10) for f in (10, 11, 12)}
         expected = set(sorted(indices, key=lambda f: -indices[f])[:2])
         assert p.cached == expected == {10, 12}
 
     def test_zero_snm_share_pure_irm(self):
-        states = self._states({10: (3, 0.9, 0.9, 0.5)})
+        state = bandit({10: (3, 0.9, 0.9, 0.5)})
         alloc = AllocationEstimate.from_snm(0.0)
-        ranking = ((1, 0.6), (2, 0.3), (3, 0.1))
         p = hybrid_select(
-            states, [10], irm_ranking=ranking, alloc=alloc, capacity=2,
-            sizes={10: 1.0, 1: 1.0, 2: 1.0, 3: 1.0}, t=5,
+            state, ids(10), irm_ranking=ids(1, 2, 3), alloc=alloc, capacity=2,
+            sizes=unit_sizes(10), t=5,
         )
         assert p.cached == {1, 2}
 
     def test_leftover_snm_share_rolls_to_irm(self):
-        states = self._states({10: (0, 0, 0, 0.5)})
+        state = bandit({10: (0, 0, 0, 0.5)})
         alloc = AllocationEstimate.from_snm(0.75)
-        ranking = ((1, 0.6), (2, 0.3))
         p = hybrid_select(
-            states, [10], irm_ranking=ranking, alloc=alloc, capacity=4,
-            sizes={10: 1.0, 1: 1.0, 2: 1.0}, t=5,
+            state, ids(10), irm_ranking=ids(1, 2), alloc=alloc, capacity=4,
+            sizes=unit_sizes(10), t=5,
         )
         assert p.cached == {10, 1, 2}
 
@@ -287,25 +334,55 @@ class TestHybridSelect:
     @settings(max_examples=60, deadline=None)
     def test_capacity_never_violated(self, seed, capacity, w_snm):
         rng = np.random.default_rng(seed)
-        snm_ids = list(range(100, 100 + int(rng.integers(1, 12))))
-        irm_ids = list(range(1, 1 + int(rng.integers(0, 12))))
-        states = {
-            f: BanditState(
-                influence=float(rng.uniform(0.01, 1.0)),
-                pulls=int(rng.integers(0, 4)),
-                mean_reward=float(rng.uniform(0, 1)),
-                weighted_reward=float(rng.uniform(0, 1)),
+        snm_ids = np.arange(100, 100 + int(rng.integers(1, 12)))
+        irm_ids = np.arange(1, 1 + int(rng.integers(0, 12)))
+        state = bandit({
+            int(f): (
+                int(rng.integers(0, 4)),
+                float(rng.uniform(0, 1)),
+                float(rng.uniform(0, 1)),
+                float(rng.uniform(0.01, 1.0)),
             )
             for f in snm_ids
-        }
-        sizes = {f: float(rng.integers(1, 4)) for f in snm_ids + irm_ids}
-        ranking = tuple((cid, float(rng.uniform(0, 1))) for cid in irm_ids)
+        })
+        sizes = rng.integers(1, 4, size=snm_ids[-1]).astype(float)
+        ranking = rng.permutation(irm_ids)
         p = hybrid_select(
-            states, snm_ids, ranking, AllocationEstimate.from_snm(w_snm),
+            state, snm_ids, ranking, AllocationEstimate.from_snm(w_snm),
             capacity, sizes, t=int(rng.integers(1, 50)),
         )
         assert p.used_capacity <= capacity + 1e-9
-        assert sum(sizes[f] for f in p.cached) == pytest.approx(p.used_capacity)
+        assert sum(sizes[f - 1] for f in p.cached) == pytest.approx(p.used_capacity)
+
+
+def fill_item_by_item(ordered_ids, sizes, capacity):
+    """Reference fill: try every id in order, admit each that still fits."""
+    chosen, used, limit = [], 0.0, capacity + 1e-9
+    for cid, s in zip(ordered_ids, sizes):
+        if used + s <= limit:
+            chosen.append(cid)
+            used += s
+    return chosen, used
+
+
+class TestFill:
+    def test_continues_past_first_misfit(self):
+        chosen, used = _fill(ids(4, 5, 6, 7), np.array([2.0, 3.0, 1.0, 5.0]), 3.5)
+        assert (chosen, used) == ([4, 6], 3.0)
+
+    @given(
+        sizes=st.lists(
+            st.one_of(st.integers(1, 5).map(float), st.floats(0.05, 5.0)),
+            max_size=40,
+        ),
+        capacity=st.floats(0.0, 40.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_matches_item_by_item_loop(self, sizes, capacity, seed):
+        order = np.random.default_rng(seed).permutation(len(sizes)) + 1
+        sizes = np.array(sizes, dtype=float)
+        got = _fill(order, sizes, capacity)
+        assert got == fill_item_by_item(order.tolist(), sizes.tolist(), capacity)
 
 
 def test_make_policy_unknown():

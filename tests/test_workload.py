@@ -191,3 +191,29 @@ class TestTraceIO:
         path.write_text("slot,content_id\n1,9999\n")
         with pytest.raises(UnknownContent):
             load_trace(path, small_catalog)
+
+
+class TestTraceRows:
+    def test_csr_matches_events(self):
+        # slot 2 and the trailing slot 5 carry no event
+        events = ((1, 4), (1, 2), (3, 7), (3, 7), (3, 1), (4, 9))
+        trace = RequestTrace(horizon=5, events=events)
+        ids, offsets = trace.csr
+        assert ids.dtype == np.int32
+        assert ids.tolist() == [cid for _, cid in events]
+        assert offsets.tolist() == [0, 2, 2, 5, 6, 6]
+        slots = [s.tolist() for s in trace.events_by_slot()]
+        assert slots == [[4, 2], [], [7, 7, 1], [9], []]
+
+    def test_csr_is_built_once(self, small_catalog):
+        trace = generate_trace(small_catalog, 10, 5, 0.5, 0.8, seed=3)
+        assert trace.csr is trace.csr
+
+    @pytest.mark.parametrize(
+        "events",
+        [((2, 1), (1, 1)), ((0, 1),), ((4, 1),)],
+        ids=["unsorted", "below-1", "past-horizon"],
+    )
+    def test_bad_slots_rejected(self, events):
+        with pytest.raises(ValueError):
+            RequestTrace(horizon=3, events=events).events_by_slot()
