@@ -166,7 +166,7 @@ def run_simulation(
 
     achieved = [r.hit_ratio for r in records]
     regret = cumulative_regret(achieved, [r.oracle_hit_ratio for r in records])
-    total_events = len(trace.events)
+    total_events = len(trace.ids)
     summary = {
         "policy": policy_name,
         "seed": seed,

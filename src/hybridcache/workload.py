@@ -6,10 +6,10 @@ fully reproducible from (catalog, config, seed) on any platform.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from functools import cached_property
-from operator import itemgetter
+import re
+import warnings
+from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Optional
 
 import numpy as np
@@ -69,37 +69,48 @@ class TraceStats:
         return self.snm_served / self.total_requests
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RequestTrace:
+    """A slotted request trace held as compressed sparse rows.
+
+    ids is a read-only int32 array of content ids in event order; slot
+    t's ids are ids[offsets[t - 1]:offsets[t]], so offsets has
+    horizon + 1 entries.
+    """
+
     horizon: int
-    events: tuple  # ordered (slot, content_id) pairs, slots ascending
-    stats: Optional[TraceStats] = field(default=None, compare=False)
+    ids: np.ndarray
+    offsets: np.ndarray
+    stats: Optional[TraceStats] = None
 
-    @cached_property
-    def csr(self) -> tuple:
-        """The events as compressed sparse rows: (ids, offsets).
+    def __post_init__(self):
+        self.ids.flags.writeable = False
 
-        ids is an int32 array of content ids in event order; slot t's ids
-        are ids[offsets[t - 1]:offsets[t]]. Built on first use and kept,
-        since a trace is usually run several times.
-        """
-        n = len(self.events)
-        ids = np.fromiter(map(itemgetter(1), self.events), np.int32, n)
-        slots = np.fromiter(map(itemgetter(0), self.events), np.int32, n)
-        if n and (slots[0] < 1 or slots[-1] > self.horizon):
-            raise ValueError(f"event slots must lie in [1, {self.horizon}]")
+    @classmethod
+    def from_events(cls, horizon: int, events) -> "RequestTrace":
+        """Build a trace from (slot, content_id) pairs, slots ascending."""
+        pairs = np.asarray(events, dtype=np.int64).reshape(-1, 2)
+        slots, ids = pairs[:, 0], pairs[:, 1]
+        if len(slots) and (slots[0] < 1 or slots[-1] > horizon):
+            raise ValueError(f"event slots must lie in [1, {horizon}]")
         if (slots[1:] < slots[:-1]).any():
             raise ValueError("event slots must be non-decreasing")
-        offsets = np.searchsorted(
-            slots, np.arange(1, self.horizon + 2, dtype=np.int32)
-        )
-        ids.flags.writeable = False
-        return ids, offsets
+        if (ids < 1).any():
+            raise ValueError("content ids must be >= 1")
+        offsets = np.searchsorted(slots, np.arange(1, horizon + 2))
+        return cls(horizon=horizon, ids=ids.astype(np.int32), offsets=offsets)
+
+    @property
+    def events(self) -> tuple:
+        """The (slot, content_id) pairs in event order, built on each call."""
+        counts = np.diff(self.offsets).tolist()
+        # every event of a slot shares one int object for the slot
+        slots = chain.from_iterable(map(repeat, range(1, self.horizon + 1), counts))
+        return tuple(zip(slots, self.ids.tolist()))
 
     def events_by_slot(self) -> list:
-        """Per-slot id arrays (views into the CSR ids), index t-1 for slot t."""
-        ids, offsets = self.csr
-        return np.split(ids, offsets[1:-1])
+        """Per-slot id arrays (views into ids), index t-1 for slot t."""
+        return np.split(self.ids, self.offsets[1:-1])
 
 
 def generate_trace(
@@ -130,7 +141,7 @@ def generate_trace(
     # an SNM item's pulse rate is volume / lifespan inside its window
     snm_rates = catalog.snm_volume / (catalog.snm_expiry - catalog.snm_arrival)
 
-    events = []
+    drawn = []  # each slot's IRM draws, then its SNM draws
     snm_intended = 0
     snm_served = 0
     fallback = 0
@@ -151,12 +162,11 @@ def generate_trace(
                 slot_irm = rng.choice(catalog.ids, size=n_irm)
             else:
                 slot_irm = rng.choice(irm_ids, size=n_irm, p=zipf)
-            events.extend((slot, cid) for cid in slot_irm.tolist())
+            drawn.append(slot_irm)
         if n_snm:
             rates = snm_rates[active]
             probs = rates / rates.sum()
-            slot_snm = rng.choice(catalog.snm_ids[active], size=n_snm, p=probs)
-            events.extend((slot, cid) for cid in slot_snm.tolist())
+            drawn.append(rng.choice(catalog.snm_ids[active], size=n_snm, p=probs))
             snm_served += n_snm
 
     stats = TraceStats(
@@ -165,48 +175,108 @@ def generate_trace(
         snm_served=snm_served,
         fallback_count=fallback,
     )
-    return RequestTrace(horizon=horizon, events=tuple(events), stats=stats)
+    return RequestTrace(
+        horizon=horizon,
+        ids=np.concatenate(drawn).astype(np.int32),
+        # every slot carries exactly R events
+        offsets=np.arange(0, (horizon + 1) * requests_per_slot, requests_per_slot),
+        stats=stats,
+    )
 
 
-TRACE_HEADER = ["slot", "content_id"]
+TRACE_HEADER = "slot,content_id"
+# a body row: two decimal integers; their int64 range is checked apart
+_ROW = re.compile(rb"(-?[0-9]+),(-?[0-9]+)")
+_INT64 = range(-(2**63), 2**63)
 
 
 def save_trace(trace: RequestTrace, path) -> None:
+    """Write the header and `slot,content_id` rows with CRLF line ends.
+
+    These are the bytes csv.writer writes; each slot's rows are joined
+    from a per-id table of row tails.
+    """
+    top = int(trace.ids.max(initial=0))
+    cells = np.array([f",{cid}\r\n" for cid in range(top + 1)], dtype=object)
+    rows = cells[trace.ids].tolist()
+    offsets = trace.offsets.tolist()
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_HEADER)
-        for slot, content_id in trace.events:
-            writer.writerow([slot, content_id])
+        fh.write(TRACE_HEADER + "\r\n")
+        for slot in range(1, trace.horizon + 1):
+            start, end = offsets[slot - 1], offsets[slot]
+            if start < end:
+                # "t" + "t".join([",a\r\n", ",b\r\n"]) == "t,a\r\nt,b\r\n"
+                prefix = str(slot)
+                fh.write(prefix + prefix.join(rows[start:end]))
+
+
+def _read_rows(path, body: bytes):
+    """The body's (slot, id) rows as an (n, 2) int64 array.
+
+    Also returns the line number of the first malformed row (None if
+    every row is well formed); the array then holds the rows before it.
+    A row ends in LF or CRLF and is malformed unless it is two decimal
+    int64 values joined by a comma: a blank line, a third field or a
+    quoted field is malformed. Rows are parsed by loadtxt; the row-by-row
+    scan below runs only when loadtxt declines, to find the bad line.
+    """
+    n_lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    # loadtxt skips blank lines, allows spaces and signs and ends a line
+    # at a lone CR, so it parses only a body made of the characters of
+    # well-formed rows, and its rows are checked against the line count
+    if not body.translate(None, b"0123456789,-\r\n"):
+        try:
+            with warnings.catch_warnings():
+                # a body of blank lines is "no data" to loadtxt
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(
+                    path, delimiter=",", dtype=np.int64, comments=None,
+                    skiprows=1, ndmin=2,
+                )
+        except ValueError:
+            pass
+        else:
+            if rows.shape == (n_lines, 2):
+                return rows, None
+    rows = []
+    for line in body.split(b"\n", n_lines)[:n_lines]:
+        m = _ROW.fullmatch(line.removesuffix(b"\r"))
+        row = m and tuple(map(int, m.groups()))
+        if not row or not all(v in _INT64 for v in row):
+            return np.array(rows, dtype=np.int64).reshape(-1, 2), len(rows) + 2
+        rows.append(row)
+    return np.array(rows, dtype=np.int64), None
 
 
 def load_trace(path, catalog: Catalog) -> RequestTrace:
     """Load a trace CSV, validating every id against the catalog.
 
-    Slots must be >= 1 and non-decreasing from row to row.
+    Slots must be >= 1 and non-decreasing from row to row. Errors name
+    the 1-based line of the first bad row in file order.
     """
-    known = {it.id for it in catalog.items}
-    events = []
-    horizon = 0
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRACE_HEADER:
-            raise TraceParseError("bad trace header", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                slot, content_id = int(row[0]), int(row[1])
-            except (ValueError, IndexError) as exc:
-                raise TraceParseError(str(exc), line=lineno) from exc
-            if slot < 1:
-                raise TraceParseError(f"slot {slot} is below 1", line=lineno)
-            if slot < horizon:
-                raise TraceParseError(
-                    f"slot {slot} follows slot {horizon}", line=lineno
-                )
-            if content_id not in known:
-                raise UnknownContent(
-                    f"line {lineno}: content id {content_id} not in catalog"
-                )
-            events.append((slot, content_id))
-            horizon = slot
-    return RequestTrace(horizon=horizon, events=tuple(events))
+    with open(path, "rb") as fh:
+        header = fh.readline()
+        body = fh.read()
+    if header.removesuffix(b"\n").removesuffix(b"\r") != TRACE_HEADER.encode():
+        raise TraceParseError("bad trace header", line=1)
+    if not body:
+        raise TraceParseError("no events", line=2)
+    rows, malformed = _read_rows(path, body)
+    slots, ids = rows[:, 0], rows[:, 1]
+    bad = (slots < 1) | (ids < 1) | (ids > len(catalog.items))
+    bad[1:] |= slots[1:] < slots[:-1]
+    if bad.any():
+        row = int(bad.argmax())
+        lineno = row + 2
+        slot, cid = int(slots[row]), int(ids[row])
+        if slot < 1:
+            raise TraceParseError(f"slot {slot} is below 1", line=lineno)
+        if row and slot < slots[row - 1]:
+            raise TraceParseError(
+                f"slot {slot} follows slot {slots[row - 1]}", line=lineno
+            )
+        raise UnknownContent(f"line {lineno}: content id {cid} not in catalog")
+    if malformed is not None:
+        raise TraceParseError("a row must be two integers: slot,content_id",
+                              line=malformed)
+    return RequestTrace.from_events(int(slots[-1]), rows)

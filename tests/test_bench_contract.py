@@ -2,18 +2,22 @@
 
 perfbench/probe.py wraps each name it instruments by reading it from
 its owner's __dict__, so renaming or deleting one would otherwise break
-only the traced benchmark run, not the test suite.
+only the traced benchmark run, not the test suite. The same holds for
+the trace attributes that perfbench reads to count events.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hybridcache.cli as cli
 import hybridcache.engine as engine
+from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.popularity import AllocationEstimator
+from hybridcache.workload import generate_trace
 
 PROBE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
 
@@ -55,3 +59,13 @@ def test_every_spanned_name_is_an_own_attribute():
 )
 def test_specially_patched_name_is_an_own_attribute(owner, attr):
     assert attr in vars(owner)
+
+
+def test_trace_attributes_read_by_the_benchmark():
+    catalog = build_catalog(CatalogConfig(library_size=20, w_snm=0.5, horizon=10), seed=1)
+    trace = generate_trace(catalog, 10, 6, 0.5, 0.8, seed=2)
+    assert trace.horizon == 10
+    assert len(trace.events) == len(trace.ids) == 60
+    slots = np.repeat(np.arange(1, trace.horizon + 1), np.diff(trace.offsets))
+    assert [s for s, _ in trace.events] == slots.tolist()
+    assert [cid for _, cid in trace.events] == trace.ids.tolist()

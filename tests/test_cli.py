@@ -154,6 +154,20 @@ class TestRun:
         assert "--catalog" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "body", ["", "1,2,7\n"], ids=["no-events", "three-fields"]
+    )
+    def test_bad_trace_exit_code(self, tmp_path, capsys, body):
+        gen = tmp_path / "gen"
+        main(["generate", *SMALL, "--out", str(gen)])
+        (gen / "trace.csv").write_text("slot,content_id\n" + body)
+        out = tmp_path / "run"
+        rc = main(["run", *SMALL, "--catalog", str(gen / "catalog.csv"),
+                   "--trace", str(gen / "trace.csv"), "--out", str(out)])
+        assert rc == 2
+        assert "line 2:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_policy_exit_code(self, tmp_path):
         rc = main(["run", *SMALL, "--policy", "lfu", "--seed", "5",
                    "--out", str(tmp_path / "x")])

@@ -216,9 +216,9 @@ def test_no_lookahead(workload, policy, t, seed, capacity):
     catalog, trace = workload
     rng = np.random.default_rng(seed)
     n_items = len(catalog.items)
-    altered = RequestTrace(
-        horizon=trace.horizon,
-        events=tuple(
+    altered = RequestTrace.from_events(
+        trace.horizon,
+        tuple(
             (slot, cid) if slot < t else (slot, int(rng.integers(1, n_items + 1)))
             for slot, cid in trace.events
             # also drop some of the later events, so later slot sizes change

@@ -1,3 +1,7 @@
+import hashlib
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -116,6 +120,16 @@ class TestGenerateTrace:
         b = generate_trace(small_catalog, 30, 10, 0.5, 0.8, seed=4)
         assert a.events == b.events
 
+    def test_pinned_draws(self, small_catalog):
+        # pins the order of the rng calls and the id dtype
+        trace = generate_trace(small_catalog, 30, 10, 0.5, 0.8, seed=4)
+        digest = hashlib.sha256(trace.ids.tobytes()).hexdigest()
+        assert digest == (
+            "8582b8f63efb1f1600471e1a6328f3243dfee93bee9764861c3f17606f24ca15"
+        )
+        assert trace.ids.dtype == np.int32
+        assert trace.offsets.tolist() == list(range(0, 310, 10))
+
     def test_snm_draws_follow_pulse_rates(self):
         # id 2 is live in slots 1..10 at rate 30/10, id 3 in 6..15 at
         # rate 10/10; slots 16..20 have no live SNM item and fall back
@@ -192,22 +206,117 @@ class TestTraceIO:
         with pytest.raises(UnknownContent):
             load_trace(path, small_catalog)
 
+    def test_saved_bytes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        save_trace(RequestTrace.from_events(3, ((1, 4), (1, 12), (3, 7))), path)
+        assert path.read_bytes() == b"slot,content_id\r\n1,4\r\n1,12\r\n3,7\r\n"
+
+    @pytest.mark.parametrize(
+        "rows, error, line",
+        [
+            ("1,2\n1,99\n1,3\n0,1\n", UnknownContent, 3),
+            ("1,2\n0,1\n1,3\n1,99\n", TraceParseError, 3),
+            ("1,2\n3,99\n2,1\n", UnknownContent, 3),
+            ("3,2\n2,99\n", TraceParseError, 3),
+            ("1,2\n0,1\nabc\n", TraceParseError, 3),
+            ("1,2\n1,99\n1,2,7\n", UnknownContent, 3),
+            ("1,2\n1,2,7\n1,99\n", TraceParseError, 3),
+        ],
+    )
+    def test_first_bad_row_wins(self, small_catalog, tmp_path, rows, error, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("slot,content_id\n" + rows)
+        with pytest.raises(error) as exc:
+            load_trace(path, small_catalog)
+        assert f"line {line}:" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("1,2,7\n", 2),  # a third field
+            ("1,2\n1\n", 3),  # a single field
+            ("1,2\n\n1,3\n", 3),  # a blank line
+            ("1,2\n1,3\n\n", 4),  # a trailing blank line
+            ("1,2\n#1,3\n", 3),  # not a comment
+            ('1,2\n"1",3\n', 3),  # a quoted field
+            ("1,2\n 1,3\n", 3),  # a space
+            ("1,2\n+1,3\n", 3),  # a plus sign
+            ("1,2\n1,1_0\n", 3),  # a digit separator
+            ("1,2\n1,99999999999999999999\n", 3),  # past int64
+        ],
+    )
+    def test_rejects_malformed_row(self, small_catalog, tmp_path, rows, line):
+        path = tmp_path / "bad.csv"
+        path.write_text("slot,content_id\n" + rows)
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(path, small_catalog)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("text", ["", "slot,id\n1,2\n", "slot,content_id,x\n"])
+    def test_bad_header(self, small_catalog, tmp_path, text):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(path, small_catalog)
+        assert exc.value.line == 1
+
+    def test_no_events(self, small_catalog, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("slot,content_id\n")
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(path, small_catalog)
+        assert exc.value.line == 2
+
+    def test_accepts_lf_and_no_final_newline(self, small_catalog, tmp_path):
+        path = tmp_path / "lf.csv"
+        path.write_text("slot,content_id\n1,2\n3,4")
+        trace = load_trace(path, small_catalog)
+        assert trace.events == ((1, 2), (3, 4))
+        assert trace.offsets.tolist() == [0, 1, 1, 2]
+
+    @given(
+        counts=st.lists(st.integers(0, 4), min_size=1, max_size=12),
+        data=st.data(),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_round_trip_keeps_csr(self, small_catalog, counts, data):
+        # the loaded horizon is the last event's slot, so that slot is kept
+        counts[-1] += 1
+        events = tuple(
+            (slot, data.draw(st.integers(1, len(small_catalog.items))))
+            for slot, n in enumerate(counts, start=1)
+            for _ in range(n)
+        )
+        trace = RequestTrace.from_events(len(counts), events)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "trace.csv"
+            save_trace(trace, path)
+            loaded = load_trace(path, small_catalog)
+        assert loaded.horizon == trace.horizon
+        assert loaded.ids.dtype == np.int32
+        assert loaded.ids.tolist() == trace.ids.tolist()
+        assert loaded.offsets.tolist() == trace.offsets.tolist()
+
 
 class TestTraceRows:
     def test_csr_matches_events(self):
         # slot 2 and the trailing slot 5 carry no event
         events = ((1, 4), (1, 2), (3, 7), (3, 7), (3, 1), (4, 9))
-        trace = RequestTrace(horizon=5, events=events)
-        ids, offsets = trace.csr
-        assert ids.dtype == np.int32
-        assert ids.tolist() == [cid for _, cid in events]
-        assert offsets.tolist() == [0, 2, 2, 5, 6, 6]
+        trace = RequestTrace.from_events(5, events)
+        assert trace.ids.dtype == np.int32
+        assert not trace.ids.flags.writeable
+        assert trace.ids.tolist() == [cid for _, cid in events]
+        assert trace.offsets.tolist() == [0, 2, 2, 5, 6, 6]
+        assert trace.events == events
         slots = [s.tolist() for s in trace.events_by_slot()]
         assert slots == [[4, 2], [], [7, 7, 1], [9], []]
 
-    def test_csr_is_built_once(self, small_catalog):
-        trace = generate_trace(small_catalog, 10, 5, 0.5, 0.8, seed=3)
-        assert trace.csr is trace.csr
+    def test_events_share_one_int_per_slot(self, small_catalog):
+        # slots past 256 are not CPython's cached small ints
+        trace = generate_trace(small_catalog, 300, 3, 0.5, 0.8, seed=3)
+        slots = [slot for slot, _ in trace.events]
+        assert slots == [t for t in range(1, 301) for _ in range(3)]
+        assert len({id(slot) for slot in slots[256 * 3:]}) == 300 - 256
 
     @pytest.mark.parametrize(
         "events",
@@ -216,4 +325,8 @@ class TestTraceRows:
     )
     def test_bad_slots_rejected(self, events):
         with pytest.raises(ValueError):
-            RequestTrace(horizon=3, events=events).events_by_slot()
+            RequestTrace.from_events(3, events)
+
+    def test_id_below_one_rejected(self):
+        with pytest.raises(ValueError):
+            RequestTrace.from_events(3, ((1, 0),))
