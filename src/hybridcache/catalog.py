@@ -159,6 +159,11 @@ class Catalog:
     def snm_volume(self) -> np.ndarray:
         return _frozen([it.snm.volume for it in self._snm_items], float)
 
+    @cached_property
+    def snm_features(self) -> np.ndarray:
+        """The SNM items' feature vectors, one row per item."""
+        return _frozen([it.features for it in self._snm_items], float)
+
     def snm_active_mask(self, slot: int) -> np.ndarray:
         """Which SNM items (in snm_ids order) are live at the slot.
 
@@ -207,6 +212,21 @@ def feature_influence(
     for x, role in zip(features, roles):
         total += x if role is FeatureRole.BENEFIT else 1.0 - x
     return max(floor, total / len(features))
+
+
+def feature_influences(features: np.ndarray, floor: float = 0.01) -> np.ndarray:
+    """feature_influence of each row of a feature matrix, as one array.
+
+    The columns follow DEFAULT_FEATURE_ROLES. They are added in role order
+    onto zeros, as feature_influence adds a vector's entries onto 0.0, so
+    each entry equals feature_influence of its row bit for bit.
+    """
+    if not (0.0 < floor <= 0.1):
+        raise ValueError("floor must lie in (0, 0.1]")
+    total = np.zeros(len(features))
+    for x, role in zip(features.T, DEFAULT_FEATURE_ROLES):
+        total += x if role is FeatureRole.BENEFIT else 1.0 - x
+    return np.maximum(floor, total / len(DEFAULT_FEATURE_ROLES))
 
 
 @dataclass(frozen=True)

@@ -219,7 +219,17 @@ def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int
         from .catalog import load_catalog
 
         catalog = load_catalog(catalog_path)
-        fixed = (catalog, load_trace(trace_path, catalog))
+        trace = load_trace(trace_path, catalog, config.horizon)
+        # the slot of the trace's last row: offsets[t] counts rows up to slot t
+        last = int(trace.offsets.searchsorted(trace.offsets[-1]))
+        if last < config.horizon:
+            print(
+                f"warning: the trace ends at slot {last}; the run spans the "
+                f"horizon {config.horizon}, so slots {last + 1}.."
+                f"{config.horizon} have no requests",
+                file=sys.stderr,
+            )
+        fixed = (catalog, trace)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
 

@@ -1,9 +1,10 @@
 """Time-slotted simulation loop and regret accounting.
 
-Per slot: estimate the IRM/SNM split from past requests, let the
-policy place under capacity C, serve the slot's requests, feed the
-policy its observations, and score against a clairvoyant oracle that
-knows the slot's true request counts.
+Per slot: let the policy place under capacity C from past requests
+only, serve the slot's requests and feed the policy its observations.
+Each slot is scored against a clairvoyant oracle that knows the slot's
+true request counts; the oracle's hits depend only on the trace, the
+catalog and C, so they are computed for every slot before the loop.
 """
 
 from __future__ import annotations
@@ -44,35 +45,46 @@ def slot_step(placement: Placement, tally: np.ndarray) -> int:
 
     tally[id] is the slot's request count of an id.
     """
-    cached = np.fromiter(placement.cached, np.int64, len(placement.cached))
-    return int(tally[cached].sum())
+    return int(tally[placement.cached].sum())
 
 
-def oracle_placement(tally: np.ndarray, catalog: Catalog, capacity: float) -> int:
-    """Clairvoyant per-slot optimum over the slot's true request tally.
+def oracle_placement(
+    trace: RequestTrace, catalog: Catalog, capacity: float
+) -> np.ndarray:
+    """Clairvoyant per-slot optimum over each slot's true request tally.
 
-    Returns the oracle's hits. When every item has the same size the
-    optimum caches the capacity // size most requested ids, so its hits
-    are the sum of the largest counts; otherwise an exact knapsack
-    (integer sizes only) runs over the requested ids.
+    Returns the oracle's hits in every slot of the trace, as an int64
+    array indexed t - 1. When every item has the same size the optimum
+    caches the capacity // size most requested ids of a slot, so its hits
+    are read from the trace's running sums of descending counts;
+    otherwise an exact knapsack (integer sizes only) runs per slot over
+    the requested ids.
     """
     if capacity < 0:
         raise BadInput("capacity must be >= 0")
     size = catalog.uniform_size
     if size is not None:
-        requested = tally[tally > 0]
-        k = int(capacity // size)
-        if k >= len(requested):
-            return int(requested.sum())
-        return int(np.partition(requested, -k)[-k:].sum()) if k else 0
-    ids = np.flatnonzero(tally)
-    placement = exact_knapsack(
-        tally[ids].astype(float).tolist(),
-        catalog.sizes[ids - 1].tolist(),
-        capacity,
-        ids=ids.tolist(),
-    )
-    return slot_step(placement, tally)
+        starts, sums = trace.ranked_count_sums
+        # a slot holds no more distinct ids than the trace has sums
+        k = min(int(capacity // size), len(sums))
+        take = np.minimum(np.diff(starts), k)
+        hits = np.zeros(trace.horizon, dtype=np.int64)
+        some = take > 0
+        hits[some] = sums[starts[:-1][some] + take[some] - 1]
+        return hits
+    n_ids = len(catalog.items) + 1
+    hits = []
+    for slot_ids in trace.events_by_slot():
+        tally = np.bincount(slot_ids, minlength=n_ids)
+        ids = np.flatnonzero(tally)
+        placement = exact_knapsack(
+            tally[ids].astype(float).tolist(),
+            catalog.sizes[ids - 1].tolist(),
+            capacity,
+            ids=ids.tolist(),
+        )
+        hits.append(slot_step(placement, tally))
+    return np.array(hits, dtype=np.int64)
 
 
 def cumulative_regret(
@@ -109,72 +121,70 @@ def run_simulation(
         policy_name, catalog, capacity, exploration_beta=exploration_beta
     )
     rng = np.random.default_rng(seed)
-    irm_ids = catalog.irm_ids
+    oracle_hits = oracle_placement(trace, catalog, capacity)
     n_ids = len(catalog.items) + 1
+    hybrid = policy.name == "hybrid"
+    popular = policy.name == "popular"
 
-    estimator = AllocationEstimator(window=alloc_window, smoothing=alloc_smoothing)
+    if hybrid:
+        irm_ids = catalog.irm_ids
+        estimator = AllocationEstimator(
+            window=alloc_window, smoothing=alloc_smoothing
+        )
     # requests per id over slots < t; position = content id
     all_counts = np.zeros(n_ids, dtype=np.int64)
     total_all = 0
-
-    records = []
-    total_hits = 0
+    hits = np.zeros(trace.horizon, dtype=np.int64)
 
     for t, slot_ids in enumerate(trace.events_by_slot(), start=1):
-        try:
-            alloc = estimator.estimate()
-        except EmptyWindow:
-            alloc = AllocationEstimate.from_snm(0.5)
-
         # each policy gets only the inputs it reads
         inputs = {}
-        if policy.name == "hybrid":
+        if hybrid:
+            try:
+                inputs["alloc"] = estimator.estimate()
+            except EmptyWindow:
+                inputs["alloc"] = AllocationEstimate.from_snm(0.5)
             inputs["snm_candidates"] = catalog.active_snm_ids(t)
             # IRM ids by descending count, ties by lower id
             order = np.lexsort((irm_ids, -all_counts[irm_ids]))
             inputs["irm_ranking"] = irm_ids[order]
-        elif policy.name == "popular":
+        elif popular:
             inputs["history_popularity"] = PopularitySnapshot(
                 slot=t - 1, freq=all_counts / max(total_all, 1)
             )
-        ctx = PolicyContext(slot=t, alloc=alloc, rng=rng, **inputs)
+        ctx = PolicyContext(slot=t, rng=rng, **inputs)
         placement = policy.place(ctx)
 
         tally = np.bincount(slot_ids, minlength=n_ids)
-        total = len(slot_ids)
-        hits = slot_step(placement, tally)
-        hit_ratio = hits / total if total else 0.0
-        total_hits += hits
-
+        hits[t - 1] = slot_step(placement, tally)
         policy.update(ctx, placement, tally)
 
-        oracle_hits = oracle_placement(tally, catalog, capacity)
-        oracle_ratio = oracle_hits / total if total else 0.0
-        increment = max(0.0, oracle_ratio - hit_ratio)
-        records.append(
-            SlotRecord(
-                hit_ratio=hit_ratio,
-                oracle_hit_ratio=oracle_ratio,
-                regret_increment=increment,
-            )
-        )
+        if hybrid or popular:
+            all_counts += tally
+            total_all += len(slot_ids)
+        if hybrid:
+            n_irm = int(tally[irm_ids].sum())
+            estimator.observe(len(slot_ids) - n_irm, n_irm)
 
-        all_counts += tally
-        n_irm = int(tally[irm_ids].sum())
-        estimator.observe(total - n_irm, n_irm)
-        total_all += total
+    totals = np.diff(trace.offsets)
+    served = totals > 0
 
-    achieved = [r.hit_ratio for r in records]
-    regret = cumulative_regret(achieved, [r.oracle_hit_ratio for r in records])
+    def ratio(n):
+        return np.divide(n, totals, out=np.zeros(trace.horizon), where=served)
+
+    achieved, oracle = ratio(hits), ratio(oracle_hits)
+    increments = np.maximum(0.0, oracle - achieved)
+    regret = cumulative_regret(achieved, oracle)
+    records = tuple(
+        map(SlotRecord, achieved.tolist(), oracle.tolist(), increments.tolist())
+    )
     total_events = len(trace.ids)
     summary = {
         "policy": policy_name,
         "seed": seed,
         "config_hash": config_hash,
-        "mean_hit_ratio": total_hits / total_events if total_events else 0.0,
+        "mean_hit_ratio": int(hits.sum()) / total_events if total_events else 0.0,
         "slot_mean_hit_ratio": float(np.mean(achieved)),
         "final_regret": float(regret[-1]),
     }
-    return RunMetrics(
-        per_slot=tuple(records), cumulative_regret=regret, summary=summary
-    )
+    return RunMetrics(per_slot=records, cumulative_regret=regret, summary=summary)

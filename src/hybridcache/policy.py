@@ -16,22 +16,26 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .catalog import Catalog, Regime, feature_influence
+from .catalog import Catalog, feature_influences
 from .errors import BadInput, NeedsIntegerSizes, UnknownPolicy
 from .popularity import AllocationEstimate, PopularitySnapshot
 
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Placement:
-    """A 0/1 cache decision: the set of cached ids under capacity C."""
+    """A 0/1 cache decision: the cached ids under capacity C.
 
-    cached: frozenset
+    cached is a read-only int64 array of distinct ids, ascending.
+    """
+
+    cached: np.ndarray
     used_capacity: float
     capacity: float
 
     def __post_init__(self):
+        self.cached.flags.writeable = False
         if self.used_capacity > self.capacity + 1e-9:
             raise ValueError(
                 f"used {self.used_capacity} exceeds capacity {self.capacity}"
@@ -66,6 +70,41 @@ def _fill(ordered_ids: np.ndarray, sizes: np.ndarray, capacity) -> tuple:
     return chosen, used
 
 
+def _sorted_ids(chosen) -> np.ndarray:
+    return np.sort(np.asarray(chosen, dtype=np.int64))
+
+
+def _uniform_fit(catalog: Catalog, capacity: float) -> Optional[tuple]:
+    """(count, used capacity) of any fill of the catalog, at uniform sizes.
+
+    When every item has the same size, _fill admits the same number of
+    ids whatever their order: the prefix that fits, with no admission
+    past the first misfit. Returns None when sizes differ.
+    """
+    if capacity < 0:
+        raise BadInput("capacity must be >= 0")
+    if catalog.uniform_size is None:
+        return None
+    chosen, used = _fill(catalog.ids, catalog.sizes, capacity)
+    return len(chosen), used
+
+
+def _top_n(values: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the n largest values, ties to the lower position, ascending.
+
+    The same set as the first n of a stable descending sort, found with
+    one np.partition instead of a full sort.
+    """
+    if n >= len(values):
+        return np.arange(len(values))
+    if n == 0:
+        return np.arange(0)
+    kth = np.partition(values, len(values) - n)[len(values) - n]
+    above = np.flatnonzero(values > kth)
+    tied = np.flatnonzero(values == kth)[: n - len(above)]
+    return np.sort(np.concatenate((above, tied)))
+
+
 def greedy_knapsack(
     values: Sequence[float],
     sizes: Sequence[float],
@@ -89,7 +128,7 @@ def greedy_knapsack(
     ids = np.arange(1, len(values) + 1) if ids is None else np.asarray(ids)
     order = np.lexsort((ids, -values / sizes))
     chosen, used = _fill(ids[order], sizes[order], capacity)
-    return Placement(cached=frozenset(chosen), used_capacity=used, capacity=capacity)
+    return Placement(_sorted_ids(chosen), used_capacity=used, capacity=capacity)
 
 
 def exact_knapsack(
@@ -146,7 +185,7 @@ def exact_knapsack(
         best.items(), key=lambda kv: (-kv[1][0], kv[1][1])
     )
     return Placement(
-        cached=frozenset(chosen_best),
+        cached=_sorted_ids(chosen_best),
         used_capacity=float(used_best),
         capacity=capacity,
     )
@@ -158,7 +197,7 @@ def random_place(catalog: Catalog, capacity: float, rng: np.random.Generator) ->
         raise BadInput("capacity must be >= 0")
     order = rng.permutation(len(catalog.ids))
     chosen, used = _fill(catalog.ids[order], catalog.sizes[order], capacity)
-    return Placement(cached=frozenset(chosen), used_capacity=used, capacity=capacity)
+    return Placement(_sorted_ids(chosen), used_capacity=used, capacity=capacity)
 
 
 def popular_place(
@@ -292,7 +331,7 @@ def hybrid_select(
         snm_used += extra_used
 
     return Placement(
-        cached=frozenset(snm_chosen) | frozenset(irm_chosen),
+        cached=_sorted_ids(snm_chosen + irm_chosen),
         used_capacity=snm_used + irm_used,
         capacity=capacity,
     )
@@ -302,12 +341,14 @@ def hybrid_select(
 class PolicyContext:
     """Per-slot inputs the engine hands to a policy before placement.
 
-    The engine fills in only what the policy reads: the live SNM ids and
-    the IRM ranking for the hybrid, the history for the popular policy.
+    Every policy gets the slot and the run's rng. The engine fills in
+    the rest only for the policy that reads it: the capacity split
+    (alloc), the live SNM ids and the IRM ranking for the hybrid, the
+    history for the popular policy; the random policy gets none of them.
     """
 
     slot: int
-    alloc: AllocationEstimate
+    alloc: Optional[AllocationEstimate] = None
     rng: np.random.Generator = field(compare=False, default=None)
     snm_candidates: Optional[np.ndarray] = None  # live SNM ids, ascending
     irm_ranking: Optional[np.ndarray] = None  # IRM ids, descending popularity
@@ -315,30 +356,55 @@ class PolicyContext:
 
 
 class RandomPolicy:
+    """random_place each slot.
+
+    At uniform sizes the cache is the prefix of the slot's permutation
+    that fits, whose length is known once per run.
+    """
+
     name = "random"
 
     def __init__(self, catalog: Catalog, capacity: float):
         self.catalog = catalog
         self.capacity = capacity
+        self.fit = _uniform_fit(catalog, capacity)
 
     def place(self, ctx: PolicyContext) -> Placement:
-        return random_place(self.catalog, self.capacity, ctx.rng)
+        if self.fit is None:
+            return random_place(self.catalog, self.capacity, ctx.rng)
+        n, used = self.fit
+        order = ctx.rng.permutation(len(self.catalog.ids))
+        chosen = np.sort(self.catalog.ids[order[:n]])
+        return Placement(chosen, used_capacity=used, capacity=self.capacity)
 
     def update(self, ctx, placement, counts):
         pass
 
 
 class PopularPolicy:
+    """popular_place each slot.
+
+    At uniform sizes the cache is the history's top n, where n is known
+    once per run, found by np.partition instead of a sort of the library.
+    """
+
     name = "popular"
 
     def __init__(self, catalog: Catalog, capacity: float):
         self.catalog = catalog
         self.capacity = capacity
+        self.fit = _uniform_fit(catalog, capacity)
 
     def place(self, ctx: PolicyContext) -> Placement:
-        return popular_place(
-            self.catalog, ctx.history_popularity, self.capacity, rng=ctx.rng
-        )
+        history = ctx.history_popularity
+        if self.fit is None or not history.freq.any():
+            return popular_place(self.catalog, history, self.capacity, rng=ctx.rng)
+        n, used = self.fit
+        ids = self.catalog.ids
+        # the values greedy_knapsack ranks: frequency per unit of size
+        density = history.freq[ids] / self.catalog.sizes
+        chosen = ids[_top_n(density, n)]
+        return Placement(chosen, used_capacity=used, capacity=self.capacity)
 
     def update(self, ctx, placement, counts):
         pass
@@ -365,9 +431,10 @@ class HybridPolicy:
         self.is_snm = np.zeros(len(catalog.items) + 1, dtype=bool)
         self.is_snm[self.snm_ids] = True
         influence = np.zeros(len(catalog.items) + 1)
-        for it in catalog.items:
-            if it.regime is Regime.SNM:
-                influence[it.id] = feature_influence(it.features, floor=influence_floor)
+        if len(self.snm_ids):
+            influence[self.snm_ids] = feature_influences(
+                catalog.snm_features, floor=influence_floor
+            )
         self.state = BanditState.fresh(influence)
 
     def place(self, ctx: PolicyContext) -> Placement:
@@ -388,8 +455,7 @@ class HybridPolicy:
 
         tally[id] is the slot's request count of an id.
         """
-        cached = np.fromiter(placement.cached, np.int64, len(placement.cached))
-        cached = cached[self.is_snm[cached]]
+        cached = placement.cached[self.is_snm[placement.cached]]
         snm_total = int(tally[self.snm_ids].sum())
         if snm_total > 0:
             observed = tally[cached] / snm_total

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, repeat
 from typing import Optional
 
@@ -111,6 +112,23 @@ class RequestTrace:
     def events_by_slot(self) -> list:
         """Per-slot id arrays (views into ids), index t-1 for slot t."""
         return np.split(self.ids, self.offsets[1:-1])
+
+    @cached_property
+    def ranked_count_sums(self) -> tuple:
+        """Each slot's request counts in descending order, as running sums.
+
+        Returns (starts, sums). Slot t has one sum per distinct id it
+        requests, sums[starts[t - 1]:starts[t]], so the requests to its k
+        most requested ids are sums[starts[t - 1] + k - 1]. Built on first
+        use and shared by every run over the trace.
+        """
+        per_slot = []
+        for slot_ids in self.events_by_slot():
+            counts = np.bincount(slot_ids)
+            per_slot.append(np.sort(counts[counts > 0])[::-1].cumsum())
+        starts = np.zeros(self.horizon + 1, dtype=np.int64)
+        np.cumsum([len(s) for s in per_slot], out=starts[1:])
+        return starts, np.concatenate(per_slot)
 
 
 def generate_trace(
@@ -248,10 +266,12 @@ def _read_rows(path, body: bytes):
     return np.array(rows, dtype=np.int64), None
 
 
-def load_trace(path, catalog: Catalog) -> RequestTrace:
-    """Load a trace CSV, validating every id against the catalog.
+def load_trace(path, catalog: Catalog, horizon: int) -> RequestTrace:
+    """Load a trace CSV of a run over the given horizon.
 
-    Slots must be >= 1 and non-decreasing from row to row. Errors name
+    Every id must be in the catalog, and slots must lie in [1, horizon]
+    and be non-decreasing from row to row. The trace spans the horizon,
+    so slots after the last row are kept as empty slots. Errors name
     the 1-based line of the first bad row in file order.
     """
     with open(path, "rb") as fh:
@@ -263,7 +283,8 @@ def load_trace(path, catalog: Catalog) -> RequestTrace:
         raise TraceParseError("no events", line=2)
     rows, malformed = _read_rows(path, body)
     slots, ids = rows[:, 0], rows[:, 1]
-    bad = (slots < 1) | (ids < 1) | (ids > len(catalog.items))
+    bad = (slots < 1) | (slots > horizon)
+    bad |= (ids < 1) | (ids > len(catalog.items))
     bad[1:] |= slots[1:] < slots[:-1]
     if bad.any():
         row = int(bad.argmax())
@@ -271,6 +292,10 @@ def load_trace(path, catalog: Catalog) -> RequestTrace:
         slot, cid = int(slots[row]), int(ids[row])
         if slot < 1:
             raise TraceParseError(f"slot {slot} is below 1", line=lineno)
+        if slot > horizon:
+            raise TraceParseError(
+                f"slot {slot} is past the horizon {horizon}", line=lineno
+            )
         if row and slot < slots[row - 1]:
             raise TraceParseError(
                 f"slot {slot} follows slot {slots[row - 1]}", line=lineno
@@ -279,4 +304,4 @@ def load_trace(path, catalog: Catalog) -> RequestTrace:
     if malformed is not None:
         raise TraceParseError("a row must be two integers: slot,content_id",
                               line=malformed)
-    return RequestTrace.from_events(int(slots[-1]), rows)
+    return RequestTrace.from_events(horizon, rows)

@@ -3,7 +3,8 @@
 perfbench/probe.py wraps each name it instruments by reading it from
 its owner's __dict__, so renaming or deleting one would otherwise break
 only the traced benchmark run, not the test suite. The same holds for
-the trace attributes that perfbench reads to count events.
+the trace attributes that perfbench reads to count events, and for the
+run results and placements that perfbench/checks.py checks.
 """
 
 import importlib.util
@@ -16,14 +17,18 @@ import pytest
 import hybridcache.cli as cli
 import hybridcache.engine as engine
 from hybridcache.catalog import CatalogConfig, build_catalog
+from hybridcache.policy import POLICY_NAMES
 from hybridcache.popularity import AllocationEstimator
 from hybridcache.workload import generate_trace
 
-PROBE_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "probe.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_probe():
-    spec = importlib.util.spec_from_file_location("perfbench_probe", PROBE_PATH)
+def load_perfbench(name):
+    """Import perfbench/<name>.py without putting perfbench/ on the path."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py"
+    )
     module = importlib.util.module_from_spec(spec)
     # its dataclasses look their module up in sys.modules while being built
     sys.modules[spec.name] = module
@@ -44,7 +49,7 @@ PATCHED_SPECIALLY = (
 
 
 def test_every_spanned_name_is_an_own_attribute():
-    probe = load_probe()
+    probe = load_perfbench("probe")
     assert probe.SPANNED
     missing = [
         f"{getattr(owner, '__name__', owner)}.{attr}"
@@ -69,3 +74,18 @@ def test_trace_attributes_read_by_the_benchmark():
     slots = np.repeat(np.arange(1, trace.horizon + 1), np.diff(trace.offsets))
     assert [s for s, _ in trace.events] == slots.tolist()
     assert [cid for _, cid in trace.events] == trace.ids.tolist()
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_benchmark_check_passes_a_run(policy):
+    probes = load_perfbench("probe")
+    checks = load_perfbench("checks")
+    catalog = build_catalog(
+        CatalogConfig(library_size=20, w_snm=0.5, horizon=10), seed=1
+    )
+    trace = generate_trace(catalog, 10, 6, 0.5, 0.8, seed=2)
+    with probes.Probe(False).installed() as probe:
+        engine.run_simulation(catalog, trace, policy, 4.0, seed=3)
+    (record,) = probe.runs
+    assert len(record.placements) == trace.horizon
+    assert checks.run_problems(record, 10, 6, checks._slot_counts) == []

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,11 +12,13 @@ from hybridcache.catalog import (
     SnmDynamics,
     build_catalog,
     feature_influence,
+    feature_influences,
     load_catalog,
     normalize_features,
     save_catalog,
 )
 from hybridcache.errors import EmptyFeatures, LibraryTooSmall, RangeDegenerate
+from hybridcache.policy import HybridPolicy
 
 COST = FeatureRole.COST
 BENEFIT = FeatureRole.BENEFIT
@@ -70,6 +73,41 @@ class TestFeatureInfluence:
         assert feature_influence((0.5, 0.7), roles) >= base
         # raising a cost feature cannot raise it
         assert feature_influence((0.7, 0.5), roles) <= base
+
+
+def built_and_loaded(tmp_path):
+    built = build_catalog(CatalogConfig(library_size=40, w_snm=0.6), seed=17)
+    path = tmp_path / "catalog.csv"
+    save_catalog(built, path)
+    return built, load_catalog(path)
+
+
+class TestFeatureInfluences:
+    """The array form equals feature_influence row by row, bit for bit."""
+
+    @pytest.mark.parametrize("floor", [0.01, 0.1])
+    def test_catalog_rows(self, tmp_path, floor):
+        for catalog in built_and_loaded(tmp_path):
+            snm = [it for it in catalog.items if it.regime is Regime.SNM]
+            want = [feature_influence(it.features, floor=floor) for it in snm]
+            got = feature_influences(catalog.snm_features, floor=floor)
+            assert got.tolist() == want
+            hybrid = HybridPolicy(catalog, 5, influence_floor=floor)
+            assert hybrid.state.influence[catalog.snm_ids].tolist() == want
+
+    @given(
+        rows=st.lists(
+            st.tuples(*[st.floats(0.0, 1.0)] * 4), min_size=1, max_size=20
+        ),
+        floor=st.floats(0.001, 0.1),
+    )
+    def test_any_rows(self, rows, floor):
+        got = feature_influences(np.array(rows), floor=floor)
+        assert got.tolist() == [feature_influence(r, floor=floor) for r in rows]
+
+    def test_floor_checked_as_in_feature_influence(self):
+        with pytest.raises(ValueError):
+            feature_influences(np.zeros((2, 4)), floor=0.2)
 
 
 class TestBuildCatalog:

@@ -144,6 +144,27 @@ class TestRun:
         )
         assert rc == 0
 
+    @pytest.mark.parametrize("last", [12, 30])
+    def test_short_trace_runs_the_horizon_with_a_warning(
+        self, tmp_path, capsys, last
+    ):
+        gen = tmp_path / "gen"
+        main(["generate", *SMALL, "--out", str(gen)])
+        (gen / "trace.csv").write_text(f"slot,content_id\n1,3\n{last},4\n")
+        capsys.readouterr()
+        out = tmp_path / "run"
+        rc = main(["run", *SMALL, "--policy", "random", "--seed", "5",
+                   "--catalog", str(gen / "catalog.csv"),
+                   "--trace", str(gen / "trace.csv"), "--out", str(out)])
+        assert rc == 0
+        err = capsys.readouterr().err
+        if last < 30:  # SMALL runs 30 slots
+            assert f"ends at slot {last}" in err and "horizon 30" in err
+        else:
+            assert "warning" not in err
+        per_slot = (out / "per_slot.csv").read_text().splitlines()
+        assert len(per_slot) == 1 + 30
+
     def test_trace_without_catalog_exit_code(self, tmp_path, capsys):
         gen = tmp_path / "gen"
         main(["generate", *SMALL, "--out", str(gen)])
@@ -155,7 +176,10 @@ class TestRun:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "body", ["", "1,2,7\n"], ids=["no-events", "three-fields"]
+        "body",
+        ["", "1,2,7\n", "1000000000000000,3\n", "31,3\n"],
+        # SMALL runs 30 slots, so slot 31 is past the horizon
+        ids=["no-events", "three-fields", "huge-slot", "slot-past-horizon"],
     )
     def test_bad_trace_exit_code(self, tmp_path, capsys, body):
         gen = tmp_path / "gen"

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import json
 from unittest import mock
 
@@ -7,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridcache.engine as engine
-from hybridcache.catalog import Catalog, CatalogConfig, ContentItem, Regime, build_catalog
+from hybridcache.catalog import (
+    Catalog,
+    CatalogConfig,
+    ContentItem,
+    Regime,
+    build_catalog,
+    load_catalog,
+    save_catalog,
+)
 from hybridcache.engine import (
     cumulative_regret,
     oracle_placement,
@@ -21,13 +31,22 @@ from hybridcache.workload import RequestTrace, generate_trace
 
 def placement_of(ids, capacity):
     return Placement(
-        cached=frozenset(ids), used_capacity=float(len(ids)), capacity=capacity
+        cached=np.array(sorted(ids), dtype=np.int64),
+        used_capacity=float(len(ids)),
+        capacity=capacity,
     )
 
 
 def tally_of(ids, n_items=9):
     """A slot's per-id request counts; position = content id."""
     return np.bincount(np.asarray(ids, dtype=np.int64), minlength=n_items + 1)
+
+
+def trace_of(*slots):
+    """A trace whose slot t requests the ids in slots[t - 1]."""
+    return RequestTrace.from_events(
+        len(slots), [(t, cid) for t, ids in enumerate(slots, start=1) for cid in ids]
+    )
 
 
 def catalog_of(sizes):
@@ -55,22 +74,23 @@ class TestOraclePlacement:
     UNIT = catalog_of([1.0] * 9)
 
     def test_single_hot_file(self):
-        assert oracle_placement(tally_of([1, 1, 1]), self.UNIT, 1) == 3
+        assert oracle_placement(trace_of([1, 1, 1]), self.UNIT, 1).tolist() == [3]
 
     def test_count_then_id_ties(self):
-        assert oracle_placement(tally_of([1, 1, 2, 3]), self.UNIT, 2) == 3
+        assert oracle_placement(trace_of([1, 1, 2, 3]), self.UNIT, 2).tolist() == [3]
 
     def test_zero_capacity(self):
-        assert oracle_placement(tally_of([1, 2]), self.UNIT, 0) == 0
+        assert oracle_placement(trace_of([1, 2]), self.UNIT, 0).tolist() == [0]
 
     def test_capacity_beyond_library(self):
-        assert oracle_placement(tally_of([1, 2, 9, 9]), self.UNIT, 50) == 4
+        assert oracle_placement(trace_of([1, 2, 9, 9]), self.UNIT, 50).tolist() == [4]
 
     def test_non_uniform_sizes_run_the_knapsack(self):
         # id 1 (size 2) is requested 3 times, ids 2 and 3 (size 1) twice
         # each: a top-2 by count would stop at 3 hits, the knapsack gets 4
         catalog = catalog_of([2, 1, 1])
-        assert oracle_placement(tally_of([1, 1, 1, 2, 2, 3, 3], 3), catalog, 2) == 4
+        trace = trace_of([1, 1, 1, 2, 2, 3, 3])
+        assert oracle_placement(trace, catalog, 2).tolist() == [4]
 
     @given(
         counts=st.lists(st.integers(0, 20), min_size=1, max_size=12),
@@ -87,7 +107,24 @@ class TestOraclePlacement:
             [float(c) for c in counts], [size] * len(counts), capacity, ids=ids
         )
         objective = sum(int(tally[cid]) for cid in best.cached)
-        assert oracle_placement(tally, catalog, capacity) == objective
+        trace = trace_of([cid for cid in ids for _ in range(counts[cid - 1])])
+        assert oracle_placement(trace, catalog, capacity).tolist() == [objective]
+
+
+@given(
+    slots=st.lists(st.lists(st.integers(1, 9), max_size=12), min_size=1, max_size=8),
+    size=st.sampled_from([0.1, 1.0, 2.5, 7.0]),
+    capacity=st.one_of(st.just(0.0), st.floats(0.0, 80.0)),
+)
+@settings(max_examples=300, deadline=None)
+def test_oracle_series_equals_per_slot_top_k(slots, size, capacity):
+    # slots may be empty, and capacity may exceed the distinct ids
+    catalog = catalog_of([size] * 9)
+    k = int(capacity // size)
+    want = [sorted(tally_of(ids), reverse=True)[:k] for ids in slots]
+    got = oracle_placement(trace_of(*slots), catalog, capacity)
+    assert got.dtype == np.int64
+    assert got.tolist() == [int(sum(top)) for top in want]
 
 
 class TestCumulativeRegret:
@@ -189,7 +226,7 @@ def placements_of(catalog, trace, policy, capacity, seed):
 
         def placed(ctx):
             placement = place(ctx)
-            placements.append(placement.cached)
+            placements.append(placement.cached.tolist())
             return placement
 
         made.place = placed
@@ -229,3 +266,46 @@ def test_no_lookahead(workload, policy, t, seed, capacity):
     after = placements_of(catalog, altered, policy, capacity, seed)
     assert len(before) == len(after) == trace.horizon
     assert after[:t] == before[:t]
+
+
+def run_digest(metrics):
+    """sha256 over a run's summary, per-slot records and regret curve."""
+    blob = json.dumps(
+        {
+            "summary": metrics.summary,
+            "per_slot": [
+                [r.hit_ratio, r.oracle_hit_ratio, r.regret_increment]
+                for r in metrics.per_slot
+            ],
+            "cumulative_regret": metrics.cumulative_regret.tolist(),
+        },
+        sort_keys=True,
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+# Pinned before the uniform-size fast paths existed. The benchmark's
+# golden digests cover uniform sizes only; these cover the knapsack
+# oracle and the general greedy and random fills.
+NON_UNIFORM_DIGESTS = {
+    "hybrid": "ce887d64c2fea809d37112c95954217d04a7fa352c3240c22ebe43328f6d664d",
+    "popular": "a5636ab0af2576a67bcc5217b4f553217ca953950893d1ad605101da6b755a36",
+    "random": "6d7e02dc4c17cb87a4c1d2cdb5fae58bba66da8fd53e09acbe1bc0737bdba3aa",
+}
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_pinned_runs_at_non_uniform_sizes(tmp_path, policy):
+    built = build_catalog(
+        CatalogConfig(library_size=24, w_snm=0.5, horizon=40), seed=61
+    )
+    sizes = np.random.default_rng(63).integers(1, 4, size=24)
+    items = tuple(
+        dataclasses.replace(it, size=float(s)) for it, s in zip(built.items, sizes)
+    )
+    save_catalog(Catalog(items=items), tmp_path / "catalog.csv")
+    catalog = load_catalog(tmp_path / "catalog.csv")
+    assert catalog.uniform_size is None
+    trace = generate_trace(catalog, 40, 30, 0.5, 0.8, seed=62)
+    metrics = run_simulation(catalog, trace, policy, 7.5, seed=64)
+    assert run_digest(metrics) == NON_UNIFORM_DIGESTS[policy]

@@ -6,10 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridcache.catalog import CatalogConfig, build_catalog
+from hybridcache.catalog import (
+    Catalog,
+    CatalogConfig,
+    ContentItem,
+    Regime,
+    build_catalog,
+)
 from hybridcache.errors import BadInput, NeedsIntegerSizes, UnknownPolicy
 from hybridcache.policy import (
     BanditState,
+    PolicyContext,
+    PopularPolicy,
+    RandomPolicy,
     _fill,
     exact_knapsack,
     greedy_knapsack,
@@ -39,28 +48,28 @@ def brute_force_best(values, sizes, capacity):
 class TestGreedyKnapsack:
     def test_unit_sizes(self):
         p = greedy_knapsack([0.5, 0.4, 0.3], [1, 1, 1], 2)
-        assert p.cached == {1, 2}
+        assert p.cached.tolist() == [1, 2]
         assert p.used_capacity == 2
 
     def test_density_suboptimality(self):
         # greedy takes density 0.5 item and leaves no room for the 0.6
         p = greedy_knapsack([0.6, 0.5], [3, 1], 3)
-        assert p.cached == {2}
+        assert p.cached.tolist() == [2]
 
     def test_zero_capacity(self):
-        assert greedy_knapsack([0.5], [1], 0).cached == frozenset()
+        assert greedy_knapsack([0.5], [1], 0).cached.tolist() == []
 
     def test_equal_density_lower_id_first(self):
         p = greedy_knapsack([0.5, 0.5, 0.5], [1, 1, 1], 2, ids=[7, 3, 5])
-        assert p.cached == {3, 5}
+        assert p.cached.tolist() == [3, 5]
         # densities tie at 0.5: id 1 (size 1) goes first, id 2 no longer fits
         p = greedy_knapsack([1.0, 0.5], [2, 1], 2, ids=[2, 1])
-        assert p.cached == {1}
+        assert p.cached.tolist() == [1]
 
     def test_fill_continues_past_misfit(self):
         # densities 0.2, 0.1, 0.1: id 2 does not fit after id 1, id 3 does
         p = greedy_knapsack([0.6, 0.5, 0.1], [3, 5, 1], 4)
-        assert p.cached == {1, 3}
+        assert p.cached.tolist() == [1, 3]
         assert p.used_capacity == 4
 
     def test_bad_input(self):
@@ -73,10 +82,10 @@ class TestGreedyKnapsack:
 class TestExactKnapsack:
     def test_beats_greedy_on_density_trap(self):
         p = exact_knapsack([0.6, 0.5], [3, 1], 3)
-        assert p.cached == {1}
+        assert p.cached.tolist() == [1]
 
     def test_singleton(self):
-        assert exact_knapsack([0.4], [2], 2).cached == {1}
+        assert exact_knapsack([0.4], [2], 2).cached.tolist() == [1]
 
     def test_non_integer_sizes(self):
         with pytest.raises(NeedsIntegerSizes):
@@ -130,19 +139,19 @@ class TestBaselines:
 
     def test_random_zero_capacity(self, catalog):
         p = random_place(catalog, 0, np.random.default_rng(1))
-        assert p.cached == frozenset()
+        assert p.cached.tolist() == []
 
     def test_random_deterministic(self, catalog):
         a = random_place(catalog, 5, np.random.default_rng(3))
         b = random_place(catalog, 5, np.random.default_rng(3))
-        assert a.cached == b.cached
+        assert a.cached.tolist() == b.cached.tolist()
         # pinned: one permutation draw per placement, indexing ids 1..F
-        assert a.cached == {1, 3, 8, 11, 12}
+        assert a.cached.tolist() == [1, 3, 8, 11, 12]
 
     def test_popular_top_two(self, catalog):
         snap = snapshot(catalog, {1: 0.5, 2: 0.3, 3: 0.2})
         p = popular_place(catalog, snap, 2)
-        assert {1, 2} <= p.cached
+        assert {1, 2} <= set(p.cached.tolist())
         assert 3 not in p.cached
 
     def test_popular_empty_history_falls_back(self, catalog, caplog):
@@ -155,6 +164,63 @@ class TestBaselines:
     def test_popular_all_fit(self, catalog):
         snap = snapshot(catalog, {1: 1.0})
         assert len(popular_place(catalog, snap, 100).cached) == 12
+
+
+def uniform_catalog(n, size):
+    return Catalog(
+        items=tuple(
+            ContentItem(id=i, size=size, regime=Regime.IRM, features=(0.5,))
+            for i in range(1, n + 1)
+        )
+    )
+
+
+# uniform sizes, and capacities that are mostly not multiples of them
+UNIFORM_SIZES = st.sampled_from([0.1, 1.0, 2.5, 7.0])
+CAPACITIES = st.one_of(st.just(0.0), st.floats(0.0, 60.0))
+
+
+class TestUniformFills:
+    """At uniform sizes the baselines skip the general fill; same result."""
+
+    @given(
+        # few distinct small counts: many ties and zeros
+        counts=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        size=UNIFORM_SIZES,
+        capacity=CAPACITIES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_popular_top_n_equals_greedy(self, counts, size, capacity):
+        catalog = uniform_catalog(len(counts), size)
+        tally = np.array([0] + counts, dtype=np.int64)
+        if not tally.any():
+            tally[1] = 1
+        freq = tally / tally.sum()
+        ctx = PolicyContext(slot=1, history_popularity=PopularitySnapshot(0, freq))
+        got = PopularPolicy(catalog, capacity).place(ctx)
+        ids = catalog.ids
+        want = greedy_knapsack(freq[ids], catalog.sizes, capacity, ids=ids)
+        assert got.cached.tolist() == want.cached.tolist()
+        assert got.used_capacity == want.used_capacity
+
+    @given(
+        n=st.integers(1, 40),
+        size=UNIFORM_SIZES,
+        capacity=CAPACITIES,
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_prefix_equals_fill(self, n, size, capacity, seed):
+        catalog = uniform_catalog(n, size)
+        rng = np.random.default_rng(seed)
+        got = RandomPolicy(catalog, capacity).place(PolicyContext(slot=1, rng=rng))
+        reference = np.random.default_rng(seed)
+        order = reference.permutation(n)
+        chosen, used = _fill(catalog.ids[order], catalog.sizes[order], capacity)
+        assert got.cached.tolist() == sorted(chosen)
+        assert got.used_capacity == used
+        # one permutation draw per placement, as in the general path
+        assert rng.random() == reference.random()
 
 
 def bandit(entries):
@@ -291,7 +357,7 @@ class TestHybridSelect:
             state, ids(10, 11), irm_ranking=ids(), alloc=alloc, capacity=1,
             sizes=unit_sizes(11), t=3,
         )
-        assert p.cached == {10}
+        assert p.cached.tolist() == [10]
 
     def test_warm_top_by_index(self):
         state = bandit({
@@ -306,7 +372,7 @@ class TestHybridSelect:
         )
         indices = {f: index_of(state, f, 10) for f in (10, 11, 12)}
         expected = set(sorted(indices, key=lambda f: -indices[f])[:2])
-        assert p.cached == expected == {10, 12}
+        assert p.cached.tolist() == sorted(expected) == [10, 12]
 
     def test_zero_snm_share_pure_irm(self):
         state = bandit({10: (3, 0.9, 0.9, 0.5)})
@@ -315,7 +381,7 @@ class TestHybridSelect:
             state, ids(10), irm_ranking=ids(1, 2, 3), alloc=alloc, capacity=2,
             sizes=unit_sizes(10), t=5,
         )
-        assert p.cached == {1, 2}
+        assert p.cached.tolist() == [1, 2]
 
     def test_leftover_snm_share_rolls_to_irm(self):
         state = bandit({10: (0, 0, 0, 0.5)})
@@ -324,7 +390,7 @@ class TestHybridSelect:
             state, ids(10), irm_ranking=ids(1, 2), alloc=alloc, capacity=4,
             sizes=unit_sizes(10), t=5,
         )
-        assert p.cached == {10, 1, 2}
+        assert p.cached.tolist() == [1, 2, 10]
 
     @given(
         seed=st.integers(min_value=0, max_value=10_000),

@@ -178,11 +178,13 @@ class TestGenerateTrace:
 
 
 class TestTraceIO:
+    HORIZON = 10  # the run horizon the hand-written traces are read against
+
     def test_round_trip(self, small_catalog, tmp_path):
         trace = generate_trace(small_catalog, 20, 5, 0.5, 0.8, seed=8)
         path = tmp_path / "trace.csv"
         save_trace(trace, path)
-        loaded = load_trace(path, small_catalog)
+        loaded = load_trace(path, small_catalog, trace.horizon)
         assert loaded.events == trace.events
         assert loaded.horizon == trace.horizon
 
@@ -197,14 +199,14 @@ class TestTraceIO:
         for rows, line in cases:
             path.write_text("slot,content_id\n" + rows)
             with pytest.raises(TraceParseError) as exc:
-                load_trace(path, small_catalog)
+                load_trace(path, small_catalog, self.HORIZON)
             assert exc.value.line == line, rows
 
     def test_unknown_content(self, small_catalog, tmp_path):
         path = tmp_path / "unknown.csv"
         path.write_text("slot,content_id\n1,9999\n")
         with pytest.raises(UnknownContent):
-            load_trace(path, small_catalog)
+            load_trace(path, small_catalog, self.HORIZON)
 
     def test_saved_bytes(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -221,13 +223,16 @@ class TestTraceIO:
             ("1,2\n0,1\nabc\n", TraceParseError, 3),
             ("1,2\n1,99\n1,2,7\n", UnknownContent, 3),
             ("1,2\n1,2,7\n1,99\n", TraceParseError, 3),
+            ("1,2\n11,1\n1,99\n", TraceParseError, 3),  # past the horizon
+            ("1,2\n1,99\n11,1\n", UnknownContent, 3),
+            ("1,2\n1000000000000000,3\n", TraceParseError, 3),
         ],
     )
     def test_first_bad_row_wins(self, small_catalog, tmp_path, rows, error, line):
         path = tmp_path / "bad.csv"
         path.write_text("slot,content_id\n" + rows)
         with pytest.raises(error) as exc:
-            load_trace(path, small_catalog)
+            load_trace(path, small_catalog, self.HORIZON)
         assert f"line {line}:" in str(exc.value)
 
     @pytest.mark.parametrize(
@@ -249,7 +254,7 @@ class TestTraceIO:
         path = tmp_path / "bad.csv"
         path.write_text("slot,content_id\n" + rows)
         with pytest.raises(TraceParseError) as exc:
-            load_trace(path, small_catalog)
+            load_trace(path, small_catalog, self.HORIZON)
         assert exc.value.line == line
 
     @pytest.mark.parametrize("text", ["", "slot,id\n1,2\n", "slot,content_id,x\n"])
@@ -257,20 +262,20 @@ class TestTraceIO:
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(TraceParseError) as exc:
-            load_trace(path, small_catalog)
+            load_trace(path, small_catalog, self.HORIZON)
         assert exc.value.line == 1
 
     def test_no_events(self, small_catalog, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("slot,content_id\n")
         with pytest.raises(TraceParseError) as exc:
-            load_trace(path, small_catalog)
+            load_trace(path, small_catalog, self.HORIZON)
         assert exc.value.line == 2
 
     def test_accepts_lf_and_no_final_newline(self, small_catalog, tmp_path):
         path = tmp_path / "lf.csv"
         path.write_text("slot,content_id\n1,2\n3,4")
-        trace = load_trace(path, small_catalog)
+        trace = load_trace(path, small_catalog, 3)
         assert trace.events == ((1, 2), (3, 4))
         assert trace.offsets.tolist() == [0, 1, 1, 2]
 
@@ -280,8 +285,8 @@ class TestTraceIO:
     )
     @settings(max_examples=50, deadline=None)
     def test_round_trip_keeps_csr(self, small_catalog, counts, data):
-        # the loaded horizon is the last event's slot, so that slot is kept
-        counts[-1] += 1
+        # a trace file needs a row; the slots after it may all be empty
+        counts[0] += 1
         events = tuple(
             (slot, data.draw(st.integers(1, len(small_catalog.items))))
             for slot, n in enumerate(counts, start=1)
@@ -291,7 +296,7 @@ class TestTraceIO:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "trace.csv"
             save_trace(trace, path)
-            loaded = load_trace(path, small_catalog)
+            loaded = load_trace(path, small_catalog, trace.horizon)
         assert loaded.horizon == trace.horizon
         assert loaded.ids.dtype == np.int32
         assert loaded.ids.tolist() == trace.ids.tolist()
