@@ -3,8 +3,6 @@
 from .catalog import (
     Catalog,
     CatalogConfig,
-    ContentItem,
-    Regime,
     build_catalog,
     feature_influence,
     normalize_features,

@@ -1,32 +1,29 @@
-"""Content catalog: items, fine-grained features, and the IRM/SNM split.
+"""Content catalog: per-content arrays, features and the IRM/SNM split.
 
 The library is partitioned into static-popularity (IRM) content and
-temporary shot-like (SNM) content. Each item carries a normalized
-feature vector (size, bandwidth, value, category weight by default)
-that the hybrid policy folds into its exploration bonus.
+temporary (SNM) content, whose requests come in one rectangular pulse
+as in the shot-noise model. Each content carries a normalized feature
+vector (size, bandwidth, value, category weight by default) that the
+hybrid policy folds into its exploration bonus.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass
-from functools import cached_property
+from collections import namedtuple
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (
     EmptyFeatures,
+    EmptyLibrary,
     LibraryTooSmall,
     RangeDegenerate,
     TraceParseError,
 )
-
-
-class Regime(enum.Enum):
-    IRM = "IRM"
-    SNM = "SNM"
 
 
 class FeatureRole(enum.Enum):
@@ -39,130 +36,106 @@ class FeatureRole(enum.Enum):
 # Default schema: size and transmission bandwidth are costs (smaller
 # content frees room for more items), content value and category weight
 # are benefits.
-DEFAULT_FEATURE_ROLES = (
-    FeatureRole.COST,
-    FeatureRole.COST,
-    FeatureRole.BENEFIT,
-    FeatureRole.BENEFIT,
-)
+DEFAULT_FEATURE_ROLES = (FeatureRole.COST, FeatureRole.COST,
+                         FeatureRole.BENEFIT, FeatureRole.BENEFIT)
 
 
-@dataclass(frozen=True)
-class SnmDynamics:
-    """Lifecycle of a temporary (SNM) content: one rectangular request pulse."""
-
-    arrival_slot: int
-    lifespan: int
-    volume: float
-
-    def __post_init__(self):
-        if self.arrival_slot < 1:
-            raise ValueError("arrival_slot must be >= 1")
-        if self.lifespan < 1:
-            raise ValueError("lifespan must be >= 1")
-        if self.volume <= 0:
-            raise ValueError("volume must be positive")
+CatalogRow = namedtuple("CatalogRow", "id size")
 
 
-@dataclass(frozen=True)
-class ContentItem:
-    id: int
-    size: float
-    regime: Regime
-    features: tuple
-    snm: Optional[SnmDynamics] = None
-
-    def __post_init__(self):
-        if self.size <= 0:
-            raise ValueError(f"item {self.id}: size must be positive")
-        if any(not (0.0 <= x <= 1.0) for x in self.features):
-            raise ValueError(f"item {self.id}: features must lie in [0, 1]")
-        if (self.snm is not None) != (self.regime is Regime.SNM):
-            raise ValueError(
-                f"item {self.id}: snm dynamics present iff regime is SNM"
-            )
-
-
-def _frozen(values, dtype) -> np.ndarray:
+def _frozen(values, dtype=None) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
 
-@dataclass(frozen=True)
-class Catalog:
-    """The content library. Ids are dense in 1..F; item order is free.
+def _row_checks(sizes, features, snm, arrival, lifespan, volume) -> tuple:
+    """(bad-row mask, message) for each check a content must pass."""
+    return (
+        (~(np.isfinite(sizes) & (sizes > 0)), "size must be positive and finite"),
+        (~((features >= 0) & (features <= 1)).all(axis=1),
+         "features must lie in [0, 1]"),
+        (snm & (arrival < 1), "arrival must be >= 1"),
+        (snm & (lifespan < 1), "lifespan must be >= 1"),
+        (snm & ~(np.isfinite(volume) & (volume > 0)),
+         "volume must be positive and finite"),
+        (~snm & ((arrival != 0) | (lifespan != 0) | (volume != 0)),
+         "an IRM content has no arrival, lifespan or volume"),
+    )
 
-    The per-content arrays below are built once per catalog, in
-    ascending id order, and are read-only because every caller shares
-    them.
+
+# the fields a Catalog is made from, and their dtypes
+_FIELDS = dict(sizes=float, features=float, snm=bool,
+               arrival=np.int64, lifespan=np.int64, volume=float)
+
+
+@dataclass(frozen=True, eq=False)
+class Catalog:
+    """The content library as read-only arrays in id order.
+
+    Ids are 1..F, and position id - 1 of each array holds that id's
+    entry. features is F x 4, in the column order of CATALOG_HEADER.
+    snm marks the SNM contents; an SNM content's requests come from slot
+    arrival on, for lifespan slots, volume requests in all. arrival,
+    lifespan and volume are 0 on IRM rows. The arrays after them are
+    derived from them on construction.
     """
 
-    items: tuple
+    sizes: np.ndarray
+    features: np.ndarray
+    snm: np.ndarray
+    arrival: np.ndarray
+    lifespan: np.ndarray
+    volume: np.ndarray
+    id_space: int = field(init=False)  # F + 1, the length of an id-indexed array
+    ids: np.ndarray = field(init=False)  # 1..F
+    uniform_size: Optional[float] = field(init=False)  # None if sizes differ
+    snm_by_id: np.ndarray = field(init=False)  # snm indexed by id; [0] is False
+    irm_ids: np.ndarray = field(init=False)  # ascending; position = Zipf rank
+    snm_ids: np.ndarray = field(init=False)  # ascending; snm_* follow this order
+    snm_arrival: np.ndarray = field(init=False)
+    snm_expiry: np.ndarray = field(init=False)  # arrival + lifespan
+    snm_volume: np.ndarray = field(init=False)
+    snm_features: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        ids = [it.id for it in self.items]
-        if sorted(ids) != list(range(1, len(ids) + 1)):
-            raise ValueError("item ids must be unique and dense in [1, N]")
+        for name, dtype in _FIELDS.items():
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+        n, snm = self.sizes.size, self.snm
+        if n == 0:
+            raise EmptyLibrary("catalog is empty")
+        for name in _FIELDS:
+            shape = (n, len(DEFAULT_FEATURE_ROLES)) if name == "features" else (n,)
+            if getattr(self, name).shape != shape:
+                raise ValueError(f"{name} must have shape {shape}")
+        for bad, message in _row_checks(*(getattr(self, f) for f in _FIELDS)):
+            if bad.any():
+                raise ValueError(f"content {int(bad.argmax()) + 1}: {message}")
+        ids = np.arange(1, n + 1)
+        derived = {
+            "ids": ids,
+            "snm_by_id": np.append(False, snm),
+            "irm_ids": ids[~snm],
+            "snm_ids": ids[snm],
+            "snm_arrival": self.arrival[snm],
+            "snm_expiry": (self.arrival + self.lifespan)[snm],
+            "snm_volume": self.volume[snm],
+            "snm_features": self.features[snm],
+        }
+        for name, values in derived.items():
+            object.__setattr__(self, name, _frozen(values))
+        object.__setattr__(self, "id_space", n + 1)
+        uniform = self.sizes.min() == self.sizes.max()
+        uniform_size = float(self.sizes[0]) if uniform else None
+        object.__setattr__(self, "uniform_size", uniform_size)
 
-    @cached_property
-    def _by_id(self) -> tuple:
-        return tuple(sorted(self.items, key=lambda it: it.id))
+    @property
+    def items(self) -> tuple:
+        """(id, size) rows in id order, derived from the arrays.
 
-    @cached_property
-    def ids(self) -> np.ndarray:
-        """All ids, 1..F."""
-        return _frozen(np.arange(1, len(self.items) + 1), np.int64)
-
-    @cached_property
-    def sizes(self) -> np.ndarray:
-        """Item sizes; position id - 1 holds the size of that id."""
-        return _frozen([it.size for it in self._by_id], float)
-
-    @cached_property
-    def uniform_size(self) -> Optional[float]:
-        """The one size every item has, or None when sizes differ."""
-        sizes = self.sizes
-        if len(sizes) and sizes.min() == sizes.max():
-            return float(sizes[0])
-        return None
-
-    @cached_property
-    def irm_ids(self) -> np.ndarray:
-        """IRM ids in ascending order; position defines the Zipf rank."""
-        return _frozen(
-            [it.id for it in self._by_id if it.regime is Regime.IRM], np.int64
-        )
-
-    @cached_property
-    def _snm_items(self) -> tuple:
-        return tuple(it for it in self._by_id if it.regime is Regime.SNM)
-
-    @cached_property
-    def snm_ids(self) -> np.ndarray:
-        """SNM ids in ascending order; the snm_* arrays follow this order."""
-        return _frozen([it.id for it in self._snm_items], np.int64)
-
-    @cached_property
-    def snm_arrival(self) -> np.ndarray:
-        return _frozen([it.snm.arrival_slot for it in self._snm_items], np.int64)
-
-    @cached_property
-    def snm_expiry(self) -> np.ndarray:
-        """First slot after each SNM item's window: arrival + lifespan."""
-        return _frozen(
-            [it.snm.arrival_slot + it.snm.lifespan for it in self._snm_items],
-            np.int64,
-        )
-
-    @cached_property
-    def snm_volume(self) -> np.ndarray:
-        return _frozen([it.snm.volume for it in self._snm_items], float)
-
-    @cached_property
-    def snm_features(self) -> np.ndarray:
-        """The SNM items' feature vectors, one row per item."""
-        return _frozen([it.features for it in self._snm_items], float)
+        perfbench/checks.py reads them; the simulator reads the arrays.
+        """
+        return tuple(map(CatalogRow, self.ids.tolist(), self.sizes.tolist()))
 
     def snm_active_mask(self, slot: int) -> np.ndarray:
         """Which SNM items (in snm_ids order) are live at the slot.
@@ -176,19 +149,18 @@ class Catalog:
         return self.snm_ids[self.snm_active_mask(slot)]
 
 
-def normalize_features(raw: Sequence[float], ranges: Sequence[tuple]) -> tuple:
-    """Map raw feature values onto [0, 1] by per-feature linear ranges.
+def normalize_features(raw: np.ndarray, ranges: Sequence[tuple]) -> np.ndarray:
+    """Map each column of a raw feature matrix onto [0, 1] by its range.
 
-    Values outside a range are clamped.
+    Column j is mapped linearly from ranges[j] = (lo, hi); values outside
+    a range are clamped, as min(1.0, max(0.0, x)) clamps a float.
     """
-    if len(raw) != len(ranges):
-        raise ValueError("raw and ranges must have the same length")
-    out = []
-    for value, (lo, hi) in zip(raw, ranges):
-        if hi <= lo:
-            raise RangeDegenerate(f"range ({lo}, {hi}) has max <= min")
-        out.append(min(1.0, max(0.0, (value - lo) / (hi - lo))))
-    return tuple(out)
+    lo, hi = np.array(ranges, dtype=float).T
+    if (hi <= lo).any():
+        raise RangeDegenerate(f"a range in {ranges} has max <= min")
+    unit = (raw - lo) / (hi - lo)
+    unit = np.where(unit > 0.0, unit, 0.0)
+    return np.where(unit < 1.0, unit, 1.0)
 
 
 def feature_influence(
@@ -266,44 +238,36 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
         raise ValueError("w_snm must lie in [0, 1]")
 
     rng = np.random.default_rng(seed)
-    n_snm = round(config.w_snm * config.library_size)
-    n_irm = config.library_size - n_snm
+    n = config.library_size
+    n_irm = n - round(config.w_snm * n)
     volume_law = ParetoVolume(beta=config.pareto_beta, n_min=config.pareto_n_min)
 
-    ranges = (
-        config.size_range,
-        config.bandwidth_range,
-        config.value_range,
-        (0.0, 1.0),
-    )
-    items = []
-    for content_id in range(1, config.library_size + 1):
-        raw = (
+    # one content's draws at a time, in this order: batched draws would
+    # change the stream, as numpy buffers bounded integers within a call
+    raw = np.empty((n, len(DEFAULT_FEATURE_ROLES)))
+    arrival = np.zeros(n, dtype=np.int64)
+    lifespan = np.zeros(n, dtype=np.int64)
+    volume = np.zeros(n)
+    for row in range(n):
+        raw[row] = (
             rng.uniform(*config.size_range),
             rng.uniform(*config.bandwidth_range),
             rng.uniform(*config.value_range),
-            float(rng.choice(config.category_weights)),
+            rng.choice(config.category_weights),
         )
-        features = normalize_features(raw, ranges)
-        if content_id <= n_irm:
-            regime, snm = Regime.IRM, None
-        else:
-            regime = Regime.SNM
-            snm = SnmDynamics(
-                arrival_slot=int(rng.integers(1, config.horizon + 1)),
-                lifespan=int(rng.integers(*config.lifespan_range, endpoint=True)),
-                volume=sample_pareto_volume(volume_law, float(rng.random())),
-            )
-        items.append(
-            ContentItem(
-                id=content_id,
-                size=config.item_size,
-                regime=regime,
-                features=features,
-                snm=snm,
-            )
-        )
-    return Catalog(items=tuple(items))
+        if row >= n_irm:
+            arrival[row] = rng.integers(1, config.horizon + 1)
+            lifespan[row] = rng.integers(*config.lifespan_range, endpoint=True)
+            volume[row] = sample_pareto_volume(volume_law, float(rng.random()))
+    ranges = (config.size_range, config.bandwidth_range, config.value_range, (0, 1))
+    return Catalog(
+        sizes=np.full(n, config.item_size, dtype=float),
+        features=normalize_features(raw, ranges),
+        snm=np.arange(n) >= n_irm,
+        arrival=arrival,
+        lifespan=lifespan,
+        volume=volume,
+    )
 
 
 CATALOG_HEADER = [
@@ -314,45 +278,83 @@ CATALOG_HEADER = [
 
 
 def save_catalog(catalog: Catalog, path) -> None:
+    """Write the header and one row per content, in id order, by csv.writer.
+
+    Floats are written as their repr; IRM rows leave arrival, lifespan
+    and volume empty.
+    """
+    snm = catalog.snm.tolist()
+    pulse = [
+        [v if s else "" for v, s in zip(values.tolist(), snm)]
+        for values in (catalog.arrival, catalog.lifespan, catalog.volume)
+    ]
+    regime = ["SNM" if s else "IRM" for s in snm]
+    columns = [catalog.ids.tolist(), regime, catalog.sizes.tolist(),
+               *catalog.features.T.tolist(), *pulse]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CATALOG_HEADER)
-        for it in catalog.items:
-            row = [it.id, it.regime.value, repr(float(it.size))]
-            row += [repr(float(x)) for x in it.features]
-            if it.snm is not None:
-                row += [it.snm.arrival_slot, it.snm.lifespan, repr(it.snm.volume)]
-            else:
-                row += ["", "", ""]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
+
+
+# a parsed body row: its id, then the Catalog fields
+_ROW = np.dtype([("id", np.int64)] + [
+    (name, dtype, (len(DEFAULT_FEATURE_ROLES),) if name == "features" else ())
+    for name, dtype in _FIELDS.items()
+])
+
+
+def _parse_row(row: list) -> tuple:
+    """A body row as a _ROW tuple; ValueError if it is malformed."""
+    if len(row) != len(CATALOG_HEADER):
+        raise ValueError(f"a row has {len(CATALOG_HEADER)} fields, this one {len(row)}")
+    cid, regime, size, *features, arrival, lifespan, volume = row
+    if regime not in ("IRM", "SNM"):
+        raise ValueError(f"regime {regime!r} is neither IRM nor SNM")
+    if regime == "IRM" and (arrival or lifespan or volume):
+        raise ValueError("an IRM row leaves arrival, lifespan and volume empty")
+    snm = regime == "SNM"
+    pulse = (int(arrival), int(lifespan), float(volume)) if snm else (0, 0, 0.0)
+    return int(cid), float(size), tuple(map(float, features)), snm, *pulse
 
 
 def load_catalog(path) -> Catalog:
-    items = []
+    """Load a catalog CSV whose rows may come in any id order.
+
+    Rejected, with the 1-based line of the first bad row in file order:
+    a bad header, a file with no rows, a row that is not ten fields of
+    the right types, an IRM row with arrival, lifespan or volume filled,
+    an id outside 1..F (F rows) or repeated, and any value a Catalog
+    rejects, such as a size or volume that is not positive and finite.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CATALOG_HEADER:
-            raise TraceParseError("bad catalog header", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                regime = Regime(row[1])
-                snm = None
-                if regime is Regime.SNM:
-                    snm = SnmDynamics(
-                        arrival_slot=int(row[7]),
-                        lifespan=int(row[8]),
-                        volume=float(row[9]),
-                    )
-                items.append(
-                    ContentItem(
-                        id=int(row[0]),
-                        size=float(row[2]),
-                        regime=regime,
-                        features=tuple(float(x) for x in row[3:7]),
-                        snm=snm,
-                    )
-                )
-            except (ValueError, IndexError) as exc:
-                raise TraceParseError(str(exc), line=lineno) from exc
-    return Catalog(items=tuple(items))
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != CATALOG_HEADER:
+        raise TraceParseError("bad catalog header", line=1)
+    n = len(rows) - 1
+    if n == 0:
+        raise TraceParseError("no contents", line=2)
+    # the rows before the first malformed one
+    table, malformed = np.zeros(n, dtype=_ROW), None
+    for i, row in enumerate(rows[1:]):
+        try:
+            table[i] = _parse_row(row)
+        except (ValueError, OverflowError) as exc:  # an int past int64
+            table, malformed = table[:i], str(exc)
+            break
+    ids = table["id"]
+    order = np.argsort(ids, kind="stable")
+    repeated = np.zeros(len(ids), dtype=bool)
+    repeated[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+    checks = (
+        ((ids < 1) | (ids > n), f"id is outside 1..{n}"),
+        (repeated, "id is repeated"),
+        *_row_checks(*(table[name] for name in _FIELDS)),
+    )
+    bad = [(int(b.argmax()), message) for b, message in checks if b.any()]
+    if bad:
+        row, message = min(bad)
+        raise TraceParseError(f"content {ids[row]}: {message}", line=row + 2)
+    if malformed is not None:
+        raise TraceParseError(malformed, line=len(table) + 2)
+    return Catalog(**{name: table[name][order] for name in _FIELDS})

@@ -72,10 +72,9 @@ def oracle_placement(
         some = take > 0
         hits[some] = sums[starts[:-1][some] + take[some] - 1]
         return hits
-    n_ids = len(catalog.items) + 1
     hits = []
     for slot_ids in trace.events_by_slot():
-        tally = np.bincount(slot_ids, minlength=n_ids)
+        tally = np.bincount(slot_ids, minlength=catalog.id_space)
         ids = np.flatnonzero(tally)
         placement = exact_knapsack(
             tally[ids].astype(float).tolist(),
@@ -122,7 +121,6 @@ def run_simulation(
     )
     rng = np.random.default_rng(seed)
     oracle_hits = oracle_placement(trace, catalog, capacity)
-    n_ids = len(catalog.items) + 1
     hybrid = policy.name == "hybrid"
     popular = policy.name == "popular"
 
@@ -132,7 +130,7 @@ def run_simulation(
             window=alloc_window, smoothing=alloc_smoothing
         )
     # requests per id over slots < t; position = content id
-    all_counts = np.zeros(n_ids, dtype=np.int64)
+    all_counts = np.zeros(catalog.id_space, dtype=np.int64)
     total_all = 0
     hits = np.zeros(trace.horizon, dtype=np.int64)
 
@@ -155,7 +153,7 @@ def run_simulation(
         ctx = PolicyContext(slot=t, rng=rng, **inputs)
         placement = policy.place(ctx)
 
-        tally = np.bincount(slot_ids, minlength=n_ids)
+        tally = np.bincount(slot_ids, minlength=catalog.id_space)
         hits[t - 1] = slot_step(placement, tally)
         policy.update(ctx, placement, tally)
 

@@ -204,13 +204,11 @@ def popular_place(
     catalog: Catalog,
     history: PopularitySnapshot,
     capacity: float,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> Placement:
-    """Cache the historically most requested contents, regime-agnostic."""
+    """Cache the most requested contents so far; random_place before any request."""
     if not history.freq.any():
         logger.warning("popular_place: empty history, falling back to random")
-        if rng is None:
-            rng = np.random.default_rng(0)
         return random_place(catalog, capacity, rng)
     ids = catalog.ids
     return greedy_knapsack(history.freq[ids], catalog.sizes, capacity, ids=ids)
@@ -428,13 +426,11 @@ class HybridPolicy:
         self.weight_floor = weight_floor
         self.sizes = catalog.sizes
         self.snm_ids = catalog.snm_ids
-        self.is_snm = np.zeros(len(catalog.items) + 1, dtype=bool)
-        self.is_snm[self.snm_ids] = True
-        influence = np.zeros(len(catalog.items) + 1)
-        if len(self.snm_ids):
-            influence[self.snm_ids] = feature_influences(
-                catalog.snm_features, floor=influence_floor
-            )
+        self.is_snm = catalog.snm_by_id
+        influence = np.zeros(catalog.id_space)
+        influence[self.snm_ids] = feature_influences(
+            catalog.snm_features, floor=influence_floor
+        )
         self.state = BanditState.fresh(influence)
 
     def place(self, ctx: PolicyContext) -> Placement:

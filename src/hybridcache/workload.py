@@ -150,8 +150,6 @@ def generate_trace(
     """
     if horizon < 1 or requests_per_slot < 1:
         raise ValueError("horizon and requests_per_slot must be >= 1")
-    if not catalog.items:
-        raise EmptyLibrary("catalog is empty")
 
     rng = np.random.default_rng(seed)
     irm_ids = catalog.irm_ids
@@ -284,7 +282,7 @@ def load_trace(path, catalog: Catalog, horizon: int) -> RequestTrace:
     rows, malformed = _read_rows(path, body)
     slots, ids = rows[:, 0], rows[:, 1]
     bad = (slots < 1) | (slots > horizon)
-    bad |= (ids < 1) | (ids > len(catalog.items))
+    bad |= (ids < 1) | (ids >= catalog.id_space)
     bad[1:] |= slots[1:] < slots[:-1]
     if bad.any():
         row = int(bad.argmax())

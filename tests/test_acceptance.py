@@ -13,7 +13,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from hybridcache.catalog import CatalogConfig, Regime, build_catalog
+from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.cli import ExperimentConfig, make_workload, main
 from hybridcache.engine import run_simulation
 from hybridcache.policy import (
@@ -250,11 +250,10 @@ def test_criterion_7_allocation_estimator():
             seed=71,
         )
         trace = generate_trace(catalog, 600, 100, target, 0.8, seed=72)
-        regime = {it.id: it.regime for it in catalog.items}
-        counts = []
-        for events in trace.events_by_slot():
-            n_snm = sum(1 for c in events if regime[c] is Regime.SNM)
-            counts.append((n_snm, len(events) - n_snm))
+        is_snm = np.isin(trace.ids, catalog.snm_ids)
+        n_snm = np.diff(np.append(0, np.cumsum(is_snm))[trace.offsets])
+        n_irm = np.diff(trace.offsets) - n_snm
+        counts = list(zip(n_snm.tolist(), n_irm.tolist()))
         estimate = estimate_allocation(counts, smoothing=0.0).w_snm
         adjusted = target - trace.stats.fallback_count / trace.stats.total_requests
         observed[target] = (round(estimate, 4), round(adjusted, 4))

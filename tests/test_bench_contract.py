@@ -3,8 +3,9 @@
 perfbench/probe.py wraps each name it instruments by reading it from
 its owner's __dict__, so renaming or deleting one would otherwise break
 only the traced benchmark run, not the test suite. The same holds for
-the trace attributes that perfbench reads to count events, and for the
-run results and placements that perfbench/checks.py checks.
+the trace attributes that perfbench reads to count events, the catalog
+rows it reads sizes from, and the run results and placements that
+perfbench/checks.py checks.
 """
 
 import importlib.util
@@ -74,6 +75,17 @@ def test_trace_attributes_read_by_the_benchmark():
     slots = np.repeat(np.arange(1, trace.horizon + 1), np.diff(trace.offsets))
     assert [s for s, _ in trace.events] == slots.tolist()
     assert [cid for _, cid in trace.events] == trace.ids.tolist()
+
+
+def test_catalog_attributes_read_by_the_benchmark():
+    # perfbench/checks.py reads catalog.items as rows with .id and .size
+    catalog = build_catalog(
+        CatalogConfig(library_size=20, w_snm=0.5, horizon=10, item_size=2.5),
+        seed=1,
+    )
+    rows = catalog.items
+    assert [row.id for row in rows] == catalog.ids.tolist()
+    assert [row.size for row in rows] == catalog.sizes.tolist()
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)

@@ -1,15 +1,16 @@
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from catalog_helpers import array_catalog
 from hybridcache.catalog import (
     Catalog,
     CatalogConfig,
-    ContentItem,
     FeatureRole,
-    Regime,
-    SnmDynamics,
     build_catalog,
     feature_influence,
     feature_influences,
@@ -17,35 +18,71 @@ from hybridcache.catalog import (
     normalize_features,
     save_catalog,
 )
-from hybridcache.errors import EmptyFeatures, LibraryTooSmall, RangeDegenerate
+from hybridcache.errors import (
+    EmptyFeatures,
+    EmptyLibrary,
+    LibraryTooSmall,
+    RangeDegenerate,
+    TraceParseError,
+)
 from hybridcache.policy import HybridPolicy
 
 COST = FeatureRole.COST
 BENEFIT = FeatureRole.BENEFIT
 
 
+def same_catalog(a, b):
+    """Whether two catalogs hold equal arrays of equal dtypes."""
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        and getattr(a, f.name).dtype == getattr(b, f.name).dtype
+        for f in dataclasses.fields(Catalog)
+        if f.init
+    )
+
+
 class TestNormalizeFeatures:
+    """normalize_features maps each column of a raw matrix by its range."""
+
     def test_midpoint(self):
-        assert normalize_features((5,), ((0, 10),)) == (0.5,)
+        assert normalize_features([[5]], ((0, 10),)).tolist() == [[0.5]]
 
     def test_endpoints(self):
-        assert normalize_features((0, 10), ((0, 10), (0, 10))) == (0.0, 1.0)
+        out = normalize_features([[0, 10]], ((0, 10), (0, 10)))
+        assert out.tolist() == [[0.0, 1.0]]
 
     def test_three_features(self):
-        out = normalize_features((2, 8, 3), ((0, 4), (0, 16), (1, 5)))
-        assert out == (0.5, 0.5, 0.5)
+        raw = [[2, 8, 3], [0, 16, 5]]
+        out = normalize_features(raw, ((0, 4), (0, 16), (1, 5)))
+        assert out.tolist() == [[0.5, 0.5, 0.5], [0.0, 1.0, 1.0]]
 
     def test_clamping(self):
-        assert normalize_features((-1, 20), ((0, 10), (0, 10))) == (0.0, 1.0)
+        raw = [[-1, 20], [11, -0.5]]
+        out = normalize_features(raw, ((0, 10), (0, 10)))
+        assert out.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_degenerate_range(self):
         with pytest.raises(RangeDegenerate):
-            normalize_features((1,), ((3, 3),))
+            normalize_features([[1, 1]], ((0, 1), (3, 3)))
+        with pytest.raises(RangeDegenerate):
+            normalize_features([[1]], ((4, 3),))
 
     def test_idempotent_on_unit_range(self):
-        vals = (0.0, 0.25, 0.9, 1.0)
+        vals = [[0.0, 0.25, 0.9, 1.0], [0.5, 0.1, 0.0, 0.3]]
         once = normalize_features(vals, [(0, 1)] * 4)
-        assert normalize_features(once, [(0, 1)] * 4) == once
+        assert normalize_features(once, [(0, 1)] * 4).tolist() == once.tolist()
+
+    @given(
+        raw=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=8),
+        lo=st.floats(-100, 100),
+        width=st.floats(1e-3, 100),
+    )
+    def test_equals_the_scalar_clamp(self, raw, lo, width):
+        # bit for bit, as build_catalog's pinned bytes need
+        hi = lo + width
+        out = normalize_features(np.array(raw)[:, None], ((lo, hi),))
+        want = [min(1.0, max(0.0, (x - lo) / (hi - lo))) for x in raw]
+        assert out[:, 0].tolist() == want
 
 
 class TestFeatureInfluence:
@@ -88,8 +125,8 @@ class TestFeatureInfluences:
     @pytest.mark.parametrize("floor", [0.01, 0.1])
     def test_catalog_rows(self, tmp_path, floor):
         for catalog in built_and_loaded(tmp_path):
-            snm = [it for it in catalog.items if it.regime is Regime.SNM]
-            want = [feature_influence(it.features, floor=floor) for it in snm]
+            rows = catalog.features[catalog.snm_ids - 1].tolist()
+            want = [feature_influence(row, floor=floor) for row in rows]
             got = feature_influences(catalog.snm_features, floor=floor)
             assert got.tolist() == want
             hybrid = HybridPolicy(catalog, 5, influence_floor=floor)
@@ -119,12 +156,13 @@ class TestBuildCatalog:
     def test_all_irm_boundary(self):
         cat = build_catalog(CatalogConfig(library_size=10, w_snm=0.0), seed=1)
         assert len(cat.snm_ids) == 0
-        assert all(it.regime is Regime.IRM for it in cat.items)
+        assert not cat.snm.any()
 
     def test_determinism(self):
         cfg = CatalogConfig(library_size=40, w_snm=0.5)
         a, b = build_catalog(cfg, seed=7), build_catalog(cfg, seed=7)
-        assert a == b
+        assert same_catalog(a, b)
+        assert not same_catalog(a, build_catalog(cfg, seed=8))
 
     def test_library_too_small(self):
         with pytest.raises(LibraryTooSmall):
@@ -134,67 +172,129 @@ class TestBuildCatalog:
         cfg = CatalogConfig(library_size=60, w_snm=0.7)
         cat = build_catalog(cfg, seed=3)
         assert len(cat.irm_ids) + len(cat.snm_ids) == 60
-        for it in cat.items:
-            assert all(0.0 <= x <= 1.0 for x in it.features)
-            assert it.size > 0
-            assert (it.snm is not None) == (it.regime is Regime.SNM)
-            if it.snm is not None:
-                assert it.snm.volume >= cfg.pareto_n_min
-                assert 1 <= it.snm.arrival_slot <= cfg.horizon
+        assert cat.ids.tolist() == list(range(1, 61))
+        # ids 1..N_I are IRM, the rest SNM
+        assert cat.snm.tolist() == [False] * 18 + [True] * 42
+        assert ((cat.features >= 0) & (cat.features <= 1)).all()
+        assert (cat.sizes > 0).all()
+        assert (cat.snm_volume >= cfg.pareto_n_min).all()
+        assert ((1 <= cat.snm_arrival) & (cat.snm_arrival <= cfg.horizon)).all()
+        lo, hi = cfg.lifespan_range
+        lifespans = cat.snm_expiry - cat.snm_arrival
+        assert ((lo <= lifespans) & (lifespans <= hi)).all()
+        irm = ~cat.snm
+        assert not (cat.arrival[irm].any() or cat.lifespan[irm].any()
+                    or cat.volume[irm].any())
+
+
+def irm_fields(n=3):
+    """The fields of an all-IRM catalog of n contents, as lists."""
+    return dict(
+        sizes=[1.0] * n, features=[[0.5] * 4] * n, snm=[False] * n,
+        arrival=[0] * n, lifespan=[0] * n, volume=[0.0] * n,
+    )
+
+
+def snm_fields(arrival=5, lifespan=10, volume=2.0):
+    """The fields of a catalog whose id 2 is SNM with this pulse."""
+    fields = irm_fields()
+    fields.update(
+        snm=[False, True, False],
+        arrival=[0, arrival, 0],
+        lifespan=[0, lifespan, 0],
+        volume=[0.0, volume, 0.0],
+    )
+    return fields
 
 
 class TestCatalogType:
-    def test_ids_must_be_dense(self):
-        item = ContentItem(id=2, size=1.0, regime=Regime.IRM, features=(0.5,))
-        with pytest.raises(ValueError):
-            Catalog(items=(item,))
+    def test_ids_must_be_dense(self, tmp_path):
+        # a catalog's ids are its positions; ids come in only through files
+        path = tmp_path / "catalog.csv"
+        save_catalog(Catalog(**irm_fields(2)), path)
+        text = path.read_text().replace("\n1,IRM", "\n3,IRM")
+        path.write_text(text)
+        with pytest.raises(TraceParseError, match="line 2: content 3"):
+            load_catalog(path)
 
     def test_snm_requires_dynamics(self):
-        with pytest.raises(ValueError):
-            ContentItem(id=1, size=1.0, regime=Regime.SNM, features=(0.5,))
+        Catalog(**snm_fields())
+        for pulse in ({"arrival": 0}, {"lifespan": 0}, {"volume": 0.0}):
+            with pytest.raises(ValueError, match="content 2"):
+                Catalog(**snm_fields(**pulse))
+        # and an IRM content has none
+        for name, value in (("arrival", 1), ("lifespan", 1), ("volume", 1.0)):
+            fields = irm_fields()
+            fields[name] = [0, 0, value]
+            with pytest.raises(ValueError, match="content 3: an IRM content"):
+                Catalog(**fields)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("sizes", 0.0), ("sizes", -1.0), ("sizes", np.nan), ("sizes", np.inf),
+            ("volume", np.nan), ("volume", np.inf), ("volume", -2.0),
+            ("features", [0.5, 1.5, 0.5, 0.5]), ("features", [0.5, -0.1, 0.5, 0.5]),
+            ("features", [0.5, np.nan, 0.5, 0.5]),
+        ],
+    )
+    def test_rejects_a_bad_value(self, name, value):
+        fields = snm_fields()
+        fields[name] = [fields[name][0], value, fields[name][2]]
+        with pytest.raises(ValueError, match="content 2"):
+            Catalog(**fields)
+
+    @pytest.mark.parametrize("name", ["sizes", "snm", "arrival", "features"])
+    def test_rejects_a_short_array(self, name):
+        fields = irm_fields()
+        fields[name] = fields[name][:2]
+        with pytest.raises(ValueError, match="must have shape"):
+            Catalog(**fields)
+
+    def test_empty_library(self):
+        with pytest.raises(EmptyLibrary):
+            Catalog(**irm_fields(0))
+
+    def test_arrays_are_read_only_copies(self):
+        sizes = np.ones(3)
+        cat = Catalog(**{**irm_fields(), "sizes": sizes})
+        sizes[0] = 5.0
+        assert cat.sizes.tolist() == [1.0, 1.0, 1.0]
+        for f in dataclasses.fields(Catalog):
+            if isinstance(getattr(cat, f.name), np.ndarray):
+                assert not getattr(cat, f.name).flags.writeable
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cat.sizes = sizes
 
     def test_active_window_half_open(self):
-        irm = ContentItem(id=1, size=1.0, regime=Regime.IRM, features=(0.5,))
-        snm = ContentItem(
-            id=2, size=1.0, regime=Regime.SNM, features=(0.5,),
-            snm=SnmDynamics(arrival_slot=10, lifespan=20, volume=40.0),
-        )
-        cat = Catalog(items=(irm, snm))
+        cat = array_catalog([1.0, 1.0], {2: (10, 20, 40.0)})
         assert cat.active_snm_ids(9).tolist() == []
         assert cat.active_snm_ids(10).tolist() == [2]
         assert cat.active_snm_ids(29).tolist() == [2]
         assert cat.active_snm_ids(30).tolist() == []
 
-    @given(data=st.data())
-    def test_active_ids_match_window_definition(self, data):
-        windows = data.draw(
-            st.lists(
-                st.none() | st.tuples(st.integers(1, 60), st.integers(1, 30)),
-                min_size=1,
-                max_size=25,
-            )
+    @given(
+        windows=st.lists(
+            st.none() | st.tuples(st.integers(1, 60), st.integers(1, 30)),
+            min_size=1,
+            max_size=25,
         )
-        items = [
-            ContentItem(id=cid, size=1.0, regime=Regime.IRM, features=(0.5,))
-            if window is None
-            else ContentItem(
-                id=cid, size=1.0, regime=Regime.SNM, features=(0.5,),
-                snm=SnmDynamics(window[0], window[1], volume=1.0),
-            )
+    )
+    def test_active_ids_match_window_definition(self, windows):
+        pulses = {
+            cid: (*window, 1.0)
             for cid, window in enumerate(windows, start=1)
-        ]
-        cat = Catalog(items=tuple(data.draw(st.permutations(items))))
+            if window is not None
+        }
+        cat = array_catalog([1.0] * len(windows), pulses)
         edges = {0, 1, 200}  # 200 lies past every window
         for a, n in filter(None, windows):
             edges |= {a - 1, a, a + n - 1, a + n}
         for slot in sorted(edges):
-            expected = []
-            for it in sorted(items, key=lambda it: it.id):
-                if it.snm is None:
-                    continue
-                arrival, lifespan = it.snm.arrival_slot, it.snm.lifespan
-                if arrival <= slot < arrival + lifespan:
-                    expected.append(it.id)
+            expected = [
+                cid for cid, (arrival, lifespan, _) in sorted(pulses.items())
+                if arrival <= slot < arrival + lifespan
+            ]
             assert cat.active_snm_ids(slot).tolist() == expected, slot
 
 
@@ -203,7 +303,7 @@ class TestCatalogIO:
         cat = build_catalog(CatalogConfig(library_size=30, w_snm=0.6), seed=5)
         path = tmp_path / "catalog.csv"
         save_catalog(cat, path)
-        assert load_catalog(path) == cat
+        assert same_catalog(load_catalog(path), cat)
 
     def test_byte_identical_serialization(self, tmp_path):
         cfg = CatalogConfig(library_size=25, w_snm=0.4)
@@ -211,3 +311,73 @@ class TestCatalogIO:
         save_catalog(build_catalog(cfg, seed=9), p1)
         save_catalog(build_catalog(cfg, seed=9), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @given(data=st.data())
+    def test_rows_in_any_id_order(self, tmp_path_factory, data):
+        cat = build_catalog(CatalogConfig(library_size=12, w_snm=0.5), seed=4)
+        path = tmp_path_factory.mktemp("io") / "catalog.csv"
+        save_catalog(cat, path)
+        header, *rows = path.read_text().splitlines(keepends=True)
+        path.write_text(header + "".join(data.draw(st.permutations(rows))))
+        assert same_catalog(load_catalog(path), cat)
+
+
+# sha256 of save_catalog's bytes, pinned while the catalog was still a
+# tuple of per-item objects; the last config sets every generation law.
+PINNED_CATALOGS = [
+    ((150, 0.8, 1000), {},
+     "1095657d3d315e4cbfa1b9b9dc72b1113a12ef7314f64309d554fe3e039e6fe4"),
+    ((5000, 0.8, 1000), {},
+     "39968eef50aa7170ca4fb655ac60686f0cbb10778c5b2744480f12c70ceda38b"),
+    ((40, 0.0, 7), {},
+     "8ac38e6590b2ded0e9dfbe94c7e206d8a1c0dfe257ea7a3adbcac7715ca66832"),
+    ((40, 1.0, 7), {},
+     "409381146d243eb7851429fc794d3434b67258dfd0e2ed7bffab6759ede71a57"),
+    ((24, 0.5, 61), {},
+     "858440821f9dd056a3ba9c257f9f6a77324cefd7738d07b8f1ef976258be031e"),
+    ((30, 0.6, 5),
+     dict(horizon=50, item_size=2.5, size_range=(3.0, 9.0),
+          lifespan_range=(2, 9), category_weights=(0.3, 0.9),
+          pareto_beta=1.5, pareto_n_min=4.0),
+     "7d4dce3586b28c455abe9c22a9959eec75291b8d3d8c5fbbbbe08c298009b4e3"),
+]
+
+
+@pytest.mark.parametrize(
+    "point, laws, digest", PINNED_CATALOGS,
+    ids=[f"F{f}-w{w}-seed{s}" for (f, w, s), _, _ in PINNED_CATALOGS],
+)
+def test_saved_catalog_bytes_are_pinned(tmp_path, point, laws, digest):
+    library_size, w_snm, seed = point
+    config = CatalogConfig(library_size=library_size, w_snm=w_snm, **laws)
+    path = tmp_path / "catalog.csv"
+    save_catalog(build_catalog(config, seed=seed), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    # save -> load -> save writes the same bytes
+    again = tmp_path / "again.csv"
+    save_catalog(load_catalog(path), again)
+    assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edits, line, reason",
+    [
+        # a bad value before a malformed row, and after one
+        ({3: (2, "nan"), 6: (9, "")}, 3, "size"),
+        ({3: (2, "x"), 6: (2, "nan")}, 3, "could not convert"),
+        # an out-of-range id and a repeated one, in either order
+        ({4: (0, "99"), 7: (0, "2")}, 4, "outside 1..8"),
+        ({4: (0, "2"), 7: (0, "99")}, 4, "repeated"),
+        ({5: (7, "3")}, 5, "IRM row"),
+    ],
+)
+def test_first_bad_catalog_row_wins(tmp_path, edits, line, reason):
+    # ids 1..4 are IRM, 5..8 SNM
+    path = tmp_path / "catalog.csv"
+    save_catalog(build_catalog(CatalogConfig(library_size=8, w_snm=0.5), seed=2), path)
+    rows = [row.split(",") for row in path.read_text().splitlines()]
+    for at, (field, value) in edits.items():
+        rows[at - 1][field] = value
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(TraceParseError, match=f"line {line}: .*{reason}"):
+        load_catalog(path)

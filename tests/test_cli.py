@@ -19,6 +19,13 @@ SMALL = [
 ]
 
 
+def edit(rows, line, field, value):
+    """rows with field `field` of the row at 1-based line `line` set."""
+    row = rows[line - 1].split(",")
+    row[field] = value
+    return [*rows[: line - 1], ",".join(row), *rows[line:]]
+
+
 class TestConfig:
     def test_defaults_match_paper_setup(self):
         cfg = ExperimentConfig().validate()
@@ -191,6 +198,64 @@ class TestRun:
         assert rc == 2
         assert "line 2:" in capsys.readouterr().err
         assert not out.exists()
+
+    # edits of a generated SMALL catalog: ids 1..4 are IRM, 5..20 SNM;
+    # each is rejected at the given line with the given reason
+    BAD_CATALOGS = {
+        "header-only": (lambda rows: rows[:1], 2, "no contents"),
+        "short-row": (
+            lambda rows: [*rows[:3], "3,IRM,1.0,0.5", *rows[4:]], 4, "this one 4"
+        ),
+        "eleventh-field": (
+            lambda rows: [*rows[:5], rows[5] + ",7", *rows[6:]], 6, "this one 11"
+        ),
+        "irm-pulse-filled": (
+            lambda rows: [*rows[:2], rows[2].removesuffix(",,,") + ",3,20,2.0",
+                          *rows[3:]],
+            3,
+            "an IRM row",
+        ),
+        "nan-size": (lambda rows: edit(rows, 7, 2, "nan"), 7, "size"),
+        "inf-size": (lambda rows: edit(rows, 2, 2, "inf"), 2, "size"),
+        "nan-volume": (lambda rows: edit(rows, 12, 9, "nan"), 12, "volume"),
+        "inf-volume": (lambda rows: edit(rows, 21, 9, "inf"), 21, "volume"),
+        "duplicate-id": (lambda rows: edit(rows, 9, 0, "3"), 9, "repeated"),
+        "id-past-F": (lambda rows: edit(rows, 4, 0, "21"), 4, "outside 1..20"),
+        "id-zero": (lambda rows: edit(rows, 16, 0, "0"), 16, "outside 1..20"),
+    }
+
+    @pytest.mark.parametrize("name", BAD_CATALOGS)
+    def test_bad_catalog_exit_code(self, tmp_path, capsys, name):
+        make_bad, line, reason = self.BAD_CATALOGS[name]
+        gen = tmp_path / "gen"
+        main(["generate", *SMALL, "--out", str(gen)])
+        rows = (gen / "catalog.csv").read_text().splitlines()
+        (gen / "catalog.csv").write_text("\n".join(make_bad(rows)) + "\n")
+        out = tmp_path / "run"
+        rc = main(["run", *SMALL, "--catalog", str(gen / "catalog.csv"),
+                   "--trace", str(gen / "trace.csv"), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"line {line}:" in err and reason in err
+        assert not out.exists()
+
+    def test_catalog_rows_in_any_order(self, tmp_path):
+        gen = tmp_path / "gen"
+        main(["generate", *SMALL, "--out", str(gen)])
+        runs = []
+        for reverse in (False, True):
+            if reverse:
+                header, *rows = (gen / "catalog.csv").read_text().splitlines()
+                (gen / "catalog.csv").write_text(
+                    "\n".join([header, *rows[::-1]]) + "\n"
+                )
+            out = tmp_path / f"run{reverse}"
+            rc = main(["run", *SMALL, "--policy", "hybrid", "--seed", "5",
+                       "--catalog", str(gen / "catalog.csv"),
+                       "--trace", str(gen / "trace.csv"), "--out", str(out)])
+            assert rc == 0
+            runs.append((out / "per_slot.csv").read_bytes())
+        assert runs[0] == runs[1]
 
     def test_unknown_policy_exit_code(self, tmp_path):
         rc = main(["run", *SMALL, "--policy", "lfu", "--seed", "5",

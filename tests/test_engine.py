@@ -9,11 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hybridcache.engine as engine
+from catalog_helpers import array_catalog
 from hybridcache.catalog import (
-    Catalog,
     CatalogConfig,
-    ContentItem,
-    Regime,
     build_catalog,
     load_catalog,
     save_catalog,
@@ -51,12 +49,7 @@ def trace_of(*slots):
 
 def catalog_of(sizes):
     """An all-IRM catalog whose id i has size sizes[i - 1]."""
-    return Catalog(
-        items=tuple(
-            ContentItem(id=i, size=float(s), regime=Regime.IRM, features=(0.5,))
-            for i, s in enumerate(sizes, start=1)
-        )
-    )
+    return array_catalog(sizes)
 
 
 class TestSlotStep:
@@ -252,7 +245,7 @@ def test_no_lookahead(workload, policy, t, seed, capacity):
     """
     catalog, trace = workload
     rng = np.random.default_rng(seed)
-    n_items = len(catalog.items)
+    n_items = len(catalog.ids)
     altered = RequestTrace.from_events(
         trace.horizon,
         tuple(
@@ -300,10 +293,7 @@ def test_pinned_runs_at_non_uniform_sizes(tmp_path, policy):
         CatalogConfig(library_size=24, w_snm=0.5, horizon=40), seed=61
     )
     sizes = np.random.default_rng(63).integers(1, 4, size=24)
-    items = tuple(
-        dataclasses.replace(it, size=float(s)) for it, s in zip(built.items, sizes)
-    )
-    save_catalog(Catalog(items=items), tmp_path / "catalog.csv")
+    save_catalog(dataclasses.replace(built, sizes=sizes), tmp_path / "catalog.csv")
     catalog = load_catalog(tmp_path / "catalog.csv")
     assert catalog.uniform_size is None
     trace = generate_trace(catalog, 40, 30, 0.5, 0.8, seed=62)

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridcache.catalog import (
-    Catalog,
-    CatalogConfig,
-    ContentItem,
-    Regime,
-    build_catalog,
-)
+from catalog_helpers import array_catalog
+from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.errors import BadInput, NeedsIntegerSizes, UnknownPolicy
 from hybridcache.policy import (
     BanditState,
@@ -126,7 +121,7 @@ def catalog():
 
 def snapshot(catalog, freq):
     """A history snapshot over the catalog from an {id: frequency} dict."""
-    out = np.zeros(len(catalog.items) + 1)
+    out = np.zeros(catalog.id_space)
     for cid, f in freq.items():
         out[cid] = f
     return PopularitySnapshot(slot=1, freq=out)
@@ -150,29 +145,25 @@ class TestBaselines:
 
     def test_popular_top_two(self, catalog):
         snap = snapshot(catalog, {1: 0.5, 2: 0.3, 3: 0.2})
-        p = popular_place(catalog, snap, 2)
+        p = popular_place(catalog, snap, 2, np.random.default_rng(4))
         assert {1, 2} <= set(p.cached.tolist())
         assert 3 not in p.cached
 
     def test_popular_empty_history_falls_back(self, catalog, caplog):
         snap = snapshot(catalog, {})
         with caplog.at_level("WARNING"):
-            p = popular_place(catalog, snap, 3, rng=np.random.default_rng(4))
+            p = popular_place(catalog, snap, 3, np.random.default_rng(4))
         assert len(p.cached) == 3
         assert "empty history" in caplog.text
 
     def test_popular_all_fit(self, catalog):
         snap = snapshot(catalog, {1: 1.0})
-        assert len(popular_place(catalog, snap, 100).cached) == 12
+        p = popular_place(catalog, snap, 100, np.random.default_rng(4))
+        assert len(p.cached) == 12
 
 
 def uniform_catalog(n, size):
-    return Catalog(
-        items=tuple(
-            ContentItem(id=i, size=size, regime=Regime.IRM, features=(0.5,))
-            for i in range(1, n + 1)
-        )
-    )
+    return array_catalog([size] * n)
 
 
 # uniform sizes, and capacities that are mostly not multiples of them

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hybridcache.catalog import CatalogConfig, Regime, build_catalog
+from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.errors import EmptyWindow
 from hybridcache.popularity import (
     AllocationEstimate,
@@ -55,11 +55,10 @@ class TestAllocationEstimator:
                 seed=21,
             )
             trace = generate_trace(cat, 200, 100, target, 0.8, seed=22)
-            regime = {it.id: it.regime for it in cat.items}
-            counts = []
-            for events in trace.events_by_slot():
-                n_snm = sum(1 for c in events if regime[c] is Regime.SNM)
-                counts.append((n_snm, len(events) - n_snm))
+            is_snm = np.isin(trace.ids, cat.snm_ids)
+            n_snm = np.diff(np.append(0, np.cumsum(is_snm))[trace.offsets])
+            n_irm = np.diff(trace.offsets) - n_snm
+            counts = list(zip(n_snm.tolist(), n_irm.tolist()))
             est = estimate_allocation(counts, smoothing=0.0)
             adjusted = target - trace.stats.fallback_count / trace.stats.total_requests
             assert est.w_snm == pytest.approx(adjusted, abs=0.05)

@@ -7,14 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hybridcache.catalog import (
-    Catalog,
-    CatalogConfig,
-    ContentItem,
-    Regime,
-    SnmDynamics,
-    build_catalog,
-)
+from catalog_helpers import array_catalog
+from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.errors import (
     BadUniform,
     EmptyLibrary,
@@ -133,14 +127,7 @@ class TestGenerateTrace:
     def test_snm_draws_follow_pulse_rates(self):
         # id 2 is live in slots 1..10 at rate 30/10, id 3 in 6..15 at
         # rate 10/10; slots 16..20 have no live SNM item and fall back
-        def snm(cid, arrival, lifespan, volume):
-            return ContentItem(
-                id=cid, size=1.0, regime=Regime.SNM, features=(0.5,),
-                snm=SnmDynamics(arrival, lifespan, volume),
-            )
-
-        irm = ContentItem(id=1, size=1.0, regime=Regime.IRM, features=(0.5,))
-        cat = Catalog(items=(irm, snm(2, 1, 10, 30.0), snm(3, 6, 10, 10.0)))
+        cat = array_catalog([1.0] * 3, {2: (1, 10, 30.0), 3: (6, 10, 10.0)})
         trace = generate_trace(cat, 20, 200, w_snm=1.0, delta=0.8, seed=12)
         slots = trace.events_by_slot()
         assert set(slots[4]) == {2}  # slot 5: before id 3 arrives
@@ -171,10 +158,9 @@ class TestGenerateTrace:
         assert tv < 0.02
 
     def test_empty_catalog(self):
-        from hybridcache.catalog import Catalog
-
+        # the catalog itself rejects an empty library
         with pytest.raises(EmptyLibrary):
-            generate_trace(Catalog(items=()), 10, 5, 0.5, 0.8, seed=1)
+            generate_trace(array_catalog([]), 10, 5, 0.5, 0.8, seed=1)
 
 
 class TestTraceIO:
@@ -288,7 +274,7 @@ class TestTraceIO:
         # a trace file needs a row; the slots after it may all be empty
         counts[0] += 1
         events = tuple(
-            (slot, data.draw(st.integers(1, len(small_catalog.items))))
+            (slot, data.draw(st.integers(1, len(small_catalog.ids))))
             for slot, n in enumerate(counts, start=1)
             for _ in range(n)
         )
