@@ -1,7 +1,12 @@
 """Time-slotted simulation loop and regret accounting.
 
-Per slot: let the policy place under capacity C from past requests
-only, serve the slot's requests and feed the policy its observations.
+Every policy has the same two calls: place(t) returns the cache for
+slot t, and update(placement, tally) feeds it the slot's request tally
+once the slot is served. A policy keeps whatever it reads (counts,
+estimates, learning state) from those tallies, so it sees only slots
+before t when it places at t, and the loop does not know which policy
+it drives.
+
 Each slot is scored against a clairvoyant oracle that knows the slot's
 true request counts; the oracle's hits depend only on the trace, the
 catalog and C, so they are computed for every slot before the loop.
@@ -15,14 +20,9 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Catalog
-from .errors import BadInput, EmptyWindow, LengthMismatch
-from .policy import (
-    Placement,
-    PolicyContext,
-    exact_knapsack,
-    make_policy,
-)
-from .popularity import AllocationEstimate, AllocationEstimator, PopularitySnapshot
+from .errors import BadInput, LengthMismatch
+from .policy import Placement, exact_knapsack, make_policy
+from .popularity import PopularitySnapshot  # noqa: F401  perfbench/probe.py patches this name
 from .workload import RequestTrace
 
 
@@ -117,52 +117,21 @@ def run_simulation(
     if trace.horizon < 1:
         raise ValueError("trace horizon must be >= 1")
     policy = make_policy(
-        policy_name, catalog, capacity, exploration_beta=exploration_beta
+        policy_name,
+        catalog,
+        capacity,
+        np.random.default_rng(seed),
+        exploration_beta=exploration_beta,
+        alloc_window=alloc_window,
+        alloc_smoothing=alloc_smoothing,
     )
-    rng = np.random.default_rng(seed)
     oracle_hits = oracle_placement(trace, catalog, capacity)
-    hybrid = policy.name == "hybrid"
-    popular = policy.name == "popular"
-
-    if hybrid:
-        irm_ids = catalog.irm_ids
-        estimator = AllocationEstimator(
-            window=alloc_window, smoothing=alloc_smoothing
-        )
-    # requests per id over slots < t; position = content id
-    all_counts = np.zeros(catalog.id_space, dtype=np.int64)
-    total_all = 0
     hits = np.zeros(trace.horizon, dtype=np.int64)
-
     for t, slot_ids in enumerate(trace.events_by_slot(), start=1):
-        # each policy gets only the inputs it reads
-        inputs = {}
-        if hybrid:
-            try:
-                inputs["alloc"] = estimator.estimate()
-            except EmptyWindow:
-                inputs["alloc"] = AllocationEstimate.from_snm(0.5)
-            inputs["snm_candidates"] = catalog.active_snm_ids(t)
-            # IRM ids by descending count, ties by lower id
-            order = np.lexsort((irm_ids, -all_counts[irm_ids]))
-            inputs["irm_ranking"] = irm_ids[order]
-        elif popular:
-            inputs["history_popularity"] = PopularitySnapshot(
-                slot=t - 1, freq=all_counts / max(total_all, 1)
-            )
-        ctx = PolicyContext(slot=t, rng=rng, **inputs)
-        placement = policy.place(ctx)
-
+        placement = policy.place(t)
         tally = np.bincount(slot_ids, minlength=catalog.id_space)
         hits[t - 1] = slot_step(placement, tally)
-        policy.update(ctx, placement, tally)
-
-        if hybrid or popular:
-            all_counts += tally
-            total_all += len(slot_ids)
-        if hybrid:
-            n_irm = int(tally[irm_ids].sum())
-            estimator.observe(len(slot_ids) - n_irm, n_irm)
+        policy.update(placement, tally)
 
     totals = np.diff(trace.offsets)
     served = totals > 0

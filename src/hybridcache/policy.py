@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .catalog import Catalog, feature_influences
-from .errors import BadInput, NeedsIntegerSizes, UnknownPolicy
-from .popularity import AllocationEstimate, PopularitySnapshot
+from .errors import BadInput, EmptyWindow, NeedsIntegerSizes, UnknownPolicy
+from .popularity import AllocationEstimate, AllocationEstimator, PopularitySnapshot
 
 logger = logging.getLogger(__name__)
 
@@ -335,68 +335,52 @@ def hybrid_select(
     )
 
 
-@dataclass(frozen=True)
-class PolicyContext:
-    """Per-slot inputs the engine hands to a policy before placement.
-
-    Every policy gets the slot and the run's rng. The engine fills in
-    the rest only for the policy that reads it: the capacity split
-    (alloc), the live SNM ids and the IRM ranking for the hybrid, the
-    history for the popular policy; the random policy gets none of them.
-    """
-
-    slot: int
-    alloc: Optional[AllocationEstimate] = None
-    rng: np.random.Generator = field(compare=False, default=None)
-    snm_candidates: Optional[np.ndarray] = None  # live SNM ids, ascending
-    irm_ranking: Optional[np.ndarray] = None  # IRM ids, descending popularity
-    history_popularity: Optional[PopularitySnapshot] = None
-
-
 class RandomPolicy:
-    """random_place each slot.
+    """random_place each slot; reads nothing but the run's rng.
 
     At uniform sizes the cache is the prefix of the slot's permutation
     that fits, whose length is known once per run.
     """
 
-    name = "random"
-
-    def __init__(self, catalog: Catalog, capacity: float):
+    def __init__(self, catalog: Catalog, capacity: float, rng: np.random.Generator):
         self.catalog = catalog
         self.capacity = capacity
+        self.rng = rng
         self.fit = _uniform_fit(catalog, capacity)
 
-    def place(self, ctx: PolicyContext) -> Placement:
+    def place(self, t: int) -> Placement:
         if self.fit is None:
-            return random_place(self.catalog, self.capacity, ctx.rng)
+            return random_place(self.catalog, self.capacity, self.rng)
         n, used = self.fit
-        order = ctx.rng.permutation(len(self.catalog.ids))
+        order = self.rng.permutation(len(self.catalog.ids))
         chosen = np.sort(self.catalog.ids[order[:n]])
         return Placement(chosen, used_capacity=used, capacity=self.capacity)
 
-    def update(self, ctx, placement, counts):
+    def update(self, placement: Placement, tally: np.ndarray) -> None:
         pass
 
 
 class PopularPolicy:
-    """popular_place each slot.
+    """popular_place each slot over the requests of the slots before it.
 
-    At uniform sizes the cache is the history's top n, where n is known
+    Reads the per-content request counts it keeps from the tallies fed
+    to update, and the run's rng for its random fallback at slot 1. At
+    uniform sizes the cache is the history's top n, where n is known
     once per run, found by np.partition instead of a sort of the library.
     """
 
-    name = "popular"
-
-    def __init__(self, catalog: Catalog, capacity: float):
+    def __init__(self, catalog: Catalog, capacity: float, rng: np.random.Generator):
         self.catalog = catalog
         self.capacity = capacity
+        self.rng = rng
         self.fit = _uniform_fit(catalog, capacity)
+        self.counts = np.zeros(catalog.id_space, dtype=np.int64)  # position = id
+        self.total = 0
 
-    def place(self, ctx: PolicyContext) -> Placement:
-        history = ctx.history_popularity
+    def place(self, t: int) -> Placement:
+        history = PopularitySnapshot(slot=t - 1, freq=self.counts / max(self.total, 1))
         if self.fit is None or not history.freq.any():
-            return popular_place(self.catalog, history, self.capacity, rng=ctx.rng)
+            return popular_place(self.catalog, history, self.capacity, rng=self.rng)
         n, used = self.fit
         ids = self.catalog.ids
         # the values greedy_knapsack ranks: frequency per unit of size
@@ -404,70 +388,94 @@ class PopularPolicy:
         chosen = ids[_top_n(density, n)]
         return Placement(chosen, used_capacity=used, capacity=self.capacity)
 
-    def update(self, ctx, placement, counts):
-        pass
+    def update(self, placement: Placement, tally: np.ndarray) -> None:
+        self.counts += tally
+        self.total += int(tally.sum())
 
 
 class HybridPolicy:
-    """Capacity-split UCB learner over SNM content, popularity fill for IRM."""
+    """Capacity-split UCB learner over SNM content, popularity fill for IRM.
 
-    name = "hybrid"
+    Reads what it keeps from the tallies fed to update: the IRM ids'
+    request counts (the IRM ranking), the windowed IRM/SNM split (the
+    capacity split, even while the window is empty) and its bandit
+    state; and, at slot t, the catalog's SNM ids live at t.
+    """
 
     def __init__(
         self,
         catalog: Catalog,
         capacity: float,
         exploration_beta: float = 2.0,
-        weight_floor: float = 0.01,
+        alloc_window: int = 10,
+        alloc_smoothing: float = 0.3,
         influence_floor: float = 0.01,
     ):
+        self.catalog = catalog
         self.capacity = capacity
         self.exploration_beta = exploration_beta
-        self.weight_floor = weight_floor
-        self.sizes = catalog.sizes
-        self.snm_ids = catalog.snm_ids
-        self.is_snm = catalog.snm_by_id
+        self.estimator = AllocationEstimator(
+            window=alloc_window, smoothing=alloc_smoothing
+        )
+        self.irm_ids = catalog.irm_ids
+        self.irm_counts = np.zeros(len(self.irm_ids), dtype=np.int64)  # irm_ids order
         influence = np.zeros(catalog.id_space)
-        influence[self.snm_ids] = feature_influences(
+        influence[catalog.snm_ids] = feature_influences(
             catalog.snm_features, floor=influence_floor
         )
         self.state = BanditState.fresh(influence)
 
-    def place(self, ctx: PolicyContext) -> Placement:
+    def place(self, t: int) -> Placement:
+        try:
+            alloc = self.estimator.estimate()
+        except EmptyWindow:
+            alloc = AllocationEstimate.from_snm(0.5)
+        # IRM ids by descending count, ties by lower id
+        ranking = self.irm_ids[np.lexsort((self.irm_ids, -self.irm_counts))]
         return hybrid_select(
             self.state,
-            ctx.snm_candidates,
-            ctx.irm_ranking,
-            ctx.alloc,
+            self.catalog.active_snm_ids(t),
+            ranking,
+            alloc,
             self.capacity,
-            self.sizes,
-            ctx.slot,
+            self.catalog.sizes,
+            t,
             self.exploration_beta,
-            self.weight_floor,
         )
 
-    def update(self, ctx: PolicyContext, placement: Placement, tally) -> None:
-        """Feed each cached SNM content its share of the slot's SNM requests.
+    def update(self, placement: Placement, tally: np.ndarray) -> None:
+        """Fold the slot's tally into the counts, the split and the bandit.
 
-        tally[id] is the slot's request count of an id.
+        tally[id] is the slot's request count of an id. Each cached SNM
+        content is fed its share of the slot's SNM requests.
         """
-        cached = placement.cached[self.is_snm[placement.cached]]
-        snm_total = int(tally[self.snm_ids].sum())
-        if snm_total > 0:
-            observed = tally[cached] / snm_total
-        else:
-            observed = np.zeros(len(cached))
-        hybrid_update(self.state, cached, observed)
+        irm_tally = tally[self.irm_ids]
+        self.irm_counts += irm_tally
+        n_irm = int(irm_tally.sum())
+        n_snm = int(tally.sum()) - n_irm
+        self.estimator.observe(n_snm, n_irm)
+        cached = placement.cached[self.catalog.snm_by_id[placement.cached]]
+        # with no SNM request every cached SNM content observes 0
+        hybrid_update(self.state, cached, tally[cached] / max(n_snm, 1))
 
 
 POLICY_NAMES = ("hybrid", "popular", "random")
 
 
-def make_policy(name: str, catalog: Catalog, capacity: float, exploration_beta: float = 2.0):
+def make_policy(
+    name: str,
+    catalog: Catalog,
+    capacity: float,
+    rng: np.random.Generator,
+    exploration_beta: float = 2.0,
+    alloc_window: int = 10,
+    alloc_smoothing: float = 0.3,
+):
+    """The named policy; rng is the run's generator, drawn from by the baselines."""
     if name == "hybrid":
-        return HybridPolicy(catalog, capacity, exploration_beta=exploration_beta)
+        return HybridPolicy(catalog, capacity, exploration_beta, alloc_window, alloc_smoothing)
     if name == "popular":
-        return PopularPolicy(catalog, capacity)
+        return PopularPolicy(catalog, capacity, rng)
     if name == "random":
-        return RandomPolicy(catalog, capacity)
+        return RandomPolicy(catalog, capacity, rng)
     raise UnknownPolicy(f"unknown policy {name!r}; choose from {POLICY_NAMES}")

@@ -88,16 +88,28 @@ def test_catalog_attributes_read_by_the_benchmark():
     assert [row.size for row in rows] == catalog.sizes.tolist()
 
 
-@pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_benchmark_check_passes_a_run(policy):
+# a tracing probe also wraps place, update and the estimator in spans
+@pytest.mark.parametrize(
+    "policy, tracing",
+    [
+        pytest.param(policy, tracing, id=policy + ("-traced" if tracing else ""))
+        for tracing in (False, True)
+        for policy in POLICY_NAMES
+    ],
+)
+def test_benchmark_check_passes_a_run(policy, tracing):
     probes = load_perfbench("probe")
     checks = load_perfbench("checks")
     catalog = build_catalog(
         CatalogConfig(library_size=20, w_snm=0.5, horizon=10), seed=1
     )
     trace = generate_trace(catalog, 10, 6, 0.5, 0.8, seed=2)
-    with probes.Probe(False).installed() as probe:
+    with probes.Probe(tracing).installed() as probe:
         engine.run_simulation(catalog, trace, policy, 4.0, seed=3)
     (record,) = probe.runs
     assert len(record.placements) == trace.horizon
     assert checks.run_problems(record, 10, 6, checks._slot_counts) == []
+    if tracing:
+        spanned = {span[0] for span in probe.spans}
+        assert {f"policy.place.{policy}", f"policy.update.{policy}"} <= spanned
+        assert ("popularity.estimate" in spanned) == (policy == "hybrid")

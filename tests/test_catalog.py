@@ -1,5 +1,7 @@
 import dataclasses
 import hashlib
+import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hybridcache.catalog import (
     Catalog,
     CatalogConfig,
     FeatureRole,
+    _float,
     build_catalog,
     feature_influence,
     feature_influences,
@@ -369,6 +372,13 @@ def test_saved_catalog_bytes_are_pinned(tmp_path, point, laws, digest):
         ({4: (0, "99"), 7: (0, "2")}, 4, "outside 1..8"),
         ({4: (0, "2"), 7: (0, "99")}, 4, "repeated"),
         ({5: (7, "3")}, 5, "IRM row"),
+        # a number not written as save_catalog writes it
+        ({3: (0, "1_0"), 6: (2, "x")}, 3, "'1_0' to int"),
+        ({4: (0, " 1.0 ")}, 4, "' 1.0 ' to int"),
+        ({6: (7, "+3")}, 6, "'+3' to int"),
+        ({7: (8, "1e3")}, 7, "'1e3' to int"),
+        ({6: (9, "1_0")}, 6, "'1_0' to float"),
+        ({2: (2, " 1.0 ")}, 2, "' 1.0 ' to float"),
     ],
 )
 def test_first_bad_catalog_row_wins(tmp_path, edits, line, reason):
@@ -379,5 +389,11 @@ def test_first_bad_catalog_row_wins(tmp_path, edits, line, reason):
     for at, (field, value) in edits.items():
         rows[at - 1][field] = value
     path.write_text("".join(",".join(row) + "\n" for row in rows))
-    with pytest.raises(TraceParseError, match=f"line {line}: .*{reason}"):
+    with pytest.raises(TraceParseError, match=f"line {line}: .*{re.escape(reason)}"):
         load_catalog(path)
+
+
+@given(st.floats())
+def test_every_float_repr_loads(x):
+    got = _float(repr(x))
+    assert got == x or (math.isnan(got) and math.isnan(x))

@@ -222,6 +222,15 @@ class TestRun:
         "duplicate-id": (lambda rows: edit(rows, 9, 0, "3"), 9, "repeated"),
         "id-past-F": (lambda rows: edit(rows, 4, 0, "21"), 4, "outside 1..20"),
         "id-zero": (lambda rows: edit(rows, 16, 0, "0"), 16, "outside 1..20"),
+        "id-underscore": (lambda rows: edit(rows, 3, 0, "1_0"), 3, "'1_0' to int"),
+        "id-spaces": (lambda rows: edit(rows, 4, 0, " 1.0 "), 4, "' 1.0 ' to int"),
+        "arrival-plus": (lambda rows: edit(rows, 8, 7, "+3"), 8, "'+3' to int"),
+        "lifespan-exponent": (
+            lambda rows: edit(rows, 10, 8, "1e3"), 10, "'1e3' to int"
+        ),
+        "size-underscore": (
+            lambda rows: edit(rows, 11, 2, "1_0"), 11, "'1_0' to float"
+        ),
     }
 
     @pytest.mark.parametrize("name", BAD_CATALOGS)

@@ -217,8 +217,8 @@ def placements_of(catalog, trace, policy, capacity, seed):
         made = original(*args, **kwargs)
         place = made.place
 
-        def placed(ctx):
-            placement = place(ctx)
+        def placed(t):
+            placement = place(t)
             placements.append(placement.cached.tolist())
             return placement
 

@@ -11,7 +11,6 @@ from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.errors import BadInput, NeedsIntegerSizes, UnknownPolicy
 from hybridcache.policy import (
     BanditState,
-    PolicyContext,
     PopularPolicy,
     RandomPolicy,
     _fill,
@@ -25,6 +24,7 @@ from hybridcache.policy import (
     random_place,
 )
 from hybridcache.popularity import AllocationEstimate, PopularitySnapshot
+from hybridcache.workload import generate_trace
 
 
 def brute_force_best(values, sizes, capacity):
@@ -187,8 +187,9 @@ class TestUniformFills:
         if not tally.any():
             tally[1] = 1
         freq = tally / tally.sum()
-        ctx = PolicyContext(slot=1, history_popularity=PopularitySnapshot(0, freq))
-        got = PopularPolicy(catalog, capacity).place(ctx)
+        policy = PopularPolicy(catalog, capacity, np.random.default_rng(0))
+        policy.update(None, tally)
+        got = policy.place(2)
         ids = catalog.ids
         want = greedy_knapsack(freq[ids], catalog.sizes, capacity, ids=ids)
         assert got.cached.tolist() == want.cached.tolist()
@@ -204,7 +205,7 @@ class TestUniformFills:
     def test_random_prefix_equals_fill(self, n, size, capacity, seed):
         catalog = uniform_catalog(n, size)
         rng = np.random.default_rng(seed)
-        got = RandomPolicy(catalog, capacity).place(PolicyContext(slot=1, rng=rng))
+        got = RandomPolicy(catalog, capacity, rng).place(1)
         reference = np.random.default_rng(seed)
         order = reference.permutation(n)
         chosen, used = _fill(catalog.ids[order], catalog.sizes[order], capacity)
@@ -447,4 +448,43 @@ def test_make_policy_unknown():
         CatalogConfig(library_size=6, w_snm=0.5, horizon=20), seed=42
     )
     with pytest.raises(UnknownPolicy):
-        make_policy("lru", catalog, 3)
+        make_policy("lru", catalog, 3, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("t", [1, 2, 9, 40])
+def test_each_policy_reads_only_the_slots_before_t(t):
+    """Fed slots 1..t-1 through update, a policy keeps exactly their counts.
+
+    The hybrid keeps the IRM ids' request counts and the (SNM, IRM) split
+    of the last alloc_window slots, popular the request count of every
+    id and their total; random keeps nothing it was fed, so it places as
+    one that was fed no tally.
+    """
+    catalog = build_catalog(
+        CatalogConfig(library_size=30, w_snm=0.6, horizon=40), seed=7
+    )
+    trace = generate_trace(catalog, 40, 25, 0.6, 0.8, seed=8)
+    tallies = [
+        np.bincount(ids, minlength=catalog.id_space) for ids in trace.events_by_slot()
+    ][: t - 1]
+    counts = np.bincount(trace.ids[: trace.offsets[t - 1]], minlength=catalog.id_space)
+
+    def fed(name, tallies):
+        policy = make_policy(name, catalog, 8.0, np.random.default_rng(3), alloc_window=5)
+        for slot, tally in enumerate(tallies, start=1):
+            policy.update(policy.place(slot), tally)
+        return policy
+
+    hybrid = fed("hybrid", tallies)
+    assert hybrid.irm_counts.tolist() == counts[catalog.irm_ids].tolist()
+    split = [
+        (int(c[catalog.snm_ids].sum()), int(c[catalog.irm_ids].sum()))
+        for c in tallies
+    ]
+    assert list(hybrid.estimator._counts) == split[-5:]
+    popular = fed("popular", tallies)
+    assert popular.counts.tolist() == counts.tolist()
+    assert popular.total == int(trace.offsets[t - 1])
+    unfed = np.zeros(catalog.id_space, dtype=np.int64)
+    random_fed, random_unfed = fed("random", tallies), fed("random", [unfed] * (t - 1))
+    assert random_fed.place(t).cached.tolist() == random_unfed.place(t).cached.tolist()
