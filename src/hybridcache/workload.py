@@ -2,10 +2,17 @@
 
 All randomness goes through numpy's default_rng (PCG64), so a trace is
 fully reproducible from (catalog, config, seed) on any platform.
+
+A trace is drawn a chunk of slots at a time: one rng.random call gives
+the uniforms that the per-slot calls rng.random(R) (the classes) and
+rng.choice(ids, n, p) (the IRM, then the SNM contents) would read, 2R
+per slot, since choice searches rng.random(n) in p's CDF. A catalog
+with no IRM content is the exception; see generate_trace.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -131,6 +138,31 @@ class RequestTrace:
         return starts, np.concatenate(per_slot)
 
 
+# the most doubles one rng.random call draws (1 MiB); a chunk is as many
+# whole slots as fit, and at least one
+CHUNK_DOUBLES = 2**17
+# Generator.choice's tolerance on the sum of its probabilities
+_SUM_ATOL = np.sqrt(np.finfo(np.float64).eps)
+
+
+def choice_cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that Generator.choice(a, size, p) searches its uniforms in.
+
+    Raises ValueError for the probabilities choice rejects: a NaN, a
+    negative entry, or a sum off 1 by more than sqrt(float64 eps).
+    """
+    total = p.sum()
+    if np.isnan(total):
+        raise ValueError("probabilities contain NaN")
+    if (p < 0).any():
+        raise ValueError("probabilities must be non-negative")
+    if abs(total - 1.0) > _SUM_ATOL:
+        raise ValueError(f"probabilities sum to {total!r}, not 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
 def generate_trace(
     catalog: Catalog,
     horizon: int,
@@ -146,56 +178,82 @@ def generate_trace(
     SNM requests are drawn from the currently active SNM items with
     probability proportional to their pulse rates. Slots with no
     active SNM item fall back to IRM draws (counted in the stats), so
-    every slot carries exactly R events.
+    every slot carries exactly R events; a slot's IRM ids come first.
+
+    The trace is the one that per-slot rng calls give: rng.random(R)
+    for the classes, then rng.choice(ids, n, p) for the IRM and for the
+    SNM requests. choice searches rng.random(n) in p's CDF with
+    side="right", so every slot reads exactly 2R uniforms, and a chunk
+    of slots draws its uniforms in one rng.random call and searches
+    them itself. A catalog with no IRM content draws a slot's IRM
+    requests uniformly over the library with rng.choice(ids, n), which
+    reads bounded integers between the slot's class and SNM uniforms,
+    so such a catalog draws one slot at a time in that order.
     """
     if horizon < 1 or requests_per_slot < 1:
         raise ValueError("horizon and requests_per_slot must be >= 1")
+    if not (math.isfinite(w_snm) and 0.0 <= w_snm <= 1.0):
+        raise ValueError("w_snm must lie in [0, 1]")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError("delta must be finite and >= 0")
 
     rng = np.random.default_rng(seed)
-    irm_ids = catalog.irm_ids
-    zipf = zipf_pmf(len(irm_ids), delta) if len(irm_ids) else None
+    r = requests_per_slot
+    irm_ids, snm_ids = catalog.irm_ids, catalog.snm_ids
+    zipf_cdf = choice_cdf(zipf_pmf(len(irm_ids), delta)) if len(irm_ids) else None
     # an SNM item's pulse rate is volume / lifespan inside its window
     snm_rates = catalog.snm_volume / (catalog.snm_expiry - catalog.snm_arrival)
+    # live SNM items per slot: those arrived by t less those expired by t
+    slots = np.arange(1, horizon + 1)
+    live = np.searchsorted(np.sort(catalog.snm_arrival), slots, side="right")
+    live -= np.searchsorted(np.sort(catalog.snm_expiry), slots, side="right")
 
-    drawn = []  # each slot's IRM draws, then its SNM draws
+    ids = np.empty((horizon, r), dtype=np.int32)
+    rows = max(1, CHUNK_DOUBLES // (2 * r)) if zipf_cdf is not None else 1
+    position = np.arange(r)
     snm_intended = 0
-    snm_served = 0
     fallback = 0
-    for slot in range(1, horizon + 1):
-        active = catalog.snm_active_mask(slot)
-        is_snm = rng.random(requests_per_slot) < w_snm
-        n_snm = int(is_snm.sum())
-        n_irm = requests_per_slot - n_snm
-        snm_intended += n_snm
-        if n_snm and not active.any():
-            fallback += n_snm
-            n_irm += n_snm
-            n_snm = 0
-        if n_irm:
-            if zipf is None:
-                # all-SNM catalog with an empty slot: fall back to a
-                # uniform draw over the whole library
-                slot_irm = rng.choice(catalog.ids, size=n_irm)
-            else:
-                slot_irm = rng.choice(irm_ids, size=n_irm, p=zipf)
-            drawn.append(slot_irm)
-        if n_snm:
+    for start in range(0, horizon, rows):
+        stop = min(start + rows, horizon)
+        block = ids[start:stop]
+        if zipf_cdf is not None:
+            # each row: a slot's class uniforms, then its content uniforms
+            u = rng.random((stop - start, 2 * r))
+        else:
+            # one slot: its IRM draws come between these and its SNM uniforms
+            u = np.empty((1, 2 * r))
+            u[0, :r] = rng.random(r)
+        n_snm = (u[:, :r] < w_snm).sum(axis=1)
+        snm_intended += int(n_snm.sum())
+        empty = live[start:stop] == 0
+        fallback += int(n_snm[empty].sum())
+        n_snm[empty] = 0
+        n_irm = r - n_snm
+        if zipf_cdf is not None:
+            irm = position < n_irm[:, None]
+            block[irm] = irm_ids[zipf_cdf.searchsorted(u[:, r:][irm], side="right")]
+        else:
+            if n_irm[0]:
+                block[0, :n_irm[0]] = rng.choice(catalog.ids, size=n_irm[0])
+            u[0, r + n_irm[0]:] = rng.random(n_snm[0])
+        for i in np.flatnonzero(n_snm):
+            active = catalog.snm_active_mask(start + i + 1)
             rates = snm_rates[active]
-            probs = rates / rates.sum()
-            drawn.append(rng.choice(catalog.snm_ids[active], size=n_snm, p=probs))
-            snm_served += n_snm
+            cdf = choice_cdf(rates / rates.sum())
+            k = n_irm[i]
+            block[i, k:] = snm_ids[active][cdf.searchsorted(u[i, r + k:], side="right")]
 
     stats = TraceStats(
-        total_requests=horizon * requests_per_slot,
+        total_requests=horizon * r,
         snm_intended=snm_intended,
-        snm_served=snm_served,
+        snm_served=snm_intended - fallback,
         fallback_count=fallback,
     )
     return RequestTrace(
         horizon=horizon,
-        ids=np.concatenate(drawn).astype(np.int32),
+        ids=ids.reshape(-1),
         # every slot carries exactly R events
-        offsets=np.arange(0, (horizon + 1) * requests_per_slot, requests_per_slot),
+        offsets=np.arange(0, (horizon + 1) * r, r),
         stats=stats,
     )
 

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trace_reference
 from catalog_helpers import array_catalog
 from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.errors import (
@@ -16,8 +19,10 @@ from hybridcache.errors import (
     UnknownContent,
 )
 from hybridcache.workload import (
+    CHUNK_DOUBLES,
     ParetoVolume,
     RequestTrace,
+    choice_cdf,
     generate_trace,
     load_trace,
     sample_pareto_volume,
@@ -161,6 +166,132 @@ class TestGenerateTrace:
         # the catalog itself rejects an empty library
         with pytest.raises(EmptyLibrary):
             generate_trace(array_catalog([]), 10, 5, 0.5, 0.8, seed=1)
+
+
+def pulse_catalog():
+    """The hand-built catalog of test_snm_draws_follow_pulse_rates."""
+    return array_catalog([1.0] * 3, {2: (1, 10, 30.0), 3: (6, 10, 10.0)})
+
+
+def built(library_size, w_snm, horizon, seed=1):
+    return build_catalog(
+        CatalogConfig(library_size=library_size, w_snm=w_snm, horizon=horizon),
+        seed=seed,
+    )
+
+
+def assert_same_trace(catalog, *args):
+    trace = generate_trace(catalog, *args)
+    expected = trace_reference.generate_trace(catalog, *args)
+    assert trace.ids.dtype == expected.ids.dtype
+    assert trace.ids.tobytes() == expected.ids.tobytes()
+    assert trace.offsets.tolist() == expected.offsets.tolist()
+    assert trace.stats == expected.stats
+    assert trace.horizon == expected.horizon
+    return trace
+
+
+class TestBulkDraws:
+    """generate_trace gives the per-slot generator's trace, array for array."""
+
+    # (catalog, (horizon, R, w_snm, delta, seed), what the case must cover);
+    # each built catalog's pulses end before the trace's horizon, so its
+    # last slots fall back
+    CASES = {
+        "fallback": (lambda: built(24, 0.3, 40), (120, 100, 0.8, 0.8, 5), "fallback"),
+        "several-chunks": (lambda: built(150, 0.8, 600), (600, 2000, 0.8, 0.8, 2), "chunks"),
+        "r1-irm-only": (lambda: built(7, 0.5, 50), (60, 1, 0.0, 0.8, 3), None),
+        "r1-snm-only": (lambda: built(7, 0.5, 50), (60, 1, 1.0, 0.8, 3), "fallback"),
+        # no IRM content: IRM requests draw bounded integers
+        "all-snm-half": (lambda: built(12, 1.0, 40), (120, 50, 0.5, 0.8, 4), "fallback"),
+        "all-snm-full": (lambda: built(12, 1.0, 40), (120, 50, 1.0, 0.8, 4), "fallback"),
+        "pulse-catalog": (pulse_catalog, (20, 200, 1.0, 0.8, 12), "fallback"),
+        "pulse-catalog-mixed": (pulse_catalog, (20, 7, 0.6, 1.3, 9), "fallback"),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_per_slot_draws(self, case):
+        make_catalog, args, covers = self.CASES[case]
+        trace = assert_same_trace(make_catalog(), *args)
+        horizon, r = args[:2]
+        if covers == "fallback":
+            assert trace.stats.fallback_count > 0
+        if covers == "chunks":
+            assert horizon * 2 * r > 3 * CHUNK_DOUBLES
+
+    @given(
+        library_size=st.integers(2, 40),
+        catalog_w_snm=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        catalog_horizon=st.integers(1, 30),
+        horizon=st.integers(1, 40),
+        r=st.integers(1, 60),
+        w_snm=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
+        delta=st.floats(0.0, 3.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_slot_draws_anywhere(
+        self, library_size, catalog_w_snm, catalog_horizon, horizon, r, w_snm,
+        delta, seed,
+    ):
+        catalog = built(library_size, catalog_w_snm, catalog_horizon, seed=seed)
+        assert_same_trace(catalog, horizon, r, w_snm, delta, seed)
+
+    def test_memory_stays_near_the_ids(self):
+        # no T x 2R array of uniforms: at R=2000 that alone is 18 MiB
+        catalog = built(150, 0.8, 600)
+        tracemalloc.start()
+        try:
+            trace = generate_trace(catalog, 600, 2000, 0.8, 0.8, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace.ids.nbytes + 4 * 2**20
+
+
+class TestChoiceCdf:
+    @pytest.mark.parametrize(
+        "p, reason",
+        [
+            ([0.5, math.nan, 0.5], "NaN"),
+            ([0.6, -0.1, 0.5], "non-negative"),
+            ([0.5, 0.5 + 2e-8], "sum to"),
+            ([0.5, 0.5 - 2e-8], "sum to"),
+            ([0.5, math.inf], "sum to"),
+        ],
+    )
+    def test_rejects_what_choice_rejects(self, p, reason):
+        p = np.array(p)
+        with pytest.raises(ValueError, match=reason):
+            choice_cdf(p)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(len(p), p=p)
+
+    def test_accepts_a_sum_within_tolerance(self):
+        p = np.array([0.5, 0.5 + 1e-9])
+        cdf = choice_cdf(p)
+        assert cdf[-1] == 1.0
+        np.random.default_rng(0).choice(2, p=p)
+
+
+class TestGenerateTraceInputs:
+    @pytest.mark.parametrize("w_snm", [1.5, math.nan, -0.2, math.inf])
+    def test_rejects_w_snm(self, small_catalog, w_snm):
+        with pytest.raises(ValueError, match="w_snm"):
+            generate_trace(small_catalog, 10, 5, w_snm, 0.8, seed=1)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan, -1.0])
+    def test_rejects_delta(self, small_catalog, delta):
+        with pytest.raises(ValueError, match="delta"):
+            generate_trace(small_catalog, 10, 5, 0.5, delta, seed=1)
+
+    @pytest.mark.parametrize("delta", [math.inf, -1.0])
+    def test_rejects_delta_without_irm_content(self, delta):
+        # an all-SNM catalog has no Zipf law for delta to reach
+        catalog = built(12, 1.0, 40)
+        assert len(catalog.irm_ids) == 0
+        with pytest.raises(ValueError, match="delta"):
+            generate_trace(catalog, 10, 5, 0.5, delta, seed=1)
 
 
 class TestTraceIO:
