@@ -4,7 +4,7 @@ from .catalog import (
     Catalog,
     CatalogConfig,
     build_catalog,
-    feature_influence,
+    feature_influences,
     normalize_features,
 )
 from .engine import RunMetrics, cumulative_regret, run_simulation
@@ -19,7 +19,6 @@ from .policy import (
     make_policy,
 )
 from .popularity import (
-    AllocationEstimate,
     AllocationEstimator,
     PopularitySnapshot,
     estimate_allocation,

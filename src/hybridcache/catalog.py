@@ -10,7 +10,6 @@ hybrid policy folds into its exploration bonus.
 from __future__ import annotations
 
 import csv
-import enum
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -19,27 +18,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    EmptyFeatures,
-    EmptyLibrary,
-    LibraryTooSmall,
-    RangeDegenerate,
-    TraceParseError,
-)
+from .errors import EmptyLibrary, LibraryTooSmall, RangeDegenerate, TraceParseError
 
-
-class FeatureRole(enum.Enum):
-    """Whether a larger feature value hurts (cost) or helps (benefit) caching."""
-
-    COST = "cost"
-    BENEFIT = "benefit"
-
-
-# Default schema: size and transmission bandwidth are costs (smaller
+# Whether a larger value of each feature column helps caching (benefit)
+# or hurts it (cost): size and transmission bandwidth are costs (smaller
 # content frees room for more items), content value and category weight
 # are benefits.
-DEFAULT_FEATURE_ROLES = (FeatureRole.COST, FeatureRole.COST,
-                         FeatureRole.BENEFIT, FeatureRole.BENEFIT)
+FEATURE_BENEFIT = (False, False, True, True)
+# the least feature influence, which keeps the UCB exploration bonus
+# strictly positive even for the worst-featured content
+INFLUENCE_FLOOR = 0.01
 
 
 CatalogRow = namedtuple("CatalogRow", "id size")
@@ -107,7 +95,7 @@ class Catalog:
         if n == 0:
             raise EmptyLibrary("catalog is empty")
         for name in _FIELDS:
-            shape = (n, len(DEFAULT_FEATURE_ROLES)) if name == "features" else (n,)
+            shape = (n, len(FEATURE_BENEFIT)) if name == "features" else (n,)
             if getattr(self, name).shape != shape:
                 raise ValueError(f"{name} must have shape {shape}")
         for bad, message in _row_checks(*(getattr(self, f) for f in _FIELDS)):
@@ -165,42 +153,18 @@ def normalize_features(raw: np.ndarray, ranges: Sequence[tuple]) -> np.ndarray:
     return np.where(unit < 1.0, unit, 1.0)
 
 
-def feature_influence(
-    features: Sequence[float],
-    roles: Sequence[FeatureRole] = DEFAULT_FEATURE_ROLES,
-    floor: float = 0.01,
-) -> float:
-    """Collapse a normalized feature vector into a scalar in (0, 1].
+def feature_influences(features: np.ndarray) -> np.ndarray:
+    """Collapse each row of a normalized feature matrix into a scalar in (0, 1].
 
-    Cost features contribute 1 - x (cheap content scores high), benefit
-    features contribute x. The floor keeps the UCB exploration bonus
-    strictly positive even for the worst-featured content.
+    A cost column contributes 1 - x (cheap content scores high), a
+    benefit column x; the row's mean is floored at INFLUENCE_FLOOR. The
+    columns are added in order onto zeros, so each entry is the sum a
+    scalar loop over the row would give, bit for bit.
     """
-    if len(features) == 0:
-        raise EmptyFeatures("feature vector is empty")
-    if not (0.0 < floor <= 0.1):
-        raise ValueError("floor must lie in (0, 0.1]")
-    if len(roles) != len(features):
-        raise ValueError("roles and features must have the same length")
-    total = 0.0
-    for x, role in zip(features, roles):
-        total += x if role is FeatureRole.BENEFIT else 1.0 - x
-    return max(floor, total / len(features))
-
-
-def feature_influences(features: np.ndarray, floor: float = 0.01) -> np.ndarray:
-    """feature_influence of each row of a feature matrix, as one array.
-
-    The columns follow DEFAULT_FEATURE_ROLES. They are added in role order
-    onto zeros, as feature_influence adds a vector's entries onto 0.0, so
-    each entry equals feature_influence of its row bit for bit.
-    """
-    if not (0.0 < floor <= 0.1):
-        raise ValueError("floor must lie in (0, 0.1]")
     total = np.zeros(len(features))
-    for x, role in zip(features.T, DEFAULT_FEATURE_ROLES):
-        total += x if role is FeatureRole.BENEFIT else 1.0 - x
-    return np.maximum(floor, total / len(DEFAULT_FEATURE_ROLES))
+    for x, benefit in zip(features.T, FEATURE_BENEFIT):
+        total += x if benefit else 1.0 - x
+    return np.maximum(INFLUENCE_FLOOR, total / len(FEATURE_BENEFIT))
 
 
 @dataclass(frozen=True)
@@ -246,7 +210,7 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
 
     # one content's draws at a time, in this order: batched draws would
     # change the stream, as numpy buffers bounded integers within a call
-    raw = np.empty((n, len(DEFAULT_FEATURE_ROLES)))
+    raw = np.empty((n, len(FEATURE_BENEFIT)))
     arrival = np.zeros(n, dtype=np.int64)
     lifespan = np.zeros(n, dtype=np.int64)
     volume = np.zeros(n)
@@ -303,7 +267,7 @@ def save_catalog(catalog: Catalog, path) -> None:
 
 # a parsed body row: its id, then the Catalog fields
 _ROW = np.dtype([("id", np.int64)] + [
-    (name, dtype, (len(DEFAULT_FEATURE_ROLES),) if name == "features" else ())
+    (name, dtype, (len(FEATURE_BENEFIT),) if name == "features" else ())
     for name, dtype in _FIELDS.items()
 ])
 

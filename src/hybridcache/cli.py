@@ -105,6 +105,8 @@ class ExperimentConfig:
             v < 2 or not float(v).is_integer() for v in self.sweep_values
         ):
             raise ConfigError("library_size sweep values must be whole numbers >= 2")
+        if self.sweep_axis == "capacity" and any(v < 0 for v in self.sweep_values):
+            raise ConfigError("sweep_values must be >= 0 on the capacity axis")
         return self
 
     def hash(self) -> str:
@@ -318,7 +320,31 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     return 0
 
 
+def _sweep_row_problem(row: dict) -> str:
+    """Why a parsed sweep.csv row is not one that cmd_sweep writes, or ""."""
+    if row["axis"] not in SWEEP_AXES:
+        return f"axis {row['axis']!r} is not one of {SWEEP_AXES}"
+    if row["policy"] not in POLICY_NAMES:
+        return f"policy {row['policy']!r} is not one of {POLICY_NAMES}"
+    for key in ("value", "mean_hit_ratio", "final_regret"):
+        if not math.isfinite(row[key]):
+            return f"{key} must be finite"
+    if not 0.0 <= row["mean_hit_ratio"] <= 1.0:
+        return "mean_hit_ratio must lie in [0, 1]"
+    if row["final_regret"] < 0:
+        return "final_regret must be >= 0"
+    if row["seed"] < 0:
+        return "seed must be >= 0"
+    return ""
+
+
 def read_sweep_csv(path) -> list:
+    """The rows of a sweep.csv; TraceParseError names the first bad line.
+
+    A row must have the header's fields, an axis of SWEEP_AXES and a
+    policy of POLICY_NAMES, a finite value, a finite hit ratio in
+    [0, 1], a finite regret >= 0 and a seed >= 0.
+    """
     rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -336,19 +362,21 @@ def read_sweep_csv(path) -> list:
                     line=lineno,
                 )
             try:
-                rows.append(
-                    {
-                        "axis": parts[0],
-                        "value": float(parts[1]),
-                        "policy": parts[2],
-                        "seed": int(parts[3]),
-                        "mean_hit_ratio": float(parts[4]),
-                        "final_regret": float(parts[5]),
-                        "config_hash": parts[6],
-                    }
-                )
+                row = {
+                    "axis": parts[0],
+                    "value": float(parts[1]),
+                    "policy": parts[2],
+                    "seed": int(parts[3]),
+                    "mean_hit_ratio": float(parts[4]),
+                    "final_regret": float(parts[5]),
+                    "config_hash": parts[6],
+                }
             except ValueError as exc:
                 raise TraceParseError(str(exc), line=lineno) from exc
+            problem = _sweep_row_problem(row)
+            if problem:
+                raise TraceParseError(problem, line=lineno)
+            rows.append(row)
     if not rows:
         raise TraceParseError("results file has no data rows", line=2)
     return rows

@@ -9,10 +9,6 @@ class RangeDegenerate(HybridCacheError):
     """A feature normalization range has max == min."""
 
 
-class EmptyFeatures(HybridCacheError):
-    """Feature influence requested for an empty feature vector."""
-
-
 class LibraryTooSmall(HybridCacheError):
     """Catalog construction needs at least two items."""
 

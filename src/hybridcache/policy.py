@@ -1,7 +1,7 @@
 """Cache placement policies: knapsack fills, baselines, and the hybrid
 UCB policy that splits capacity between static and shot-like content.
 
-The hybrid policy reserves floor(w_irm * C) units for IRM content
+The hybrid policy reserves floor((1 - w_snm) * C) units for IRM content
 (filled by popularity rank) and the rest for SNM content: never-cached
 candidates are admitted first, then the remainder by descending UCB
 index. Capacity a side cannot use rolls over to the other side.
@@ -18,9 +18,12 @@ import numpy as np
 
 from .catalog import Catalog, feature_influences
 from .errors import BadInput, EmptyWindow, NeedsIntegerSizes, UnknownPolicy
-from .popularity import AllocationEstimate, AllocationEstimator, PopularitySnapshot
+from .popularity import AllocationEstimator, PopularitySnapshot
 
 logger = logging.getLogger(__name__)
+
+# the least reward weight in the UCB exploration bonus
+WEIGHT_FLOOR = 0.01
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,29 +194,6 @@ def exact_knapsack(
     )
 
 
-def random_place(catalog: Catalog, capacity: float, rng: np.random.Generator) -> Placement:
-    """Uniformly shuffled admission until capacity is exhausted."""
-    if capacity < 0:
-        raise BadInput("capacity must be >= 0")
-    order = rng.permutation(len(catalog.ids))
-    chosen, used = _fill(catalog.ids[order], catalog.sizes[order], capacity)
-    return Placement(_sorted_ids(chosen), used_capacity=used, capacity=capacity)
-
-
-def popular_place(
-    catalog: Catalog,
-    history: PopularitySnapshot,
-    capacity: float,
-    rng: np.random.Generator,
-) -> Placement:
-    """Cache the most requested contents so far; random_place before any request."""
-    if not history.freq.any():
-        logger.warning("popular_place: empty history, falling back to random")
-        return random_place(catalog, capacity, rng)
-    ids = catalog.ids
-    return greedy_knapsack(history.freq[ids], catalog.sizes, capacity, ids=ids)
-
-
 @dataclass
 class BanditState:
     """The hybrid policy's learning state: arrays indexed by content id.
@@ -247,11 +227,10 @@ def hybrid_ucb_index(
     ids: np.ndarray,
     t: int,
     exploration_beta: float = 2.0,
-    weight_floor: float = 0.01,
 ) -> np.ndarray:
     """Mean reward plus the exploration bonus of each content in ids.
 
-    index = mean + sqrt(beta * max(B, floor) * x * ln t / pulls), taken
+    index = mean + sqrt(beta * max(B, WEIGHT_FLOOR) * x * ln t / pulls), taken
     element-wise in this operation order, so each entry equals the scalar
     formula evaluated with math. A never-cached content (pulls == 0) has
     an infinite index, so it ranks before every warmed-up one.
@@ -261,7 +240,7 @@ def hybrid_ucb_index(
     pulls = state.pulls[ids]
     bonus = np.sqrt(
         exploration_beta
-        * np.maximum(state.weight[ids], weight_floor)
+        * np.maximum(state.weight[ids], WEIGHT_FLOOR)
         * state.influence[ids]
         * math.log(t)
         / np.maximum(pulls, 1)
@@ -292,24 +271,24 @@ def hybrid_select(
     state: BanditState,
     candidates: np.ndarray,
     irm_ranking: np.ndarray,
-    alloc: AllocationEstimate,
+    w_snm: float,
     capacity: float,
     sizes: np.ndarray,
     t: int,
     exploration_beta: float = 2.0,
-    weight_floor: float = 0.01,
 ) -> Placement:
     """One slot's placement for the hybrid policy.
 
     candidates is the live SNM ids; irm_ranking is the IRM ids by
-    descending popularity (ties by lower id); sizes[id - 1] is the size
-    of an id. SNM candidates are admitted by descending UCB index, ties
-    by lower id, so never-cached ones (infinite index) go first.
+    descending popularity (ties by lower id); w_snm is the SNM share of
+    the capacity; sizes[id - 1] is the size of an id. SNM candidates
+    are admitted by descending UCB index, ties by lower id, so
+    never-cached ones (infinite index) go first.
     """
-    irm_share = math.floor(alloc.w_irm * capacity)
+    irm_share = math.floor((1.0 - w_snm) * capacity)
     snm_share = capacity - irm_share
 
-    index = hybrid_ucb_index(state, candidates, t, exploration_beta, weight_floor)
+    index = hybrid_ucb_index(state, candidates, t, exploration_beta)
     snm_order = candidates[np.lexsort((candidates, -index))]
 
     def fill(order, share):
@@ -336,10 +315,12 @@ def hybrid_select(
 
 
 class RandomPolicy:
-    """random_place each slot; reads nothing but the run's rng.
+    """Uniformly shuffled admission each slot; reads nothing but the run's rng.
 
-    At uniform sizes the cache is the prefix of the slot's permutation
-    that fits, whose length is known once per run.
+    Each slot draws one permutation of the library and admits ids in its
+    order until capacity is exhausted. At uniform sizes the cache is the
+    prefix of the permutation that fits, whose length is known once per
+    run.
     """
 
     def __init__(self, catalog: Catalog, capacity: float, rng: np.random.Generator):
@@ -349,11 +330,14 @@ class RandomPolicy:
         self.fit = _uniform_fit(catalog, capacity)
 
     def place(self, t: int) -> Placement:
+        ids, sizes = self.catalog.ids, self.catalog.sizes
+        order = self.rng.permutation(len(ids))
         if self.fit is None:
-            return random_place(self.catalog, self.capacity, self.rng)
-        n, used = self.fit
-        order = self.rng.permutation(len(self.catalog.ids))
-        chosen = np.sort(self.catalog.ids[order[:n]])
+            chosen, used = _fill(ids[order], sizes[order], self.capacity)
+            chosen = _sorted_ids(chosen)
+        else:
+            n, used = self.fit
+            chosen = np.sort(ids[order[:n]])
         return Placement(chosen, used_capacity=used, capacity=self.capacity)
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:
@@ -361,30 +345,35 @@ class RandomPolicy:
 
 
 class PopularPolicy:
-    """popular_place each slot over the requests of the slots before it.
+    """The most requested contents of the slots before t, by greedy_knapsack.
 
     Reads the per-content request counts it keeps from the tallies fed
-    to update, and the run's rng for its random fallback at slot 1. At
-    uniform sizes the cache is the history's top n, where n is known
-    once per run, found by np.partition instead of a sort of the library.
+    to update. Before any request it places as a RandomPolicy on the
+    run's rng. At uniform sizes the cache is the history's top n, where
+    n is known once per run, found by np.partition instead of a sort of
+    the library.
     """
 
     def __init__(self, catalog: Catalog, capacity: float, rng: np.random.Generator):
         self.catalog = catalog
         self.capacity = capacity
-        self.rng = rng
-        self.fit = _uniform_fit(catalog, capacity)
+        self.fallback = RandomPolicy(catalog, capacity, rng)
+        self.fit = self.fallback.fit
         self.counts = np.zeros(catalog.id_space, dtype=np.int64)  # position = id
         self.total = 0
 
     def place(self, t: int) -> Placement:
         history = PopularitySnapshot(slot=t - 1, freq=self.counts / max(self.total, 1))
-        if self.fit is None or not history.freq.any():
-            return popular_place(self.catalog, history, self.capacity, rng=self.rng)
+        if not history.freq.any():
+            logger.warning("popular policy: empty history at slot %d, "
+                           "falling back to random", t)
+            return self.fallback.place(t)
+        ids, sizes = self.catalog.ids, self.catalog.sizes
+        if self.fit is None:
+            return greedy_knapsack(history.freq[ids], sizes, self.capacity, ids=ids)
         n, used = self.fit
-        ids = self.catalog.ids
         # the values greedy_knapsack ranks: frequency per unit of size
-        density = history.freq[ids] / self.catalog.sizes
+        density = history.freq[ids] / sizes
         chosen = ids[_top_n(density, n)]
         return Placement(chosen, used_capacity=used, capacity=self.capacity)
 
@@ -409,7 +398,6 @@ class HybridPolicy:
         exploration_beta: float = 2.0,
         alloc_window: int = 10,
         alloc_smoothing: float = 0.3,
-        influence_floor: float = 0.01,
     ):
         self.catalog = catalog
         self.capacity = capacity
@@ -420,23 +408,21 @@ class HybridPolicy:
         self.irm_ids = catalog.irm_ids
         self.irm_counts = np.zeros(len(self.irm_ids), dtype=np.int64)  # irm_ids order
         influence = np.zeros(catalog.id_space)
-        influence[catalog.snm_ids] = feature_influences(
-            catalog.snm_features, floor=influence_floor
-        )
+        influence[catalog.snm_ids] = feature_influences(catalog.snm_features)
         self.state = BanditState.fresh(influence)
 
     def place(self, t: int) -> Placement:
         try:
-            alloc = self.estimator.estimate()
+            w_snm = self.estimator.estimate()
         except EmptyWindow:
-            alloc = AllocationEstimate.from_snm(0.5)
+            w_snm = 0.5
         # IRM ids by descending count, ties by lower id
         ranking = self.irm_ids[np.lexsort((self.irm_ids, -self.irm_counts))]
         return hybrid_select(
             self.state,
             self.catalog.active_snm_ids(t),
             ranking,
-            alloc,
+            w_snm,
             self.capacity,
             self.catalog.sizes,
             t,

@@ -1,8 +1,9 @@
 """Popularity snapshots and online estimation of the IRM/SNM split.
 
-The capacity-allocation proportions are the windowed empirical class
-ratios with optional exponential smoothing; they stand in for the
-learned predictor and converge to the same target quantity.
+The capacity split is one float, the SNM share w_snm (the IRM share is
+1 - w_snm): the windowed empirical class ratio with optional
+exponential smoothing. It stands in for the learned predictor and
+converges to the same target quantity.
 """
 
 from __future__ import annotations
@@ -14,24 +15,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import EmptyWindow
-
-
-@dataclass(frozen=True)
-class AllocationEstimate:
-    """Capacity-split proportions; w_irm + w_snm == 1 exactly."""
-
-    w_irm: float
-    w_snm: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.w_snm <= 1.0):
-            raise ValueError("w_snm must lie in [0, 1]")
-        if self.w_irm != 1.0 - self.w_snm:
-            raise ValueError("w_irm must equal 1 - w_snm")
-
-    @classmethod
-    def from_snm(cls, w_snm: float) -> "AllocationEstimate":
-        return cls(w_irm=1.0 - w_snm, w_snm=w_snm)
 
 
 @dataclass(frozen=True)
@@ -52,11 +35,12 @@ def estimate_allocation(
     history: Sequence[tuple],
     smoothing: float = 0.0,
     prior: Optional[float] = None,
-) -> AllocationEstimate:
+) -> float:
     """Estimate the SNM share from per-slot (n_snm, n_irm) counts.
 
     The raw ratio over the window is exponentially blended with the
-    prior estimate: w = smoothing * prior + (1 - smoothing) * raw.
+    prior estimate: w = smoothing * prior + (1 - smoothing) * raw. The
+    IRM share is 1 - w.
     """
     if not (0.0 <= smoothing <= 1.0):
         raise ValueError("smoothing must lie in [0, 1]")
@@ -69,7 +53,9 @@ def estimate_allocation(
         w_snm = raw
     else:
         w_snm = smoothing * prior + (1.0 - smoothing) * raw
-    return AllocationEstimate.from_snm(w_snm)
+    if not (0.0 <= w_snm <= 1.0):
+        raise ValueError("w_snm must lie in [0, 1]")
+    return w_snm
 
 
 class AllocationEstimator:
@@ -86,9 +72,9 @@ class AllocationEstimator:
     def observe(self, n_snm: int, n_irm: int) -> None:
         self._counts.append((n_snm, n_irm))
 
-    def estimate(self) -> AllocationEstimate:
-        est = estimate_allocation(
+    def estimate(self) -> float:
+        """The SNM share of the window, blended with the last estimate."""
+        self._prior = estimate_allocation(
             self._counts, smoothing=self.smoothing, prior=self._prior
         )
-        self._prior = est.w_snm
-        return est
+        return self._prior

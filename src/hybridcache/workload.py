@@ -33,8 +33,8 @@ def zipf_pmf(n: int, delta: float) -> np.ndarray:
     """
     if n < 1:
         raise EmptyLibrary("zipf_pmf needs n >= 1")
-    if delta < 0:
-        raise ValueError("delta must be >= 0")
+    if not (math.isfinite(delta) and delta >= 0):
+        raise ValueError("delta must be finite and >= 0")
     ranks = np.arange(1, n + 1, dtype=float)
     weights = ranks ** (-delta)
     return weights / weights.sum()

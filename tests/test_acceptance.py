@@ -254,7 +254,7 @@ def test_criterion_7_allocation_estimator():
         n_snm = np.diff(np.append(0, np.cumsum(is_snm))[trace.offsets])
         n_irm = np.diff(trace.offsets) - n_snm
         counts = list(zip(n_snm.tolist(), n_irm.tolist()))
-        estimate = estimate_allocation(counts, smoothing=0.0).w_snm
+        estimate = estimate_allocation(counts, smoothing=0.0)
         adjusted = target - trace.stats.fallback_count / trace.stats.total_requests
         observed[target] = (round(estimate, 4), round(adjusted, 4))
         ok &= abs(estimate - adjusted) <= 0.05

@@ -18,7 +18,7 @@ import pytest
 import hybridcache.cli as cli
 import hybridcache.engine as engine
 from hybridcache.catalog import CatalogConfig, build_catalog
-from hybridcache.policy import POLICY_NAMES
+from hybridcache.policy import POLICY_NAMES, PopularPolicy
 from hybridcache.popularity import AllocationEstimator
 from hybridcache.workload import generate_trace
 
@@ -113,3 +113,19 @@ def test_benchmark_check_passes_a_run(policy, tracing):
         spanned = {span[0] for span in probe.spans}
         assert {f"policy.place.{policy}", f"policy.update.{policy}"} <= spanned
         assert ("popularity.estimate" in spanned) == (policy == "hybrid")
+
+
+def test_popular_fallback_record_is_counted_by_the_probe(caplog):
+    # probe.py counts policy.popular.random_fallbacks by this logger and text
+    probes = load_perfbench("probe")
+    catalog = build_catalog(CatalogConfig(library_size=20, w_snm=0.5, horizon=10), seed=1)
+    policy = PopularPolicy(catalog, 4.0, np.random.default_rng(3))
+    with caplog.at_level("WARNING", logger=probes.POLICY_LOGGER):
+        policy.place(1)
+    (record,) = caplog.records
+    assert record.name == probes.POLICY_LOGGER
+    assert probes.FALLBACK_MESSAGE in record.getMessage()
+    trace = generate_trace(catalog, 10, 6, 0.5, 0.8, seed=2)
+    with probes.Probe(False).installed() as probe:
+        engine.run_simulation(catalog, trace, "popular", 4.0, seed=3)
+    assert probe.counts["policy.popular.random_fallbacks"] == 1

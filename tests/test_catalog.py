@@ -12,26 +12,20 @@ from catalog_helpers import array_catalog
 from hybridcache.catalog import (
     Catalog,
     CatalogConfig,
-    FeatureRole,
     _float,
     build_catalog,
-    feature_influence,
     feature_influences,
     load_catalog,
     normalize_features,
     save_catalog,
 )
 from hybridcache.errors import (
-    EmptyFeatures,
     EmptyLibrary,
     LibraryTooSmall,
     RangeDegenerate,
     TraceParseError,
 )
 from hybridcache.policy import HybridPolicy
-
-COST = FeatureRole.COST
-BENEFIT = FeatureRole.BENEFIT
 
 
 def same_catalog(a, b):
@@ -88,31 +82,41 @@ class TestNormalizeFeatures:
         assert out[:, 0].tolist() == want
 
 
+def feature_influence(features):
+    """Reference influence of one row, one float at a time.
+
+    Size and bandwidth are costs and contribute 1 - x; value and
+    category weight are benefits and contribute x. The mean is floored
+    at 0.01.
+    """
+    total = 0.0
+    for x, benefit in zip(features, (False, False, True, True)):
+        total += x if benefit else 1.0 - x
+    return max(0.01, total / len(features))
+
+
+def influence(*row):
+    return float(feature_influences(np.array([row]))[0])
+
+
 class TestFeatureInfluence:
     def test_cost_benefit_mean(self):
-        roles = (COST, COST, BENEFIT, BENEFIT)
-        x = feature_influence((0.2, 0.3, 0.9, 0.6), roles, floor=0.01)
-        assert x == pytest.approx(0.75)
+        assert influence(0.2, 0.3, 0.9, 0.6) == pytest.approx(0.75)
 
     def test_worst_case_clamps_to_floor(self):
-        roles = (COST, COST, BENEFIT, BENEFIT)
-        assert feature_influence((1, 1, 0, 0), roles, floor=0.01) == 0.01
+        assert influence(1, 1, 0, 0) == 0.01
 
     def test_midpoint_symmetry(self):
-        for roles in [(COST, BENEFIT), (BENEFIT, COST), (COST, COST)]:
-            assert feature_influence((0.5, 0.5), roles) == pytest.approx(0.5)
-
-    def test_empty_features(self):
-        with pytest.raises(EmptyFeatures):
-            feature_influence((), ())
+        assert influence(0.5, 0.5, 0.5, 0.5) == pytest.approx(0.5)
 
     def test_monotone_in_roles(self):
-        roles = (COST, BENEFIT)
-        base = feature_influence((0.5, 0.5), roles)
+        base = influence(0.5, 0.5, 0.5, 0.5)
         # raising a benefit feature cannot lower the influence
-        assert feature_influence((0.5, 0.7), roles) >= base
+        assert influence(0.5, 0.5, 0.7, 0.5) >= base
+        assert influence(0.5, 0.5, 0.5, 0.7) >= base
         # raising a cost feature cannot raise it
-        assert feature_influence((0.7, 0.5), roles) <= base
+        assert influence(0.7, 0.5, 0.5, 0.5) <= base
+        assert influence(0.5, 0.7, 0.5, 0.5) <= base
 
 
 def built_and_loaded(tmp_path):
@@ -125,29 +129,23 @@ def built_and_loaded(tmp_path):
 class TestFeatureInfluences:
     """The array form equals feature_influence row by row, bit for bit."""
 
-    @pytest.mark.parametrize("floor", [0.01, 0.1])
-    def test_catalog_rows(self, tmp_path, floor):
+    def test_catalog_rows(self, tmp_path):
         for catalog in built_and_loaded(tmp_path):
             rows = catalog.features[catalog.snm_ids - 1].tolist()
-            want = [feature_influence(row, floor=floor) for row in rows]
-            got = feature_influences(catalog.snm_features, floor=floor)
+            want = [feature_influence(row) for row in rows]
+            got = feature_influences(catalog.snm_features)
             assert got.tolist() == want
-            hybrid = HybridPolicy(catalog, 5, influence_floor=floor)
+            hybrid = HybridPolicy(catalog, 5)
             assert hybrid.state.influence[catalog.snm_ids].tolist() == want
 
     @given(
         rows=st.lists(
             st.tuples(*[st.floats(0.0, 1.0)] * 4), min_size=1, max_size=20
         ),
-        floor=st.floats(0.001, 0.1),
     )
-    def test_any_rows(self, rows, floor):
-        got = feature_influences(np.array(rows), floor=floor)
-        assert got.tolist() == [feature_influence(r, floor=floor) for r in rows]
-
-    def test_floor_checked_as_in_feature_influence(self):
-        with pytest.raises(ValueError):
-            feature_influences(np.zeros((2, 4)), floor=0.2)
+    def test_any_rows(self, rows):
+        got = feature_influences(np.array(rows))
+        assert got.tolist() == [feature_influence(r) for r in rows]
 
 
 class TestBuildCatalog:

@@ -98,6 +98,11 @@ class TestBadValuesExitCode:
             argv = ["sweep", "--axis", "capacity", "--values", values]
             self._expect_exit_2(argv, "sweep_values", tmp_path, capsys)
 
+    def test_negative_capacity_sweep_value(self, tmp_path, capsys):
+        argv = ["sweep", "--axis", "capacity", "--values=-1,10"]
+        self._expect_exit_2(argv, "sweep_values", tmp_path, capsys)
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
 
 class TestGenerate:
     def test_emits_files_with_row_contract(self, tmp_path):
@@ -359,6 +364,34 @@ class TestReport:
             with pytest.raises(TraceParseError) as exc:
                 read_sweep_csv(path)
             assert exc.value.line == 3, bad_row
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            pytest.param(1, "nan", "value", id="nan-value"),
+            pytest.param(4, "nan", "mean_hit_ratio", id="nan-hit-ratio"),
+            pytest.param(4, "1.7", "mean_hit_ratio", id="hit-ratio-above-one"),
+            pytest.param(4, "-0.1", "mean_hit_ratio", id="negative-hit-ratio"),
+            pytest.param(5, "-inf", "final_regret", id="infinite-regret"),
+            pytest.param(5, "-1.0", "final_regret", id="negative-regret"),
+            pytest.param(3, "-1", "seed", id="negative-seed"),
+            pytest.param(2, "lru", "policy", id="unknown-policy"),
+            pytest.param(0, "horizon", "axis", id="unknown-axis"),
+        ],
+    )
+    def test_bad_value_reports_line(self, tmp_path, field, value, message):
+        rows = [
+            "axis,value,policy,seed,mean_hit_ratio,final_regret,config_hash",
+            "capacity,10.0,hybrid,1,0.5,1.0,x",
+            "capacity,10.0,random,1,0.25,3.0,x",
+        ]
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(edit(rows, 3, field, value)) + "\n")
+        with pytest.raises(TraceParseError, match=message) as exc:
+            read_sweep_csv(path)
+        assert exc.value.line == 3
+        assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 2
+        assert not (tmp_path / "rep").exists()
 
     def test_missing_input_is_io_error(self, tmp_path):
         rc = main(["report", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])

@@ -12,6 +12,7 @@ from hybridcache.errors import BadInput, NeedsIntegerSizes, UnknownPolicy
 from hybridcache.policy import (
     BanditState,
     PopularPolicy,
+    WEIGHT_FLOOR,
     RandomPolicy,
     _fill,
     exact_knapsack,
@@ -20,10 +21,7 @@ from hybridcache.policy import (
     hybrid_ucb_index,
     hybrid_update,
     make_policy,
-    popular_place,
-    random_place,
 )
-from hybridcache.popularity import AllocationEstimate, PopularitySnapshot
 from hybridcache.workload import generate_trace
 
 
@@ -119,46 +117,50 @@ def catalog():
     )
 
 
-def snapshot(catalog, freq):
-    """A history snapshot over the catalog from an {id: frequency} dict."""
-    out = np.zeros(catalog.id_space)
-    for cid, f in freq.items():
-        out[cid] = f
-    return PopularitySnapshot(slot=1, freq=out)
+def random_place(catalog, capacity, seed):
+    return RandomPolicy(catalog, capacity, np.random.default_rng(seed)).place(1)
+
+
+def popular_place(catalog, counts, capacity):
+    """A popular policy's placement after one slot of {id: count} requests."""
+    policy = PopularPolicy(catalog, capacity, np.random.default_rng(4))
+    tally = np.zeros(catalog.id_space, dtype=np.int64)
+    for cid, n in counts.items():
+        tally[cid] = n
+    policy.update(None, tally)
+    return policy.place(2)
 
 
 class TestBaselines:
     def test_random_all_fit(self, catalog):
-        p = random_place(catalog, 100, np.random.default_rng(1))
+        p = random_place(catalog, 100, 1)
         assert len(p.cached) == 12
 
     def test_random_zero_capacity(self, catalog):
-        p = random_place(catalog, 0, np.random.default_rng(1))
+        p = random_place(catalog, 0, 1)
         assert p.cached.tolist() == []
 
     def test_random_deterministic(self, catalog):
-        a = random_place(catalog, 5, np.random.default_rng(3))
-        b = random_place(catalog, 5, np.random.default_rng(3))
+        a = random_place(catalog, 5, 3)
+        b = random_place(catalog, 5, 3)
         assert a.cached.tolist() == b.cached.tolist()
         # pinned: one permutation draw per placement, indexing ids 1..F
         assert a.cached.tolist() == [1, 3, 8, 11, 12]
 
     def test_popular_top_two(self, catalog):
-        snap = snapshot(catalog, {1: 0.5, 2: 0.3, 3: 0.2})
-        p = popular_place(catalog, snap, 2, np.random.default_rng(4))
+        p = popular_place(catalog, {1: 5, 2: 3, 3: 2}, 2)
         assert {1, 2} <= set(p.cached.tolist())
         assert 3 not in p.cached
 
     def test_popular_empty_history_falls_back(self, catalog, caplog):
-        snap = snapshot(catalog, {})
+        policy = PopularPolicy(catalog, 3, np.random.default_rng(4))
         with caplog.at_level("WARNING"):
-            p = popular_place(catalog, snap, 3, np.random.default_rng(4))
+            p = policy.place(1)
         assert len(p.cached) == 3
         assert "empty history" in caplog.text
 
     def test_popular_all_fit(self, catalog):
-        snap = snapshot(catalog, {1: 1.0})
-        p = popular_place(catalog, snap, 100, np.random.default_rng(4))
+        p = popular_place(catalog, {1: 1}, 100)
         assert len(p.cached) == 12
 
 
@@ -213,6 +215,60 @@ class TestUniformFills:
         assert got.used_capacity == used
         # one permutation draw per placement, as in the general path
         assert rng.random() == reference.random()
+
+
+# unequal sizes, so the baselines take their general fills
+UNEQUAL_SIZES = st.lists(
+    st.one_of(st.integers(1, 5).map(float), st.floats(0.05, 5.0)),
+    min_size=2, max_size=30,
+).filter(lambda sizes: min(sizes) < max(sizes))
+
+
+class TestUnequalSizes:
+    """At unequal sizes each baseline is its greedy fill."""
+
+    @given(sizes=UNEQUAL_SIZES, capacity=CAPACITIES, seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_random_equals_fill_of_permutation(self, sizes, capacity, seed):
+        catalog = array_catalog(sizes)
+        rng = np.random.default_rng(seed)
+        got = RandomPolicy(catalog, capacity, rng).place(1)
+        reference = np.random.default_rng(seed)
+        order = reference.permutation(len(sizes))
+        chosen, used = _fill(catalog.ids[order], catalog.sizes[order], capacity)
+        assert got.cached.tolist() == sorted(chosen)
+        assert got.used_capacity == used
+        assert rng.random() == reference.random()
+
+    @given(data=st.data(), sizes=UNEQUAL_SIZES, capacity=CAPACITIES)
+    @settings(max_examples=200, deadline=None)
+    def test_popular_equals_greedy_of_frequencies(self, data, sizes, capacity):
+        catalog = array_catalog(sizes)
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=len(sizes),
+                                    max_size=len(sizes)))
+        tally = np.array([0] + counts, dtype=np.int64)
+        if not tally.any():
+            tally[1] = 1
+        policy = PopularPolicy(catalog, capacity, np.random.default_rng(0))
+        policy.update(None, tally)
+        got = policy.place(2)
+        ids = catalog.ids
+        freq = tally[ids] / tally.sum()
+        want = greedy_knapsack(freq, catalog.sizes, capacity, ids=ids)
+        assert got.cached.tolist() == want.cached.tolist()
+        assert got.used_capacity == want.used_capacity
+
+    @pytest.mark.parametrize(
+        "sizes", [[1.0] * 9, [3.0, 1.0, 2.5, 1.0, 4.0, 2.0, 1.5, 1.0, 2.0]]
+    )
+    def test_popular_fallback_is_a_random_policy(self, sizes):
+        catalog = array_catalog(sizes)
+        rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+        got = PopularPolicy(catalog, 6.0, rng).place(1)
+        want = RandomPolicy(catalog, 6.0, reference).place(1)
+        assert got.cached.tolist() == want.cached.tolist()
+        assert got.used_capacity == want.used_capacity
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def bandit(entries):
@@ -280,15 +336,14 @@ class TestUcbIndex:
         ),
         t=st.integers(1, 10**6),
         beta=st.floats(0.01, 10.0),
-        floor=st.floats(0.0, 0.1),
     )
-    def test_equals_closed_form_bit_for_bit(self, rows, t, beta, floor):
+    def test_equals_closed_form_bit_for_bit(self, rows, t, beta):
         state = bandit(dict(enumerate(rows, start=1)))
         ids = np.arange(1, len(rows) + 1)
-        got = hybrid_ucb_index(state, ids, t, beta, floor)
+        got = hybrid_ucb_index(state, ids, t, beta)
         for f, (pulls, mean, weight, influence) in zip(ids, rows):
             want = mean + math.sqrt(
-                beta * max(weight, floor) * influence * math.log(t) / pulls
+                beta * max(weight, WEIGHT_FLOOR) * influence * math.log(t) / pulls
             )
             assert float(got[f - 1]) == want
 
@@ -344,9 +399,8 @@ def unit_sizes(n):
 class TestHybridSelect:
     def test_cold_start_priority_and_tie(self):
         state = bandit({10: (0, 0, 0, 0.5), 11: (0, 0, 0, 0.5)})
-        alloc = AllocationEstimate.from_snm(1.0)
         p = hybrid_select(
-            state, ids(10, 11), irm_ranking=ids(), alloc=alloc, capacity=1,
+            state, ids(10, 11), irm_ranking=ids(), w_snm=1.0, capacity=1,
             sizes=unit_sizes(11), t=3,
         )
         assert p.cached.tolist() == [10]
@@ -357,9 +411,8 @@ class TestHybridSelect:
             11: (5, 0.1, 0.9, 0.5),
             12: (5, 0.5, 0.9, 0.5),
         })
-        alloc = AllocationEstimate.from_snm(1.0)
         p = hybrid_select(
-            state, ids(10, 11, 12), irm_ranking=ids(), alloc=alloc, capacity=2,
+            state, ids(10, 11, 12), irm_ranking=ids(), w_snm=1.0, capacity=2,
             sizes=unit_sizes(12), t=10,
         )
         indices = {f: index_of(state, f, 10) for f in (10, 11, 12)}
@@ -368,18 +421,16 @@ class TestHybridSelect:
 
     def test_zero_snm_share_pure_irm(self):
         state = bandit({10: (3, 0.9, 0.9, 0.5)})
-        alloc = AllocationEstimate.from_snm(0.0)
         p = hybrid_select(
-            state, ids(10), irm_ranking=ids(1, 2, 3), alloc=alloc, capacity=2,
+            state, ids(10), irm_ranking=ids(1, 2, 3), w_snm=0.0, capacity=2,
             sizes=unit_sizes(10), t=5,
         )
         assert p.cached.tolist() == [1, 2]
 
     def test_leftover_snm_share_rolls_to_irm(self):
         state = bandit({10: (0, 0, 0, 0.5)})
-        alloc = AllocationEstimate.from_snm(0.75)
         p = hybrid_select(
-            state, ids(10), irm_ranking=ids(1, 2), alloc=alloc, capacity=4,
+            state, ids(10), irm_ranking=ids(1, 2), w_snm=0.75, capacity=4,
             sizes=unit_sizes(10), t=5,
         )
         assert p.cached.tolist() == [1, 2, 10]
@@ -406,8 +457,7 @@ class TestHybridSelect:
         sizes = rng.integers(1, 4, size=snm_ids[-1]).astype(float)
         ranking = rng.permutation(irm_ids)
         p = hybrid_select(
-            state, snm_ids, ranking, AllocationEstimate.from_snm(w_snm),
-            capacity, sizes, t=int(rng.integers(1, 50)),
+            state, snm_ids, ranking, w_snm, capacity, sizes, t=int(rng.integers(1, 50)),
         )
         assert p.used_capacity <= capacity + 1e-9
         assert sum(sizes[f - 1] for f in p.cached) == pytest.approx(p.used_capacity)

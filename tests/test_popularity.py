@@ -4,7 +4,6 @@ import pytest
 from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.errors import EmptyWindow
 from hybridcache.popularity import (
-    AllocationEstimate,
     AllocationEstimator,
     PopularitySnapshot,
     estimate_allocation,
@@ -14,14 +13,10 @@ from hybridcache.workload import generate_trace
 
 class TestEstimateAllocation:
     def test_window_ratio(self):
-        est = estimate_allocation([(80, 20)])
-        assert est.w_snm == pytest.approx(0.8)
-        assert est.w_irm == pytest.approx(0.2)
+        assert estimate_allocation([(80, 20)]) == pytest.approx(0.8)
 
     def test_boundary_all_irm(self):
-        est = estimate_allocation([(0, 50)])
-        assert est.w_snm == 0.0
-        assert est.w_irm == 1.0
+        assert estimate_allocation([(0, 50)]) == 0.0
 
     def test_empty_window(self):
         with pytest.raises(EmptyWindow):
@@ -29,15 +24,17 @@ class TestEstimateAllocation:
 
     def test_smoothing_zero_is_raw_ratio(self):
         est = estimate_allocation([(30, 70)], smoothing=0.0, prior=0.9)
-        assert est.w_snm == pytest.approx(0.3)
+        assert est == pytest.approx(0.3)
 
     def test_smoothing_one_keeps_prior(self):
         est = estimate_allocation([(30, 70)], smoothing=1.0, prior=0.9)
-        assert est.w_snm == pytest.approx(0.9)
+        assert est == pytest.approx(0.9)
 
-    def test_proportions_sum_exactly(self):
-        est = estimate_allocation([(1, 3)], smoothing=0.3, prior=0.5)
-        assert est.w_irm + est.w_snm == 1.0
+    def test_rejects_a_share_outside_unit_interval(self):
+        # a prior outside [0, 1] carries the blend outside it
+        for prior in (1.5, -0.2, float("nan")):
+            with pytest.raises(ValueError):
+                estimate_allocation([(1, 1)], smoothing=1.0, prior=prior)
 
 
 class TestAllocationEstimator:
@@ -46,7 +43,7 @@ class TestAllocationEstimator:
         est.observe(100, 0)
         est.observe(0, 100)
         est.observe(0, 100)
-        assert est.estimate().w_snm == 0.0
+        assert est.estimate() == 0.0
 
     def test_tracks_target_on_synthetic_traces(self):
         for target in (0.2, 0.5, 0.8):
@@ -61,14 +58,10 @@ class TestAllocationEstimator:
             counts = list(zip(n_snm.tolist(), n_irm.tolist()))
             est = estimate_allocation(counts, smoothing=0.0)
             adjusted = target - trace.stats.fallback_count / trace.stats.total_requests
-            assert est.w_snm == pytest.approx(adjusted, abs=0.05)
+            assert est == pytest.approx(adjusted, abs=0.05)
 
 
-class TestAllocationEstimateType:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            AllocationEstimate(w_irm=0.5, w_snm=0.6)
-
+class TestPopularitySnapshot:
     def test_snapshot_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             PopularitySnapshot(slot=1, freq=np.array([0.0, 0.5, 0.6]))

@@ -47,6 +47,11 @@ class TestZipfPmf:
         with pytest.raises(EmptyLibrary):
             zipf_pmf(0, 1.0)
 
+    @pytest.mark.parametrize("delta", [-0.5, float("nan"), float("inf")])
+    def test_rejects_a_negative_or_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            zipf_pmf(3, delta)
+
     @given(
         n=st.integers(min_value=1, max_value=500),
         delta=st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
