@@ -10,6 +10,7 @@ hybrid policy folds into its exploration bonus.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -189,12 +190,120 @@ class CatalogConfig:
     pareto_n_min: float = 1.0
 
 
+def _uniform_law(name: str, bounds) -> tuple:
+    """(low, high - low) of a uniform law, checked as rng.uniform checks it."""
+    low, high = map(float, bounds)
+    width = high - low
+    if not math.isfinite(width):
+        raise OverflowError(f"{name}: high - low is not finite")
+    if width < 0:
+        raise ValueError(f"{name}: high < low")
+    return low, width
+
+
+def _integer_span(name: str, low: int, high: int) -> int:
+    """The span high - low + 1 of a bounded-integer law, which must lie in 1..2**32.
+
+    numpy draws a span above 2**32 from whole 64-bit words, which the
+    catalog's draw plan does not read.
+    """
+    span = high - low + 1
+    if span < 1:
+        raise ValueError(f"{name}: low > high")
+    if span > 2**32:
+        raise ValueError(f"{name} spans more than 2**32 values")
+    return span
+
+
+def _stream_draws(bit_generator, bounded: np.ndarray, spans: np.ndarray) -> np.ndarray:
+    """What a plan of scalar Generator draws reads, from one block of raw words.
+
+    The plan lists the draws in call order: a double where bounded is
+    False, else a bounded integer of span spans[i] in 2..2**32. PCG64
+    gives a double from one whole 64-bit word w, as (w >> 11) * 2**-53.
+    A bounded draw reads a buffered 32-bit value u: the low half of a
+    fresh word, then at the next bounded draw the high half of that word,
+    whatever doubles come between. It returns (u * s) >> 32 unless
+    Lemire's test (u * s) mod 2**32 < (2**32 - s) mod s rejects u; then
+    it reads the next 32-bit value. Returns, per draw, the word a double
+    reads or the offset a bounded draw returns, as uint64.
+    """
+    n = len(bounded)
+    spans = spans.astype(np.uint64)
+    thresholds = (2**32 - spans) % spans
+    reads = bounded.astype(np.int64)  # the 32-bit values each draw reads
+    doubles = ~bounded
+    n_doubles = int(doubles.sum())
+    words = bit_generator.random_raw(n_doubles + (n - n_doubles + 1) // 2)
+    out = np.empty(n, dtype=np.uint64)
+    # the stream before draw `start`: 32-bit values read, doubles read,
+    # and the word whose high half is buffered when the values are odd
+    start, size, values_before, doubles_before, buffered = 0, n, 0, 0, -1
+    # A rejection shifts every later read, so a pass derives the draws
+    # up to the first one and the next pass resumes there with a retry;
+    # each pass spans twice the run of draws the last one kept.
+    while start < n:
+        stop = min(start + size, n)
+        r, is_double = reads[start:stop], doubles[start:stop]
+        values = values_before + np.cumsum(r) - r
+        n_dbl = doubles_before + np.cumsum(is_double) - is_double
+        # a double reads the word after those its predecessors opened
+        word = n_dbl + (values + 1) // 2
+        at = np.flatnonzero(~is_double)
+        last = values[at] + r[at] - 1  # the value that gives the result
+        opened = n_dbl[at] + last // 2
+        carried = np.append(buffered, opened[:-1])
+        # an odd value in a draw's first read is the previous draw's high half
+        odd = last % 2 == 1
+        word[at] = np.where(odd & (r[at] == 1), carried, opened)
+        short = int(word.max()) + 1 - len(words)
+        if short > 0:  # only retries read past the block
+            words = np.append(words, bit_generator.random_raw(short + len(words) // 8))
+        w = words[word]
+        u = np.where(odd, w[at] >> 32, w[at] & 0xFFFFFFFF)
+        scaled = u * spans[start:stop][at]
+        w[at] = scaled >> 32
+        rejected = np.flatnonzero((scaled & 0xFFFFFFFF) < thresholds[start:stop][at])
+        if rejected.size:
+            j = rejected[0]
+            keep = at[j]
+            out[start:start + keep] = w[:keep]
+            reads[start + keep] += 1
+            values_before, doubles_before = int(values[keep]), int(n_dbl[keep])
+            buffered = int(carried[j])
+            start, size = start + keep, 2 * keep + 64
+        else:
+            out[start:stop] = w
+            values_before = int(values[-1] + r[-1])
+            doubles_before = int(n_dbl[-1] + is_double[-1])
+            buffered = int(opened[-1]) if at.size else buffered
+            start, size = stop, 2 * size
+    return out
+
+
+# The draws of one content, in the order the generation laws read the
+# stream: size, bandwidth and value uniforms and a category index, then,
+# for an SNM content only, an arrival, a lifespan and a volume uniform.
+_BOUNDED_DRAW = np.array([False, False, False, True, True, True, False])
+_CATEGORY, _ARRIVAL, _LIFESPAN, _VOLUME = 3, 4, 5, 6
+
+
 def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     """Build a deterministic synthetic catalog from generation laws.
 
     Ids 1..N_I are IRM (id order defines the Zipf rank); ids
     N_I+1..F are SNM with arrival slots uniform on [1, horizon],
     lifespans uniform on the configured range and Pareto volumes.
+
+    The catalog is the one that per-content rng calls give: for each
+    content in id order, rng.uniform for size, bandwidth and value, and
+    rng.integers(0, K) to pick one of the K category weights; then, for
+    an SNM content, rng.integers(1, horizon + 1), rng.integers(lo, hi,
+    endpoint=True) and rng.random() for its Pareto volume. Each of
+    those calls reads a fixed slice of the PCG64 stream (see
+    _stream_draws), so one block of raw words gives every value, bit
+    for bit; a span of 1 reads nothing. A law is checked, with the
+    error class its rng call raises, only where a content draws from it.
     """
     from .workload import ParetoVolume, sample_pareto_volume
 
@@ -203,37 +312,57 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     if not (0.0 <= config.w_snm <= 1.0):
         raise ValueError("w_snm must lie in [0, 1]")
 
-    rng = np.random.default_rng(seed)
     n = config.library_size
     n_irm = n - round(config.w_snm * n)
     volume_law = ParetoVolume(beta=config.pareto_beta, n_min=config.pareto_n_min)
-
-    # one content's draws at a time, in this order: batched draws would
-    # change the stream, as numpy buffers bounded integers within a call
-    raw = np.empty((n, len(FEATURE_BENEFIT)))
-    arrival = np.zeros(n, dtype=np.int64)
-    lifespan = np.zeros(n, dtype=np.int64)
-    volume = np.zeros(n)
-    # indexed by one bounded draw, as rng.choice draws, at a fraction of its cost
+    # which draws each content makes, in call order
+    plan = np.zeros((n, len(_BOUNDED_DRAW)), dtype=bool)
     categories = np.asarray(config.category_weights, dtype=float)
-    for row in range(n):
-        raw[row] = (
-            rng.uniform(*config.size_range),
-            rng.uniform(*config.bandwidth_range),
-            rng.uniform(*config.value_range),
-            categories[rng.integers(0, len(categories))],
-        )
-        if row >= n_irm:
-            arrival[row] = rng.integers(1, config.horizon + 1)
-            lifespan[row] = rng.integers(*config.lifespan_range, endpoint=True)
-            volume[row] = sample_pareto_volume(volume_law, float(rng.random()))
+    uniforms = [
+        _uniform_law(name, getattr(config, name))
+        for name in ("size_range", "bandwidth_range", "value_range")
+    ]
+    # each bounded draw's low bound and span; integers() takes int(bound)
+    lows = np.zeros(len(_BOUNDED_DRAW), dtype=np.int64)
+    spans = np.ones(len(_BOUNDED_DRAW), dtype=np.int64)
+    spans[_CATEGORY] = _integer_span("category_weights", 0, len(categories) - 1)
+    plan[:, :_CATEGORY] = True
+    plan[:, _CATEGORY] = spans[_CATEGORY] > 1
+    if n_irm < n:
+        low, high = config.lifespan_range
+        lows[_ARRIVAL], lows[_LIFESPAN] = 1, int(low)
+        spans[_ARRIVAL] = _integer_span("horizon", 1, int(config.horizon + 1) - 1)
+        spans[_LIFESPAN] = _integer_span("lifespan_range", int(low), int(high))
+        plan[n_irm:, _ARRIVAL] = spans[_ARRIVAL] > 1
+        plan[n_irm:, _LIFESPAN] = spans[_LIFESPAN] > 1
+        plan[n_irm:, _VOLUME] = True
+
+    rng = np.random.default_rng(seed)
+    drawn = np.flatnonzero(plan)
+    kind = drawn % len(_BOUNDED_DRAW)
+    # a draw that is not made reads 0: a double of 0, or a bounded draw's low bound
+    result = np.zeros(plan.shape, dtype=np.uint64)
+    result.reshape(-1)[drawn] = _stream_draws(
+        rng.bit_generator, _BOUNDED_DRAW[kind], spans[kind]
+    )
+    unit = (result[:, ~_BOUNDED_DRAW] >> 11) * 2.0**-53  # random() of each word
+    raw = np.empty((n, len(FEATURE_BENEFIT)))
+    for j, (low, width) in enumerate(uniforms):
+        raw[:, j] = low + width * unit[:, j]  # uniform(low, high), as numpy computes it
+    raw[:, 3] = categories[result[:, _CATEGORY].astype(np.intp)]
+    snm = np.arange(n) >= n_irm
+    pulse = [np.where(snm, result[:, j].astype(np.int64) + lows[j], 0)
+             for j in (_ARRIVAL, _LIFESPAN)]
+    volume = np.zeros(n)
+    # Python's float ** per content: numpy's power can differ in the last bit
+    volume[snm] = [sample_pareto_volume(volume_law, u) for u in unit[snm, -1].tolist()]
     ranges = (config.size_range, config.bandwidth_range, config.value_range, (0, 1))
     return Catalog(
         sizes=np.full(n, config.item_size, dtype=float),
         features=normalize_features(raw, ranges),
-        snm=np.arange(n) >= n_irm,
-        arrival=arrival,
-        lifespan=lifespan,
+        snm=snm,
+        arrival=pulse[0],
+        lifespan=pulse[1],
         volume=volume,
     )
 

@@ -92,6 +92,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be non-empty")
         if any(seed < 0 for seed in self.seeds):
             raise ConfigError("seeds must be >= 0")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError("seeds must not repeat")
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ConfigError(f"policies: unknown policy {p!r}")
@@ -320,21 +322,35 @@ def cmd_sweep(config: ExperimentConfig) -> int:
     return 0
 
 
-def _sweep_row_problem(row: dict) -> str:
-    """Why a parsed sweep.csv row is not one that cmd_sweep writes, or ""."""
+def _sweep_row_problem(row: dict, first: dict, seen: set) -> str:
+    """Why a parsed sweep.csv row is not one that cmd_sweep writes, or "".
+
+    first is the file's first row (this row, if it is the first) and
+    seen holds the (value, policy, seed) of the rows before this one.
+    """
     if row["axis"] not in SWEEP_AXES:
         return f"axis {row['axis']!r} is not one of {SWEEP_AXES}"
+    for key in ("axis", "config_hash"):
+        if row[key] != first[key]:
+            return f"{key} {row[key]!r} differs from the first row's {first[key]!r}"
     if row["policy"] not in POLICY_NAMES:
         return f"policy {row['policy']!r} is not one of {POLICY_NAMES}"
     for key in ("value", "mean_hit_ratio", "final_regret"):
         if not math.isfinite(row[key]):
             return f"{key} must be finite"
+    value = row["value"]
+    if row["axis"] == "capacity" and value < 0:
+        return "a capacity value must be >= 0"
+    if row["axis"] == "library_size" and not (value >= 2 and value.is_integer()):
+        return "a library_size value must be a whole number >= 2"
     if not 0.0 <= row["mean_hit_ratio"] <= 1.0:
         return "mean_hit_ratio must lie in [0, 1]"
     if row["final_regret"] < 0:
         return "final_regret must be >= 0"
     if row["seed"] < 0:
         return "seed must be >= 0"
+    if (value, row["policy"], row["seed"]) in seen:
+        return "value, policy and seed repeat an earlier row"
     return ""
 
 
@@ -343,9 +359,12 @@ def read_sweep_csv(path) -> list:
 
     A row must have the header's fields, an axis of SWEEP_AXES and a
     policy of POLICY_NAMES, a finite value, a finite hit ratio in
-    [0, 1], a finite regret >= 0 and a seed >= 0.
+    [0, 1], a finite regret >= 0 and a seed >= 0. The rows must be one
+    sweep: the first row's axis and config_hash, each (value, policy,
+    seed) once, and values the axis takes (a capacity >= 0, a whole
+    library size >= 2).
     """
-    rows = []
+    rows, seen = [], set()
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -373,10 +392,11 @@ def read_sweep_csv(path) -> list:
                 }
             except ValueError as exc:
                 raise TraceParseError(str(exc), line=lineno) from exc
-            problem = _sweep_row_problem(row)
+            problem = _sweep_row_problem(row, rows[0] if rows else row, seen)
             if problem:
                 raise TraceParseError(problem, line=lineno)
             rows.append(row)
+            seen.add((row["value"], row["policy"], row["seed"]))
     if not rows:
         raise TraceParseError("results file has no data rows", line=2)
     return rows

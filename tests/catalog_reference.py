@@ -1,0 +1,67 @@
+"""The per-content catalog builder, kept as the oracle for build_catalog.
+
+This is the builder that drew each content with its own rng calls: three
+uniform features and a category index, then, for an SNM content, an
+arrival, a lifespan and a volume uniform. hybridcache.catalog.build_catalog
+reads the same values from one block of raw words and must give the same
+catalog, array for array.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from hybridcache.catalog import (
+    FEATURE_BENEFIT,
+    Catalog,
+    CatalogConfig,
+    normalize_features,
+)
+from hybridcache.errors import LibraryTooSmall
+from hybridcache.workload import ParetoVolume, sample_pareto_volume
+
+
+def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
+    """Build a deterministic synthetic catalog from generation laws.
+
+    Ids 1..N_I are IRM (id order defines the Zipf rank); ids
+    N_I+1..F are SNM with arrival slots uniform on [1, horizon],
+    lifespans uniform on the configured range and Pareto volumes.
+    """
+    if config.library_size < 2:
+        raise LibraryTooSmall(f"library_size={config.library_size} < 2")
+    if not (0.0 <= config.w_snm <= 1.0):
+        raise ValueError("w_snm must lie in [0, 1]")
+
+    rng = np.random.default_rng(seed)
+    n = config.library_size
+    n_irm = n - round(config.w_snm * n)
+    volume_law = ParetoVolume(beta=config.pareto_beta, n_min=config.pareto_n_min)
+
+    # one content's draws at a time, in this order
+    raw = np.empty((n, len(FEATURE_BENEFIT)))
+    arrival = np.zeros(n, dtype=np.int64)
+    lifespan = np.zeros(n, dtype=np.int64)
+    volume = np.zeros(n)
+    # indexed by one bounded draw, as rng.choice draws, at a fraction of its cost
+    categories = np.asarray(config.category_weights, dtype=float)
+    for row in range(n):
+        raw[row] = (
+            rng.uniform(*config.size_range),
+            rng.uniform(*config.bandwidth_range),
+            rng.uniform(*config.value_range),
+            categories[rng.integers(0, len(categories))],
+        )
+        if row >= n_irm:
+            arrival[row] = rng.integers(1, config.horizon + 1)
+            lifespan[row] = rng.integers(*config.lifespan_range, endpoint=True)
+            volume[row] = sample_pareto_volume(volume_law, float(rng.random()))
+    ranges = (config.size_range, config.bandwidth_range, config.value_range, (0, 1))
+    return Catalog(
+        sizes=np.full(n, config.item_size, dtype=float),
+        features=normalize_features(raw, ranges),
+        snm=np.arange(n) >= n_irm,
+        arrival=arrival,
+        lifespan=lifespan,
+        volume=volume,
+    )

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import math
 import re
 
@@ -8,11 +9,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import catalog_reference
 from catalog_helpers import array_catalog
 from hybridcache.catalog import (
     Catalog,
     CatalogConfig,
     _float,
+    _stream_draws,
     build_catalog,
     feature_influences,
     load_catalog,
@@ -395,3 +398,106 @@ def test_first_bad_catalog_row_wins(tmp_path, edits, line, reason):
 def test_every_float_repr_loads(x):
     got = _float(repr(x))
     assert got == x or (math.isnan(got) and math.isnan(x))
+
+
+def built_or_raised(build, config, seed):
+    """The catalog build(config, seed) gives, or the class of what it raises."""
+    try:
+        return build(config, seed=seed)
+    except Exception as exc:  # noqa: BLE001 - the class is compared
+        return type(exc)
+
+
+class TestBuildMatchesReference:
+    """build_catalog gives the per-content builder's catalog, array for array."""
+
+    @pytest.mark.parametrize(
+        "library_size, w_snm, horizon",
+        list(itertools.product(
+            (2, 3, 7, 150, 5000), (0.0, 0.5, 0.8, 1.0), (1, 600, 3 * 2**30)
+        )),
+    )
+    def test_grid(self, library_size, w_snm, horizon):
+        # at horizon 3 * 2**30 about a quarter of arrival draws are rejected
+        config = CatalogConfig(library_size=library_size, w_snm=w_snm, horizon=horizon)
+        seed = library_size + horizon % 1000
+        expected = catalog_reference.build_catalog(config, seed=seed)
+        assert same_catalog(build_catalog(config, seed=seed), expected)
+
+    LAWS = {
+        "one-category": dict(category_weights=(0.7,)),
+        "fixed-lifespan": dict(lifespan_range=(30, 30)),
+        "span-2**32": dict(horizon=2**32),
+        "pinned-custom-laws": PINNED_CATALOGS[-1][1],
+    }
+
+    @pytest.mark.parametrize("laws", LAWS.values(), ids=LAWS.keys())
+    @pytest.mark.parametrize("library_size, w_snm", [(7, 0.5), (150, 0.8), (150, 1.0)])
+    def test_laws(self, library_size, w_snm, laws):
+        config = CatalogConfig(library_size=library_size, w_snm=w_snm, **laws)
+        expected = catalog_reference.build_catalog(config, seed=library_size)
+        assert same_catalog(build_catalog(config, seed=library_size), expected)
+
+    INVALID_LAWS = {
+        "size-reversed": dict(size_range=(5.0, 3.0)),
+        "size-infinite": dict(size_range=(1.0, math.inf)),
+        "size-nan": dict(size_range=(math.nan, 1.0)),
+        "size-degenerate": dict(size_range=(3.0, 3.0)),
+        "size-one-bound": dict(size_range=(1.0,)),
+        "bandwidth-reversed": dict(bandwidth_range=(2, 1)),
+        "value-nan": dict(value_range=(0.0, math.nan)),
+        "no-categories": dict(category_weights=()),
+        "horizon-0": dict(horizon=0),
+        "horizon-negative": dict(horizon=-3),
+        "horizon-nan": dict(horizon=math.nan),
+        "horizon-infinite": dict(horizon=math.inf),
+        "lifespan-reversed": dict(lifespan_range=(5, 3)),
+        "lifespan-from-0": dict(lifespan_range=(0, 3)),
+        "lifespan-three-bounds": dict(lifespan_range=(1, 2, 3)),
+        "pareto-beta-1": dict(pareto_beta=1.0),
+        "pareto-n-min-0": dict(pareto_n_min=0.0),
+        "item-size-0": dict(item_size=0.0),
+        "library-size-1": dict(library_size=1),
+        "library-size-float": dict(library_size=10.0),
+    }
+
+    @pytest.mark.parametrize("w_snm", [0.0, 0.5])
+    @pytest.mark.parametrize("laws", INVALID_LAWS.values(), ids=INVALID_LAWS.keys())
+    def test_invalid_laws_raise_as_the_reference(self, laws, w_snm):
+        # a law no content draws from builds: horizon 0 with w_snm 0
+        config = CatalogConfig(**{"library_size": 10, "w_snm": w_snm, **laws})
+        expected = built_or_raised(catalog_reference.build_catalog, config, seed=3)
+        got = built_or_raised(build_catalog, config, seed=3)
+        if isinstance(expected, Catalog):
+            assert isinstance(got, Catalog) and same_catalog(got, expected)
+        else:
+            assert got is expected
+
+    @pytest.mark.parametrize("field, laws", [
+        ("horizon", dict(horizon=2**32 + 1)),
+        ("lifespan_range", dict(lifespan_range=(1, 2**32 + 1))),
+    ])
+    def test_span_above_2_to_the_32_is_rejected(self, field, laws):
+        # numpy draws such a span from whole 64-bit words
+        with pytest.raises(ValueError, match=field):
+            build_catalog(CatalogConfig(library_size=10, w_snm=0.5, **laws), seed=3)
+        # no content draws from it without SNM content
+        config = CatalogConfig(library_size=10, w_snm=0.0, **laws)
+        expected = catalog_reference.build_catalog(config, seed=3)
+        assert same_catalog(build_catalog(config, seed=3), expected)
+
+    def test_stream_draws_match_scalar_calls(self):
+        # a plan of whole words (span 1 here) and bounded draws, whose
+        # span 3 * 2**30 rejects a quarter of its 32-bit values
+        spans = np.random.default_rng(17).choice([1, 2, 5, 600, 3 * 2**30, 2**32], 3000)
+        bounded = spans > 1
+        rng = np.random.default_rng(23)
+        expected = [rng.integers(0, s) if s > 1 else rng.bit_generator.random_raw()
+                    for s in spans.tolist()]
+        got = _stream_draws(np.random.default_rng(23).bit_generator, bounded, spans)
+        assert got.tolist() == expected
+        # without retries the plan would read one word per double and one
+        # per two bounded draws; the scalar calls read past that
+        planned = np.random.default_rng(23).bit_generator
+        planned.random_raw(int((~bounded).sum() + (bounded.sum() + 1) // 2))
+        assert planned.state["state"] != rng.bit_generator.state["state"]

@@ -88,6 +88,14 @@ class TestBadValuesExitCode:
     def test_negative_seed(self, tmp_path, capsys):
         self._expect_exit_2(["run", *SMALL, "--seed", "-1"], "seeds", tmp_path, capsys)
 
+    def test_repeated_seed(self, tmp_path, capsys, monkeypatch):
+        # a repeated seed would write each of its sweep rows twice
+        with pytest.raises(ConfigError, match="seeds"):
+            ExperimentConfig(seeds=(5, 5)).validate()
+        monkeypatch.setenv("HYBRIDCACHE_SEEDS", "5,6,5")
+        argv = ["sweep", "--horizon", "20", "--values", "10"]
+        self._expect_exit_2(argv, "seeds", tmp_path, capsys)
+
     def test_non_finite_capacity(self, tmp_path, capsys):
         for value in ("nan", "inf"):
             argv = ["run", *SMALL, "--capacity", value]
@@ -377,6 +385,11 @@ class TestReport:
             pytest.param(3, "-1", "seed", id="negative-seed"),
             pytest.param(2, "lru", "policy", id="unknown-policy"),
             pytest.param(0, "horizon", "axis", id="unknown-axis"),
+            # rows that do not belong to one sweep
+            pytest.param(6, "y", "config_hash", id="other-config-hash"),
+            pytest.param(0, "library_size", "axis", id="other-axis"),
+            pytest.param(2, "hybrid", "repeat", id="repeated-value-policy-seed"),
+            pytest.param(1, "-5.0", "capacity", id="negative-capacity"),
         ],
     )
     def test_bad_value_reports_line(self, tmp_path, field, value, message):
@@ -392,6 +405,19 @@ class TestReport:
         assert exc.value.line == 3
         assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 2
         assert not (tmp_path / "rep").exists()
+
+    @pytest.mark.parametrize("value", ["20.7", "1.0", "-4.0"])
+    def test_library_size_value_must_be_whole_and_at_least_two(self, tmp_path, value):
+        rows = [
+            "axis,value,policy,seed,mean_hit_ratio,final_regret,config_hash",
+            "library_size,20.0,hybrid,1,0.5,1.0,x",
+            f"library_size,{value},hybrid,1,0.5,1.0,x",
+        ]
+        path = tmp_path / "sweep.csv"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(TraceParseError, match="library_size value") as exc:
+            read_sweep_csv(path)
+        assert exc.value.line == 3
 
     def test_missing_input_is_io_error(self, tmp_path):
         rc = main(["report", str(tmp_path / "nope.csv"), "--out", str(tmp_path)])
