@@ -201,6 +201,18 @@ def _uniform_law(name: str, bounds) -> tuple:
     return low, width
 
 
+def _whole(name: str, value) -> int:
+    """A bound of a bounded-integer law, which must be a whole number.
+
+    int() raises first for a NaN (ValueError) or an infinity
+    (OverflowError), as numpy's integers() does.
+    """
+    whole = int(value)
+    if whole != value:
+        raise ValueError(f"{name} must be whole numbers")
+    return whole
+
+
 def _integer_span(name: str, low: int, high: int) -> int:
     """The span high - low + 1 of a bounded-integer law, which must lie in 1..2**32.
 
@@ -304,6 +316,9 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     _stream_draws), so one block of raw words gives every value, bit
     for bit; a span of 1 reads nothing. A law is checked, with the
     error class its rng call raises, only where a content draws from it.
+    Laws numpy would take but no caller means raise ValueError: a NaN,
+    infinite or negative category weight, and a horizon or lifespan
+    bound that is not a whole number.
     """
     from .workload import ParetoVolume, sample_pareto_volume
 
@@ -318,6 +333,8 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     # which draws each content makes, in call order
     plan = np.zeros((n, len(_BOUNDED_DRAW)), dtype=bool)
     categories = np.asarray(config.category_weights, dtype=float)
+    if not (np.isfinite(categories) & (categories >= 0)).all():
+        raise ValueError("category_weights must be finite and >= 0")
     uniforms = [
         _uniform_law(name, getattr(config, name))
         for name in ("size_range", "bandwidth_range", "value_range")
@@ -329,10 +346,11 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     plan[:, :_CATEGORY] = True
     plan[:, _CATEGORY] = spans[_CATEGORY] > 1
     if n_irm < n:
-        low, high = config.lifespan_range
-        lows[_ARRIVAL], lows[_LIFESPAN] = 1, int(low)
-        spans[_ARRIVAL] = _integer_span("horizon", 1, int(config.horizon + 1) - 1)
-        spans[_LIFESPAN] = _integer_span("lifespan_range", int(low), int(high))
+        horizon = _whole("horizon", config.horizon)
+        low, high = (_whole("lifespan_range", b) for b in config.lifespan_range)
+        lows[_ARRIVAL], lows[_LIFESPAN] = 1, low
+        spans[_ARRIVAL] = _integer_span("horizon", 1, horizon)
+        spans[_LIFESPAN] = _integer_span("lifespan_range", low, high)
         plan[n_irm:, _ARRIVAL] = spans[_ARRIVAL] > 1
         plan[n_irm:, _LIFESPAN] = spans[_LIFESPAN] > 1
         plan[n_irm:, _VOLUME] = True

@@ -68,6 +68,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{f.name} must be a finite number")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
+        if self.horizon > 2**32:
+            # build_catalog draws SNM arrivals from at most 2**32 slots
+            raise ConfigError("horizon must be <= 2**32")
         if self.library_size < 2:
             raise ConfigError("library_size must be >= 2")
         if self.capacity < 0:

@@ -127,9 +127,10 @@ def run_simulation(
     )
     oracle_hits = oracle_placement(trace, catalog, capacity)
     hits = np.zeros(trace.horizon, dtype=np.int64)
-    for t, slot_ids in enumerate(trace.events_by_slot(), start=1):
+    ids, offsets = trace.ids, trace.offsets.tolist()
+    for t in range(1, trace.horizon + 1):
         placement = policy.place(t)
-        tally = np.bincount(slot_ids, minlength=catalog.id_space)
+        tally = np.bincount(ids[offsets[t - 1]:offsets[t]], minlength=catalog.id_space)
         hits[t - 1] = slot_step(placement, tally)
         policy.update(placement, tally)
 

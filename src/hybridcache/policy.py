@@ -9,6 +9,7 @@ index. Capacity a side cannot use rolls over to the other side.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -18,12 +19,17 @@ import numpy as np
 
 from .catalog import Catalog, feature_influences
 from .errors import BadInput, EmptyWindow, NeedsIntegerSizes, UnknownPolicy
-from .popularity import AllocationEstimator, PopularitySnapshot
+from .popularity import AllocationEstimator
 
 logger = logging.getLogger(__name__)
 
 # the least reward weight in the UCB exploration bonus
 WEIGHT_FLOOR = 0.01
+# the most ids one chunk of the random policy's permutations holds
+CHUNK_IDS = 2**14
+# below this many ids one lexsort of them all costs less than _top_n and a
+# sort of the top few (about 12 us either way at 480 ids, numpy 2.4)
+RANK_ALL_BELOW = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,35 +83,73 @@ def _sorted_ids(chosen) -> np.ndarray:
     return np.sort(np.asarray(chosen, dtype=np.int64))
 
 
+def _unit_sums(catalog: Catalog, capacity) -> Optional[list]:
+    """Running sums of the catalog's one size, as np.cumsum adds them.
+
+    They stop at the first sum past the capacity, which is all a fill
+    within the capacity reads. Returns None when sizes differ.
+    """
+    if catalog.uniform_size is None:
+        return None
+    sums = catalog.sizes.cumsum()
+    return sums[: sums.searchsorted(capacity + 1e-9, side="right") + 1].tolist()
+
+
+def _prefix_fill(unit_sums: list, capacity, available: int) -> tuple:
+    """(count, used capacity) of _fill over any order of `available` ids.
+
+    At uniform sizes _fill admits the prefix that fits and nothing past
+    the first misfit, since the misfit's size is the smallest left; so
+    the admitted ids are the order's first count, whatever the order,
+    and their running sum is read from unit_sums (see _unit_sums).
+    """
+    n = min(available, bisect.bisect_right(unit_sums, capacity + 1e-9))
+    return n, unit_sums[n - 1] if n else 0.0
+
+
 def _uniform_fit(catalog: Catalog, capacity: float) -> Optional[tuple]:
     """(count, used capacity) of any fill of the catalog, at uniform sizes.
 
-    When every item has the same size, _fill admits the same number of
-    ids whatever their order: the prefix that fits, with no admission
-    past the first misfit. Returns None when sizes differ.
+    Returns None when sizes differ.
     """
     if capacity < 0:
         raise BadInput("capacity must be >= 0")
-    if catalog.uniform_size is None:
-        return None
-    chosen, used = _fill(catalog.ids, catalog.sizes, capacity)
-    return len(chosen), used
+    sums = _unit_sums(catalog, capacity)
+    return None if sums is None else _prefix_fill(sums, capacity, len(catalog.ids))
 
 
 def _top_n(values: np.ndarray, n: int) -> np.ndarray:
     """Positions of the n largest values, ties to the lower position, ascending.
 
     The same set as the first n of a stable descending sort, found with
-    one np.partition instead of a full sort.
+    one np.partition instead of a full sort: every position at or above
+    the n-th largest value, less the last ones tied at it when more than
+    n pass.
     """
     if n >= len(values):
         return np.arange(len(values))
     if n == 0:
         return np.arange(0)
     kth = np.partition(values, len(values) - n)[len(values) - n]
-    above = np.flatnonzero(values > kth)
-    tied = np.flatnonzero(values == kth)[: n - len(above)]
-    return np.sort(np.concatenate((above, tied)))
+    passed = values >= kth
+    chosen = np.flatnonzero(passed)
+    surplus = len(chosen) - n
+    if surplus:
+        passed[np.flatnonzero(values == kth)[-surplus:]] = False
+        chosen = np.flatnonzero(passed)
+    return chosen
+
+
+def _ranking(ids: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
+    """ids by descending count, ties by lower id: at least the first n of them.
+
+    ids is ascending and counts[i] is the count of ids[i]. When there are
+    many ids, only the n largest counts (by _top_n) are sorted.
+    """
+    if n >= len(ids) or len(ids) < RANK_ALL_BELOW:
+        return ids[np.lexsort((ids, -counts))]
+    top = _top_n(counts, n)
+    return ids[top[np.lexsort((top, -counts[top]))]]
 
 
 def greedy_knapsack(
@@ -276,6 +320,7 @@ def hybrid_select(
     sizes: np.ndarray,
     t: int,
     exploration_beta: float = 2.0,
+    unit_sums: Optional[list] = None,
 ) -> Placement:
     """One slot's placement for the hybrid policy.
 
@@ -284,6 +329,10 @@ def hybrid_select(
     the capacity; sizes[id - 1] is the size of an id. SNM candidates
     are admitted by descending UCB index, ties by lower id, so
     never-cached ones (infinite index) go first.
+
+    unit_sums, given when every size is the same, is _unit_sums of the
+    catalog and capacity: each fill is then a prefix of its order, and
+    irm_ranking need only hold the first ids that fit in the capacity.
     """
     irm_share = math.floor((1.0 - w_snm) * capacity)
     snm_share = capacity - irm_share
@@ -292,7 +341,11 @@ def hybrid_select(
     snm_order = candidates[np.lexsort((candidates, -index))]
 
     def fill(order, share):
-        return _fill(order, sizes[order - 1], share)
+        if unit_sums is not None:
+            n, used = _prefix_fill(unit_sums, share, len(order))
+            return order[:n], used
+        chosen, used = _fill(order, sizes[order - 1], share)
+        return np.array(chosen, dtype=np.int64), used
 
     snm_chosen, snm_used = fill(snm_order, snm_share)
 
@@ -301,17 +354,18 @@ def hybrid_select(
     # so the cache is never left idle while candidates exist
     irm_chosen, irm_used = fill(irm_ranking, capacity - snm_used)
     spare = capacity - snm_used - irm_used
+    extra = snm_order[:0]
     if spare > 0 and len(snm_chosen) < len(snm_order):
-        rest = snm_order[~np.isin(snm_order, snm_chosen)]
+        if unit_sums is not None:
+            rest = snm_order[len(snm_chosen):]
+        else:
+            rest = snm_order[~np.isin(snm_order, snm_chosen)]
         extra, extra_used = fill(rest, spare)
-        snm_chosen += extra
         snm_used += extra_used
 
-    return Placement(
-        cached=_sorted_ids(snm_chosen + irm_chosen),
-        used_capacity=snm_used + irm_used,
-        capacity=capacity,
-    )
+    cached = np.concatenate((snm_chosen, extra, irm_chosen))
+    cached.sort()
+    return Placement(cached, used_capacity=snm_used + irm_used, capacity=capacity)
 
 
 class RandomPolicy:
@@ -321,6 +375,12 @@ class RandomPolicy:
     order until capacity is exhausted. At uniform sizes the cache is the
     prefix of the permutation that fits, whose length is known once per
     run.
+
+    The permutations are drawn a chunk of slots at a time, as rows of
+    one rng.permuted call, which reads the stream as that many
+    rng.permutation calls do. A chunk starts at one row and doubles up
+    to CHUNK_IDS ids, so the first placement leaves the rng where one
+    permutation would.
     """
 
     def __init__(self, catalog: Catalog, capacity: float, rng: np.random.Generator):
@@ -328,17 +388,29 @@ class RandomPolicy:
         self.capacity = capacity
         self.rng = rng
         self.fit = _uniform_fit(catalog, capacity)
+        self._placements = self._draw()
+
+    def _draw(self):
+        """The placements of successive slots, one chunk of rows at a time."""
+        sizes, capacity = self.catalog.sizes, self.capacity
+        library = np.arange(len(sizes))
+        rows, most = 1, max(1, CHUNK_IDS // len(sizes))
+        while True:
+            orders = self.rng.permuted(np.tile(library, (rows, 1)), axis=1)
+            if self.fit is None:
+                for order in orders:
+                    chosen, used = _fill(order + 1, sizes[order], capacity)
+                    yield Placement(_sorted_ids(chosen), used, capacity)
+            else:
+                n, used = self.fit
+                chosen = orders[:, :n] + 1
+                chosen.sort(axis=1)
+                for cached in chosen:
+                    yield Placement(cached, used, capacity)
+            rows = min(2 * rows, most)
 
     def place(self, t: int) -> Placement:
-        ids, sizes = self.catalog.ids, self.catalog.sizes
-        order = self.rng.permutation(len(ids))
-        if self.fit is None:
-            chosen, used = _fill(ids[order], sizes[order], self.capacity)
-            chosen = _sorted_ids(chosen)
-        else:
-            n, used = self.fit
-            chosen = np.sort(ids[order[:n]])
-        return Placement(chosen, used_capacity=used, capacity=self.capacity)
+        return next(self._placements)
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:
         pass
@@ -363,18 +435,17 @@ class PopularPolicy:
         self.total = 0
 
     def place(self, t: int) -> Placement:
-        history = PopularitySnapshot(slot=t - 1, freq=self.counts / max(self.total, 1))
-        if not history.freq.any():
+        if self.total == 0:
             logger.warning("popular policy: empty history at slot %d, "
                            "falling back to random", t)
             return self.fallback.place(t)
-        ids, sizes = self.catalog.ids, self.catalog.sizes
+        freq = self.counts[1:] / self.total  # position = id - 1
+        sizes = self.catalog.sizes
         if self.fit is None:
-            return greedy_knapsack(history.freq[ids], sizes, self.capacity, ids=ids)
+            return greedy_knapsack(freq, sizes, self.capacity, ids=self.catalog.ids)
         n, used = self.fit
         # the values greedy_knapsack ranks: frequency per unit of size
-        density = history.freq[ids] / sizes
-        chosen = ids[_top_n(density, n)]
+        chosen = _top_n(freq / sizes, n) + 1
         return Placement(chosen, used_capacity=used, capacity=self.capacity)
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:
@@ -410,23 +481,27 @@ class HybridPolicy:
         influence = np.zeros(catalog.id_space)
         influence[catalog.snm_ids] = feature_influences(catalog.snm_features)
         self.state = BanditState.fresh(influence)
+        self.unit_sums = _unit_sums(catalog, capacity)
+        # the most IRM ids the IRM fill can admit
+        self.irm_top = len(self.irm_ids)
+        if self.unit_sums is not None:
+            self.irm_top = _prefix_fill(self.unit_sums, capacity, self.irm_top)[0]
 
     def place(self, t: int) -> Placement:
         try:
             w_snm = self.estimator.estimate()
         except EmptyWindow:
             w_snm = 0.5
-        # IRM ids by descending count, ties by lower id
-        ranking = self.irm_ids[np.lexsort((self.irm_ids, -self.irm_counts))]
         return hybrid_select(
             self.state,
             self.catalog.active_snm_ids(t),
-            ranking,
+            _ranking(self.irm_ids, self.irm_counts, self.irm_top),
             w_snm,
             self.capacity,
             self.catalog.sizes,
             t,
             self.exploration_beta,
+            self.unit_sums,
         )
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:

@@ -297,8 +297,15 @@ def _read_rows(path, body: bytes):
     n_lines = body.count(b"\n") + (not body.endswith(b"\n"))
     # loadtxt skips blank lines, allows spaces and signs and ends a line
     # at a lone CR, so it parses only a body made of the characters of
-    # well-formed rows, and its rows are checked against the line count
-    if not body.translate(None, b"0123456789,-\r\n"):
+    # well-formed rows whose every CR ends a line (a final one may end
+    # the file), and its rows are checked against the line count
+    octets = np.frombuffer(body, dtype=np.uint8)
+    before, after = octets[:-1], octets[1:]
+    lone_cr = any(  # a MiB at a time, so no body-sized mask is built
+        ((before[i:i + 2**20] == ord("\r")) & (after[i:i + 2**20] != ord("\n"))).any()
+        for i in range(0, len(before), 2**20)
+    )
+    if not lone_cr and not body.translate(None, b"0123456789,-\r\n"):
         try:
             with warnings.catch_warnings():
                 # a body of blank lines is "no data" to loadtxt

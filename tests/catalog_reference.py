@@ -45,6 +45,14 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     volume = np.zeros(n)
     # indexed by one bounded draw, as rng.choice draws, at a fraction of its cost
     categories = np.asarray(config.category_weights, dtype=float)
+    if not (np.isfinite(categories) & (categories >= 0)).all():
+        raise ValueError("category_weights must be finite and >= 0")
+    if n_irm < n:
+        # numpy's integers() would truncate a fractional bound
+        for name, bounds in (("horizon", (config.horizon,)),
+                             ("lifespan_range", config.lifespan_range)):
+            if any(int(b) != b for b in bounds):
+                raise ValueError(f"{name} must be whole numbers")
     for row in range(n):
         raw[row] = (
             rng.uniform(*config.size_range),

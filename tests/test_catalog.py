@@ -486,6 +486,46 @@ class TestBuildMatchesReference:
         expected = catalog_reference.build_catalog(config, seed=3)
         assert same_catalog(build_catalog(config, seed=3), expected)
 
+    # laws numpy would take but no caller means: a category weight that
+    # is not finite or is negative (NaN became feature 0), and a
+    # fractional horizon or lifespan bound (numpy truncates it)
+    UNMEANT_LAWS = {
+        "category-nan": dict(category_weights=(math.nan,)),
+        "category-nan-among-others": dict(category_weights=(0.2, math.nan, 0.6)),
+        "category-infinite": dict(category_weights=(0.2, math.inf)),
+        "category-negative": dict(category_weights=(0.4, -0.1)),
+        "horizon-fractional": dict(horizon=600.5),
+        "lifespan-low-fractional": dict(lifespan_range=(20.5, 80)),
+        "lifespan-high-fractional": dict(lifespan_range=(20, 80.25)),
+    }
+
+    @pytest.mark.parametrize("w_snm", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("laws", UNMEANT_LAWS.values(), ids=UNMEANT_LAWS.keys())
+    @pytest.mark.parametrize(
+        "build", [build_catalog, catalog_reference.build_catalog], ids=["bulk", "reference"]
+    )
+    def test_unmeant_laws_are_rejected(self, build, laws, w_snm):
+        config = CatalogConfig(**{"library_size": 10, "w_snm": w_snm, **laws})
+        (field,) = laws
+        # every content reads its category weight; only SNM contents
+        # draw from the horizon and lifespan laws
+        if field == "category_weights" or w_snm > 0:
+            with pytest.raises(ValueError, match=field):
+                build(config, seed=3)
+        else:
+            assert same_catalog(build(config, seed=3), build_catalog(
+                dataclasses.replace(config, **{field: getattr(CatalogConfig(), field)}),
+                seed=3,
+            ))
+
+    @pytest.mark.parametrize(
+        "build", [build_catalog, catalog_reference.build_catalog], ids=["bulk", "reference"]
+    )
+    def test_whole_float_bounds_and_zero_weights_build(self, build):
+        config = CatalogConfig(library_size=40, w_snm=0.5, category_weights=(0.0, 0.5))
+        whole = dataclasses.replace(config, horizon=600.0, lifespan_range=(20.0, 80.0))
+        assert same_catalog(build(whole, seed=5), build(config, seed=5))
+
     def test_stream_draws_match_scalar_calls(self):
         # a plan of whole words (span 1 here) and bounded draws, whose
         # span 3 * 2**30 rejects a quarter of its 32-bit values

@@ -111,6 +111,12 @@ class TestBadValuesExitCode:
         self._expect_exit_2(argv, "sweep_values", tmp_path, capsys)
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
+    def test_horizon_past_2_to_the_32(self, tmp_path, capsys):
+        ExperimentConfig(horizon=2**32).validate()
+        for value in (str(2**32 + 1), "5000000000"):
+            argv = ["run", *SMALL, "--horizon", value]
+            self._expect_exit_2(argv, "horizon", tmp_path, capsys)
+
 
 class TestGenerate:
     def test_emits_files_with_row_contract(self, tmp_path):

@@ -14,7 +14,12 @@ from hybridcache.policy import (
     PopularPolicy,
     WEIGHT_FLOOR,
     RandomPolicy,
+    RANK_ALL_BELOW,
     _fill,
+    _prefix_fill,
+    _ranking,
+    _top_n,
+    _unit_sums,
     exact_knapsack,
     greedy_knapsack,
     hybrid_select,
@@ -215,6 +220,117 @@ class TestUniformFills:
         assert got.used_capacity == used
         # one permutation draw per placement, as in the general path
         assert rng.random() == reference.random()
+
+
+class TestLeanPaths:
+    """The per-slot shortcuts give what the general code gives."""
+
+    @pytest.mark.parametrize(
+        # enough slots to cross several chunk boundaries: chunks of 1, 2,
+        # 4, ... rows, at most 8192 (F=2), 109 (F=150) and 3 (F=5000)
+        "n_ids, capacity, slots", [(2, 1.0, 70), (150, 10.0, 400), (5000, 40.0, 12)]
+    )
+    def test_random_run_equals_sequential_permutations(self, n_ids, capacity, slots):
+        catalog = uniform_catalog(n_ids, 1.0)
+        policy = RandomPolicy(catalog, capacity, np.random.default_rng(77))
+        reference = np.random.default_rng(77)
+        n = int(capacity)
+        for t in range(1, slots + 1):
+            got = policy.place(t)
+            want = np.sort(reference.permutation(n_ids)[:n] + 1)
+            assert got.cached.tolist() == want.tolist(), t
+            assert got.used_capacity == float(n)
+            assert got.cached.dtype == np.int64 and not got.cached.flags.writeable
+
+    def test_random_run_at_unequal_sizes_equals_sequential_fills(self):
+        catalog = array_catalog(np.array([1.0, 2.5, 0.5, 3.0, 1.0, 2.0, 4.0]))
+        policy = RandomPolicy(catalog, 5.0, np.random.default_rng(5))
+        reference = np.random.default_rng(5)
+        for t in range(1, 40):
+            order = reference.permutation(7)
+            chosen, used = _fill(order + 1, catalog.sizes[order], 5.0)
+            got = policy.place(t)
+            assert got.cached.tolist() == sorted(chosen), t
+            assert got.used_capacity == used
+
+    @given(
+        # few distinct small values: heavy ties and zeros
+        values=st.lists(st.integers(0, 3), max_size=60),
+        as_float=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_top_n_equals_stable_descending_argsort(self, values, as_float, data):
+        values = np.array(values, dtype=float if as_float else np.int64)
+        n = data.draw(st.integers(0, len(values) + 2))
+        want = np.sort(np.argsort(-values, kind="stable")[:n])
+        got = _top_n(values, n)
+        assert got.tolist() == want.tolist()
+
+    @given(
+        m=st.integers(0, 2 * RANK_ALL_BELOW + 100),
+        distinct=st.integers(1, 6),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ranking_prefix_equals_full_sort(self, m, distinct, seed, data):
+        rng = np.random.default_rng(seed)
+        ids = np.sort(rng.choice(3 * m + 1, size=m, replace=False)) + 1
+        counts = rng.integers(0, distinct, size=m)  # many ties
+        n = data.draw(st.integers(0, m + 2))
+        want = ids[np.lexsort((ids, -counts))][:n]
+        got = _ranking(ids, counts, n)
+        assert len(got) >= min(n, m)
+        assert got[:n].tolist() == want.tolist()
+
+    @given(
+        m=st.integers(0, 60),
+        size=UNIFORM_SIZES,
+        capacity=CAPACITIES,
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_prefix_fill_equals_fill(self, m, size, capacity, seed):
+        unit_sums = _unit_sums(uniform_catalog(60, size), capacity)
+        order = np.random.default_rng(seed).permutation(m) + 1
+        chosen, used = _fill(order, np.full(m, size), capacity)
+        assert _prefix_fill(unit_sums, capacity, m) == (len(chosen), used)
+        assert chosen == order[: len(chosen)].tolist()
+
+    @given(
+        size=UNIFORM_SIZES,
+        capacity=CAPACITIES,
+        w_snm=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_hybrid_uniform_fill_equals_general_fill(self, size, capacity, w_snm, seed):
+        rng = np.random.default_rng(seed)
+        n_ids = int(rng.integers(2, 80))
+        ids = np.arange(1, n_ids + 1)
+        snm = rng.random(n_ids) < 0.5
+        state = BanditState.fresh(np.append(0.0, rng.uniform(0.01, 1.0, n_ids)))
+        # a third never cached; few distinct means, so the index ties
+        state.pulls[1:] = rng.integers(0, 3, n_ids)
+        state.mean[1:] = rng.integers(0, 3, n_ids) / 2
+        state.weight[1:] = rng.uniform(0.0, 1.0, n_ids)
+        candidates = ids[snm & (rng.random(n_ids) < 0.7)]
+        irm_ids, counts = ids[~snm], rng.integers(0, 4, int((~snm).sum()))
+        sizes = np.full(n_ids, size)
+        t = int(rng.integers(1, 100))
+        ranking = irm_ids[np.lexsort((irm_ids, -counts))]
+        general = hybrid_select(state, candidates, ranking, w_snm, capacity, sizes, t)
+        # the uniform fill reads only the IRM ids that fit in the capacity
+        unit_sums = _unit_sums(uniform_catalog(n_ids, size), capacity)
+        top = _prefix_fill(unit_sums, capacity, len(irm_ids))[0]
+        uniform = hybrid_select(
+            state, candidates, ranking[:top], w_snm, capacity, sizes, t,
+            unit_sums=unit_sums,
+        )
+        assert uniform.cached.tolist() == general.cached.tolist()
+        assert uniform.used_capacity == general.used_capacity
+        assert uniform.cached.dtype == np.int64
 
 
 # unequal sizes, so the baselines take their general fills

@@ -401,6 +401,31 @@ class TestTraceIO:
         assert trace.events == ((1, 2), (3, 4))
         assert trace.offsets.tolist() == [0, 1, 1, 2]
 
+    @pytest.mark.parametrize(
+        "body, line",
+        [
+            (b"1,2\r\r\n", 2),  # loadtxt would end the line at the first CR
+            (b"1,2\n3,4\r\r\n5,6\n", 3),
+            (b"1,2\r\n1,3\r5,6\r\n", 3),
+            (b"1,2\r\n\r\n", 3),  # a blank CRLF line
+            (b"1,2\r3,4\n\n", 2),  # a split row and a blank line: as many rows as lines
+        ],
+    )
+    def test_rejects_stray_cr(self, small_catalog, tmp_path, body, line):
+        # a row ends in LF or CRLF; any other CR is part of the row
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"slot,content_id\r\n" + body)
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(path, small_catalog, self.HORIZON)
+        assert exc.value.line == line
+
+    def test_accepts_final_unterminated_cr(self, small_catalog, tmp_path):
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"slot,content_id\r\n1,2\r\n3,4\r")
+        trace = load_trace(path, small_catalog, 3)
+        assert trace.ids.tolist() == [2, 4]
+        assert trace.offsets.tolist() == [0, 1, 1, 2]
+
     @given(
         counts=st.lists(st.integers(0, 4), min_size=1, max_size=12),
         data=st.data(),
