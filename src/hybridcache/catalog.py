@@ -15,7 +15,7 @@ import re
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -80,7 +80,6 @@ class Catalog:
     volume: np.ndarray
     id_space: int = field(init=False)  # F + 1, the length of an id-indexed array
     ids: np.ndarray = field(init=False)  # 1..F
-    uniform_size: Optional[float] = field(init=False)  # None if sizes differ
     snm_by_id: np.ndarray = field(init=False)  # snm indexed by id; [0] is False
     irm_ids: np.ndarray = field(init=False)  # ascending; position = Zipf rank
     snm_ids: np.ndarray = field(init=False)  # ascending; snm_* follow this order
@@ -116,9 +115,6 @@ class Catalog:
         for name, values in derived.items():
             object.__setattr__(self, name, _frozen(values))
         object.__setattr__(self, "id_space", n + 1)
-        uniform = self.sizes.min() == self.sizes.max()
-        uniform_size = float(self.sizes[0]) if uniform else None
-        object.__setattr__(self, "uniform_size", uniform_size)
 
     @property
     def items(self) -> tuple:

@@ -20,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Catalog
-from .errors import BadInput, LengthMismatch
-from .policy import Placement, exact_knapsack, make_policy
+from .errors import LengthMismatch, UnknownContent
+from .policy import Fill, Placement, exact_knapsack, make_policy
 from .popularity import PopularitySnapshot  # noqa: F401  perfbench/probe.py patches this name
 from .workload import RequestTrace
 
@@ -54,19 +54,17 @@ def oracle_placement(
     """Clairvoyant per-slot optimum over each slot's true request tally.
 
     Returns the oracle's hits in every slot of the trace, as an int64
-    array indexed t - 1. When every item has the same size the optimum
-    caches the capacity // size most requested ids of a slot, so its hits
-    are read from the trace's running sums of descending counts;
-    otherwise an exact knapsack (integer sizes only) runs per slot over
-    the requested ids.
+    array indexed t - 1. It fits ids by the policies' rule (Fill). When
+    every item has the same size the optimum caches the Fill.count most
+    requested ids of a slot, so its hits are read from the trace's
+    running sums of descending counts; otherwise an exact knapsack
+    (integer sizes only) runs per slot over the requested ids.
     """
-    if capacity < 0:
-        raise BadInput("capacity must be >= 0")
-    size = catalog.uniform_size
-    if size is not None:
+    fill = Fill(catalog.sizes, capacity)
+    if fill.count is not None:
         starts, sums = trace.ranked_count_sums
         # a slot holds no more distinct ids than the trace has sums
-        k = min(int(capacity // size), len(sums))
+        k = min(fill.count, len(sums))
         take = np.minimum(np.diff(starts), k)
         hits = np.zeros(trace.horizon, dtype=np.int64)
         some = take > 0
@@ -116,6 +114,9 @@ def run_simulation(
     """
     if trace.horizon < 1:
         raise ValueError("trace horizon must be >= 1")
+    ids, n_ids = trace.ids, len(catalog.ids)
+    if len(ids) and not 1 <= ids.min() <= ids.max() <= n_ids:
+        raise UnknownContent(f"trace requests an id outside the catalog's 1..{n_ids}")
     policy = make_policy(
         policy_name,
         catalog,
@@ -127,7 +128,7 @@ def run_simulation(
     )
     oracle_hits = oracle_placement(trace, catalog, capacity)
     hits = np.zeros(trace.horizon, dtype=np.int64)
-    ids, offsets = trace.ids, trace.offsets.tolist()
+    offsets = trace.offsets.tolist()
     for t in range(1, trace.horizon + 1):
         placement = policy.place(t)
         tally = np.bincount(ids[offsets[t - 1]:offsets[t]], minlength=catalog.id_space)

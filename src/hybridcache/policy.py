@@ -30,6 +30,15 @@ CHUNK_IDS = 2**14
 # below this many ids one lexsort of them all costs less than _top_n and a
 # sort of the top few (about 12 us either way at 480 ids, numpy 2.4)
 RANK_ALL_BELOW = 512
+# the only slack of the capacity rule: a set of ids fits in a capacity C
+# when their sizes sum to at most C + FIT_SLACK (see Fill)
+FIT_SLACK = 1e-9
+
+
+def check_capacity(capacity) -> None:
+    """Raise BadInput unless capacity is a finite number >= 0."""
+    if not (math.isfinite(capacity) and capacity >= 0):
+        raise BadInput(f"capacity must be finite and >= 0, not {capacity!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +54,7 @@ class Placement:
 
     def __post_init__(self):
         self.cached.flags.writeable = False
-        if self.used_capacity > self.capacity + 1e-9:
+        if self.used_capacity > self.capacity + FIT_SLACK:
             raise ValueError(
                 f"used {self.used_capacity} exceeds capacity {self.capacity}"
             )
@@ -62,7 +71,7 @@ def _fill(ordered_ids: np.ndarray, sizes: np.ndarray, capacity) -> tuple:
 
     Returns (admitted ids as ints, used capacity).
     """
-    limit = capacity + 1e-9
+    limit = capacity + FIT_SLACK
     sums = sizes.cumsum()
     n = int(sums.searchsorted(limit, side="right"))
     chosen = ordered_ids[:n].tolist()
@@ -83,39 +92,44 @@ def _sorted_ids(chosen) -> np.ndarray:
     return np.sort(np.asarray(chosen, dtype=np.int64))
 
 
-def _unit_sums(catalog: Catalog, capacity) -> Optional[list]:
-    """Running sums of the catalog's one size, as np.cumsum adds them.
+class Fill:
+    """The capacity rule of every policy and the oracle, over one catalog.
 
-    They stop at the first sum past the capacity, which is all a fill
-    within the capacity reads. Returns None when sizes differ.
+    A set of ids fits in a share of the capacity when their sizes, added
+    in order, sum to at most the share plus FIT_SLACK. sizes[id - 1] is
+    the size of an id. At uniform sizes a fill admits the prefix of its
+    order that fits and nothing past it, since the first misfit's size is
+    the smallest left; so its length and used capacity are read from the
+    running sums of the one size (unit_sums, as np.cumsum adds them, up
+    to the first past the capacity). At unequal sizes it is _fill's scan.
+
+    count and used are the length and used capacity of a fill of the
+    whole library within the capacity: known once, at uniform sizes only
+    (None otherwise).
     """
-    if catalog.uniform_size is None:
-        return None
-    sums = catalog.sizes.cumsum()
-    return sums[: sums.searchsorted(capacity + 1e-9, side="right") + 1].tolist()
 
+    def __init__(self, sizes: np.ndarray, capacity):
+        check_capacity(capacity)
+        self.sizes = sizes
+        self.capacity = capacity
+        self.unit_sums = self.count = self.used = None
+        if sizes.min() == sizes.max():
+            sums = sizes.cumsum()
+            end = sums.searchsorted(capacity + FIT_SLACK, side="right") + 1
+            self.unit_sums = sums[:end].tolist()
+            self.count, self.used = self._prefix(len(sizes), capacity)
 
-def _prefix_fill(unit_sums: list, capacity, available: int) -> tuple:
-    """(count, used capacity) of _fill over any order of `available` ids.
+    def _prefix(self, available: int, share) -> tuple:
+        n = min(available, bisect.bisect_right(self.unit_sums, share + FIT_SLACK))
+        return n, self.unit_sums[n - 1] if n else 0.0
 
-    At uniform sizes _fill admits the prefix that fits and nothing past
-    the first misfit, since the misfit's size is the smallest left; so
-    the admitted ids are the order's first count, whatever the order,
-    and their running sum is read from unit_sums (see _unit_sums).
-    """
-    n = min(available, bisect.bisect_right(unit_sums, capacity + 1e-9))
-    return n, unit_sums[n - 1] if n else 0.0
-
-
-def _uniform_fit(catalog: Catalog, capacity: float) -> Optional[tuple]:
-    """(count, used capacity) of any fill of the catalog, at uniform sizes.
-
-    Returns None when sizes differ.
-    """
-    if capacity < 0:
-        raise BadInput("capacity must be >= 0")
-    sums = _unit_sums(catalog, capacity)
-    return None if sums is None else _prefix_fill(sums, capacity, len(catalog.ids))
+    def admit(self, order: np.ndarray, share) -> tuple:
+        """(admitted ids, used capacity) of the ids in order within share."""
+        if self.unit_sums is not None:
+            n, used = self._prefix(len(order), share)
+            return order[:n], used
+        chosen, used = _fill(order, self.sizes[order - 1], share)
+        return np.array(chosen, dtype=np.int64), used
 
 
 def _top_n(values: np.ndarray, n: int) -> np.ndarray:
@@ -170,8 +184,7 @@ def greedy_knapsack(
         raise BadInput("values must be non-negative")
     if (sizes <= 0).any():
         raise BadInput("sizes must be positive")
-    if capacity < 0:
-        raise BadInput("capacity must be >= 0")
+    check_capacity(capacity)
     ids = np.arange(1, len(values) + 1) if ids is None else np.asarray(ids)
     order = np.lexsort((ids, -values / sizes))
     chosen, used = _fill(ids[order], sizes[order], capacity)
@@ -198,13 +211,12 @@ def exact_knapsack(
         raise BadInput("values must be non-negative")
     if any(s <= 0 for s in sizes):
         raise BadInput("sizes must be positive")
-    if capacity < 0:
-        raise BadInput("capacity must be >= 0")
+    check_capacity(capacity)
     if any(not float(s).is_integer() for s in sizes):
         raise NeedsIntegerSizes("exact_knapsack requires integer sizes")
     if ids is None:
         ids = list(range(1, len(values) + 1))
-    cap = int(math.floor(capacity))
+    cap = int(math.floor(capacity + FIT_SLACK))
     int_sizes = [int(s) for s in sizes]
 
     order = sorted(range(len(ids)), key=lambda i: ids[i])
@@ -316,51 +328,39 @@ def hybrid_select(
     candidates: np.ndarray,
     irm_ranking: np.ndarray,
     w_snm: float,
-    capacity: float,
-    sizes: np.ndarray,
+    fill: Fill,
     t: int,
     exploration_beta: float = 2.0,
-    unit_sums: Optional[list] = None,
 ) -> Placement:
     """One slot's placement for the hybrid policy.
 
     candidates is the live SNM ids; irm_ranking is the IRM ids by
-    descending popularity (ties by lower id); w_snm is the SNM share of
-    the capacity; sizes[id - 1] is the size of an id. SNM candidates
-    are admitted by descending UCB index, ties by lower id, so
-    never-cached ones (infinite index) go first.
-
-    unit_sums, given when every size is the same, is _unit_sums of the
-    catalog and capacity: each fill is then a prefix of its order, and
-    irm_ranking need only hold the first ids that fit in the capacity.
+    descending popularity (ties by lower id), of which at uniform sizes
+    only the first fill.count need be given; w_snm is the SNM share of
+    fill.capacity. SNM candidates are admitted by descending UCB index,
+    ties by lower id, so never-cached ones (infinite index) go first.
     """
+    capacity = fill.capacity
     irm_share = math.floor((1.0 - w_snm) * capacity)
     snm_share = capacity - irm_share
 
     index = hybrid_ucb_index(state, candidates, t, exploration_beta)
     snm_order = candidates[np.lexsort((candidates, -index))]
-
-    def fill(order, share):
-        if unit_sums is not None:
-            n, used = _prefix_fill(unit_sums, share, len(order))
-            return order[:n], used
-        chosen, used = _fill(order, sizes[order - 1], share)
-        return np.array(chosen, dtype=np.int64), used
-
-    snm_chosen, snm_used = fill(snm_order, snm_share)
+    snm_chosen, snm_used = fill.admit(snm_order, snm_share)
 
     # unused SNM share rolls over to the IRM fill, and any capacity the
     # IRM side cannot use rolls back to the remaining SNM candidates,
     # so the cache is never left idle while candidates exist
-    irm_chosen, irm_used = fill(irm_ranking, capacity - snm_used)
+    irm_chosen, irm_used = fill.admit(irm_ranking, capacity - snm_used)
     spare = capacity - snm_used - irm_used
     extra = snm_order[:0]
     if spare > 0 and len(snm_chosen) < len(snm_order):
-        if unit_sums is not None:
+        if fill.count is not None:
+            # a uniform fill is a prefix of its order
             rest = snm_order[len(snm_chosen):]
         else:
             rest = snm_order[~np.isin(snm_order, snm_chosen)]
-        extra, extra_used = fill(rest, spare)
+        extra, extra_used = fill.admit(rest, spare)
         snm_used += extra_used
 
     cached = np.concatenate((snm_chosen, extra, irm_chosen))
@@ -387,22 +387,22 @@ class RandomPolicy:
         self.catalog = catalog
         self.capacity = capacity
         self.rng = rng
-        self.fit = _uniform_fit(catalog, capacity)
+        self.fill = Fill(catalog.sizes, capacity)
         self._placements = self._draw()
 
     def _draw(self):
         """The placements of successive slots, one chunk of rows at a time."""
-        sizes, capacity = self.catalog.sizes, self.capacity
-        library = np.arange(len(sizes))
-        rows, most = 1, max(1, CHUNK_IDS // len(sizes))
+        fill, capacity = self.fill, self.capacity
+        library = np.arange(len(self.catalog.sizes))
+        rows, most = 1, max(1, CHUNK_IDS // len(library))
         while True:
             orders = self.rng.permuted(np.tile(library, (rows, 1)), axis=1)
-            if self.fit is None:
+            if fill.count is None:
                 for order in orders:
-                    chosen, used = _fill(order + 1, sizes[order], capacity)
+                    chosen, used = fill.admit(order + 1, capacity)
                     yield Placement(_sorted_ids(chosen), used, capacity)
             else:
-                n, used = self.fit
+                n, used = fill.count, fill.used
                 chosen = orders[:, :n] + 1
                 chosen.sort(axis=1)
                 for cached in chosen:
@@ -430,7 +430,7 @@ class PopularPolicy:
         self.catalog = catalog
         self.capacity = capacity
         self.fallback = RandomPolicy(catalog, capacity, rng)
-        self.fit = self.fallback.fit
+        self.fill = self.fallback.fill
         self.counts = np.zeros(catalog.id_space, dtype=np.int64)  # position = id
         self.total = 0
 
@@ -441,12 +441,11 @@ class PopularPolicy:
             return self.fallback.place(t)
         freq = self.counts[1:] / self.total  # position = id - 1
         sizes = self.catalog.sizes
-        if self.fit is None:
+        if self.fill.count is None:
             return greedy_knapsack(freq, sizes, self.capacity, ids=self.catalog.ids)
-        n, used = self.fit
         # the values greedy_knapsack ranks: frequency per unit of size
-        chosen = _top_n(freq / sizes, n) + 1
-        return Placement(chosen, used_capacity=used, capacity=self.capacity)
+        chosen = _top_n(freq / sizes, self.fill.count) + 1
+        return Placement(chosen, used_capacity=self.fill.used, capacity=self.capacity)
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:
         self.counts += tally
@@ -481,11 +480,11 @@ class HybridPolicy:
         influence = np.zeros(catalog.id_space)
         influence[catalog.snm_ids] = feature_influences(catalog.snm_features)
         self.state = BanditState.fresh(influence)
-        self.unit_sums = _unit_sums(catalog, capacity)
+        self.fill = Fill(catalog.sizes, capacity)
         # the most IRM ids the IRM fill can admit
         self.irm_top = len(self.irm_ids)
-        if self.unit_sums is not None:
-            self.irm_top = _prefix_fill(self.unit_sums, capacity, self.irm_top)[0]
+        if self.fill.count is not None:
+            self.irm_top = min(self.irm_top, self.fill.count)
 
     def place(self, t: int) -> Placement:
         try:
@@ -497,11 +496,9 @@ class HybridPolicy:
             self.catalog.active_snm_ids(t),
             _ranking(self.irm_ids, self.irm_counts, self.irm_top),
             w_snm,
-            self.capacity,
-            self.catalog.sizes,
+            self.fill,
             t,
             self.exploration_beta,
-            self.unit_sums,
         )
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:

@@ -152,6 +152,20 @@ class TestRun:
         per_slot = (out / "per_slot.csv").read_text().splitlines()
         assert len(per_slot) == 1 + 30
 
+    def test_no_slot_beats_the_oracle_just_below_a_whole_capacity(self, tmp_path):
+        # 3 unit items fit in 2.9999999995 plus the fill slack, for the
+        # policies and the oracle alike
+        out = tmp_path / "run"
+        rc = main(["run", "--seed", "1000", "--horizon", "50",
+                   "--capacity", "2.9999999995", "--out", str(out)])
+        assert rc == 0
+        header, *rows = (out / "per_slot.csv").read_text().splitlines()
+        assert header.split(",")[3:5] == ["hit_ratio", "oracle_hit_ratio"]
+        assert len(rows) == 3 * 50
+        for row in rows:
+            hit, oracle = map(float, row.split(",")[3:5])
+            assert hit <= oracle, row
+
     def test_zero_capacity_zero_hits(self, tmp_path):
         out = tmp_path / "zero"
         main(["run", *SMALL, "--capacity", "0", "--policy", "random",

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hybridcache.engine as engine
@@ -22,7 +22,7 @@ from hybridcache.engine import (
     run_simulation,
     slot_step,
 )
-from hybridcache.errors import LengthMismatch, UnknownPolicy
+from hybridcache.errors import BadInput, LengthMismatch, UnknownContent, UnknownPolicy
 from hybridcache.policy import POLICY_NAMES, Placement, exact_knapsack
 from hybridcache.workload import RequestTrace, generate_trace
 
@@ -110,10 +110,16 @@ class TestOraclePlacement:
     capacity=st.one_of(st.just(0.0), st.floats(0.0, 80.0)),
 )
 @settings(max_examples=300, deadline=None)
+# 0.1 + 0.1 + 0.1 is 0.30000000000000004, within 0.3 plus the slack
+@example(slots=[[1, 2, 3, 3]], size=0.1, capacity=0.3)
 def test_oracle_series_equals_per_slot_top_k(slots, size, capacity):
     # slots may be empty, and capacity may exceed the distinct ids
     catalog = catalog_of([size] * 9)
-    k = int(capacity // size)
+    # k: the most ids that fit by the policies' rule, their sizes added
+    # one by one to a sum of at most capacity + 1e-9
+    k, used = 0, 0.0
+    while k < 9 and used + size <= capacity + 1e-9:
+        k, used = k + 1, used + size
     want = [sorted(tally_of(ids), reverse=True)[:k] for ids in slots]
     got = oracle_placement(trace_of(*slots), catalog, capacity)
     assert got.dtype == np.int64
@@ -208,6 +214,64 @@ class TestRunSimulation:
             assert hits == pytest.approx(round(hits))
 
 
+def generated_at(item_size, sizes=None, library_size=12):
+    """A generated catalog (sizes replaced when given) and a 40-slot trace."""
+    catalog = build_catalog(
+        CatalogConfig(library_size=library_size, w_snm=0.5, horizon=40,
+                      item_size=item_size),
+        seed=5,
+    )
+    if sizes is not None:
+        catalog = dataclasses.replace(catalog, sizes=np.array(sizes, dtype=float))
+    return catalog, generate_trace(catalog, 40, 20, 0.5, 0.8, seed=6)
+
+
+# capacities at which a fill admits one more id than capacity // size or
+# floor(capacity) would count: the oracle must fit ids by the same rule
+ORACLE_BOUND_CASES = {
+    "uniform-0.1-at-0.3": (lambda: generated_at(0.1), 0.3),
+    "generated-1.0-at-3": (lambda: generated_at(1.0), 2.9999999995),
+    "knapsack-at-3": (
+        lambda: generated_at(1.0, [1, 1, 1, 2, 1, 1], library_size=6),
+        2.9999999995,
+    ),
+}
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("case", ORACLE_BOUND_CASES)
+def test_no_slot_beats_the_oracle(policy, case):
+    make, capacity = ORACLE_BOUND_CASES[case]
+    catalog, trace = make()
+    metrics = run_simulation(catalog, trace, policy, capacity, seed=7)
+    for t, rec in enumerate(metrics.per_slot, start=1):
+        assert rec.hit_ratio <= rec.oracle_hit_ratio, t
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("stray", [9, 0])
+def test_unknown_content_rejected_before_any_policy_runs(policy, stray):
+    catalog = build_catalog(CatalogConfig(library_size=6, w_snm=0.5, horizon=2), seed=3)
+    trace = RequestTrace(
+        horizon=2,
+        ids=np.array([1, 2, stray], dtype=np.int32),
+        offsets=np.array([0, 2, 3]),
+    )
+    with mock.patch.object(engine, "make_policy", wraps=engine.make_policy) as made:
+        with pytest.raises(UnknownContent):
+            run_simulation(catalog, trace, policy, 3, seed=1)
+    made.assert_not_called()
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("sizes", [None, [1, 1, 1, 2, 1, 1]], ids=["uniform", "unequal"])
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_capacity_rejected(policy, sizes, capacity):
+    catalog, trace = generated_at(1.0, sizes, library_size=6)
+    with pytest.raises(BadInput):
+        run_simulation(catalog, trace, policy, capacity, seed=1)
+
+
 def placements_of(catalog, trace, policy, capacity, seed):
     """The cached id sets of every slot of one run, in slot order."""
     placements = []
@@ -295,7 +359,7 @@ def test_pinned_runs_at_non_uniform_sizes(tmp_path, policy):
     sizes = np.random.default_rng(63).integers(1, 4, size=24)
     save_catalog(dataclasses.replace(built, sizes=sizes), tmp_path / "catalog.csv")
     catalog = load_catalog(tmp_path / "catalog.csv")
-    assert catalog.uniform_size is None
+    assert catalog.sizes.min() < catalog.sizes.max()
     trace = generate_trace(catalog, 40, 30, 0.5, 0.8, seed=62)
     metrics = run_simulation(catalog, trace, policy, 7.5, seed=64)
     assert run_digest(metrics) == NON_UNIFORM_DIGESTS[policy]

@@ -11,15 +11,14 @@ from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.errors import BadInput, NeedsIntegerSizes, UnknownPolicy
 from hybridcache.policy import (
     BanditState,
+    Fill,
     PopularPolicy,
     WEIGHT_FLOOR,
     RandomPolicy,
     RANK_ALL_BELOW,
     _fill,
-    _prefix_fill,
     _ranking,
     _top_n,
-    _unit_sums,
     exact_knapsack,
     greedy_knapsack,
     hybrid_select,
@@ -76,6 +75,11 @@ class TestGreedyKnapsack:
         with pytest.raises(BadInput):
             greedy_knapsack([0.5], [0], 2)
 
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
+    def test_capacity_not_finite_or_negative(self, capacity):
+        with pytest.raises(BadInput):
+            greedy_knapsack([0.5], [1], capacity)
+
 
 class TestExactKnapsack:
     def test_beats_greedy_on_density_trap(self):
@@ -88,6 +92,19 @@ class TestExactKnapsack:
     def test_non_integer_sizes(self):
         with pytest.raises(NeedsIntegerSizes):
             exact_knapsack([0.5], [1.5], 2)
+
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
+    def test_capacity_not_finite_or_negative(self, capacity):
+        with pytest.raises(BadInput):
+            exact_knapsack([0.5], [1], capacity)
+
+    def test_capacity_has_the_fill_slack(self):
+        # 3 fits in 2.9999999995 plus the slack, as it does for the fills
+        values, sizes, capacity = [0.5, 0.4, 0.3, 0.2], [1, 1, 1, 2], 2.9999999995
+        exact = exact_knapsack(values, sizes, capacity)
+        assert exact.cached.tolist() == [1, 2, 3]
+        assert exact.used_capacity == 3.0
+        assert greedy_knapsack(values, sizes, capacity).cached.tolist() == [1, 2, 3]
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(77)
@@ -292,11 +309,14 @@ class TestLeanPaths:
     )
     @settings(max_examples=300, deadline=None)
     def test_prefix_fill_equals_fill(self, m, size, capacity, seed):
-        unit_sums = _unit_sums(uniform_catalog(60, size), capacity)
+        fill = Fill(np.full(60, size), capacity)
         order = np.random.default_rng(seed).permutation(m) + 1
         chosen, used = _fill(order, np.full(m, size), capacity)
-        assert _prefix_fill(unit_sums, capacity, m) == (len(chosen), used)
-        assert chosen == order[: len(chosen)].tolist()
+        got, got_used = fill.admit(order, capacity)
+        assert (len(got), got_used) == (len(chosen), used)
+        assert chosen == order[: len(chosen)].tolist() == got.tolist()
+        full = _fill(np.arange(1, 61), np.full(60, size), capacity)
+        assert (fill.count, fill.used) == (len(full[0]), full[1])
 
     @given(
         size=UNIFORM_SIZES,
@@ -317,17 +337,16 @@ class TestLeanPaths:
         state.weight[1:] = rng.uniform(0.0, 1.0, n_ids)
         candidates = ids[snm & (rng.random(n_ids) < 0.7)]
         irm_ids, counts = ids[~snm], rng.integers(0, 4, int((~snm).sum()))
-        sizes = np.full(n_ids, size)
         t = int(rng.integers(1, 100))
         ranking = irm_ids[np.lexsort((irm_ids, -counts))]
-        general = hybrid_select(state, candidates, ranking, w_snm, capacity, sizes, t)
+        # one more id, in no order, of another size: the general scan
+        scan = Fill(np.append(np.full(n_ids, size), size + 1.0), capacity)
+        assert scan.count is None
+        general = hybrid_select(state, candidates, ranking, w_snm, scan, t)
         # the uniform fill reads only the IRM ids that fit in the capacity
-        unit_sums = _unit_sums(uniform_catalog(n_ids, size), capacity)
-        top = _prefix_fill(unit_sums, capacity, len(irm_ids))[0]
-        uniform = hybrid_select(
-            state, candidates, ranking[:top], w_snm, capacity, sizes, t,
-            unit_sums=unit_sums,
-        )
+        fill = Fill(np.full(n_ids, size), capacity)
+        top = min(fill.count, len(irm_ids))
+        uniform = hybrid_select(state, candidates, ranking[:top], w_snm, fill, t)
         assert uniform.cached.tolist() == general.cached.tolist()
         assert uniform.used_capacity == general.used_capacity
         assert uniform.cached.dtype == np.int64
@@ -516,8 +535,8 @@ class TestHybridSelect:
     def test_cold_start_priority_and_tie(self):
         state = bandit({10: (0, 0, 0, 0.5), 11: (0, 0, 0, 0.5)})
         p = hybrid_select(
-            state, ids(10, 11), irm_ranking=ids(), w_snm=1.0, capacity=1,
-            sizes=unit_sizes(11), t=3,
+            state, ids(10, 11), irm_ranking=ids(), w_snm=1.0,
+            fill=Fill(unit_sizes(11), 1), t=3,
         )
         assert p.cached.tolist() == [10]
 
@@ -528,8 +547,8 @@ class TestHybridSelect:
             12: (5, 0.5, 0.9, 0.5),
         })
         p = hybrid_select(
-            state, ids(10, 11, 12), irm_ranking=ids(), w_snm=1.0, capacity=2,
-            sizes=unit_sizes(12), t=10,
+            state, ids(10, 11, 12), irm_ranking=ids(), w_snm=1.0,
+            fill=Fill(unit_sizes(12), 2), t=10,
         )
         indices = {f: index_of(state, f, 10) for f in (10, 11, 12)}
         expected = set(sorted(indices, key=lambda f: -indices[f])[:2])
@@ -538,16 +557,16 @@ class TestHybridSelect:
     def test_zero_snm_share_pure_irm(self):
         state = bandit({10: (3, 0.9, 0.9, 0.5)})
         p = hybrid_select(
-            state, ids(10), irm_ranking=ids(1, 2, 3), w_snm=0.0, capacity=2,
-            sizes=unit_sizes(10), t=5,
+            state, ids(10), irm_ranking=ids(1, 2, 3), w_snm=0.0,
+            fill=Fill(unit_sizes(10), 2), t=5,
         )
         assert p.cached.tolist() == [1, 2]
 
     def test_leftover_snm_share_rolls_to_irm(self):
         state = bandit({10: (0, 0, 0, 0.5)})
         p = hybrid_select(
-            state, ids(10), irm_ranking=ids(1, 2), w_snm=0.75, capacity=4,
-            sizes=unit_sizes(10), t=5,
+            state, ids(10), irm_ranking=ids(1, 2), w_snm=0.75,
+            fill=Fill(unit_sizes(10), 4), t=5,
         )
         assert p.cached.tolist() == [1, 2, 10]
 
@@ -573,7 +592,8 @@ class TestHybridSelect:
         sizes = rng.integers(1, 4, size=snm_ids[-1]).astype(float)
         ranking = rng.permutation(irm_ids)
         p = hybrid_select(
-            state, snm_ids, ranking, w_snm, capacity, sizes, t=int(rng.integers(1, 50)),
+            state, snm_ids, ranking, w_snm, Fill(sizes, capacity),
+            t=int(rng.integers(1, 50)),
         )
         assert p.used_capacity <= capacity + 1e-9
         assert sum(sizes[f - 1] for f in p.cached) == pytest.approx(p.used_capacity)
@@ -607,6 +627,28 @@ class TestFill:
         sizes = np.array(sizes, dtype=float)
         got = _fill(order, sizes, capacity)
         assert got == fill_item_by_item(order.tolist(), sizes.tolist(), capacity)
+
+
+class TestCapacityRule:
+    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
+    def test_fill_rejects_capacity(self, capacity):
+        with pytest.raises(BadInput):
+            Fill(np.ones(3), capacity)
+
+    @pytest.mark.parametrize(
+        "size, capacity, count", [(0.1, 0.3, 3), (1.0, 2.9999999995, 3), (2.5, 7.4, 2)]
+    )
+    def test_count_is_the_fill_of_the_library(self, size, capacity, count):
+        fill = Fill(np.full(9, size), capacity)
+        chosen, used = _fill(np.arange(1, 10), np.full(9, size), capacity)
+        assert (fill.count, fill.used) == (len(chosen), used)
+        assert fill.count == count
+
+    def test_no_count_at_unequal_sizes(self):
+        fill = Fill(np.array([1.0, 2.0, 1.0]), 2.0)
+        assert fill.count is None and fill.used is None
+        chosen, used = fill.admit(ids(2, 1, 3), 2.0)
+        assert (chosen.tolist(), used) == ([2], 2.0)
 
 
 def test_make_policy_unknown():
