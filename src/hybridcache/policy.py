@@ -157,8 +157,9 @@ def _top_n(values: np.ndarray, n: int) -> np.ndarray:
 def _ranking(ids: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
     """ids by descending count, ties by lower id: at least the first n of them.
 
-    ids is ascending and counts[i] is the count of ids[i]. When there are
-    many ids, only the n largest counts (by _top_n) are sorted.
+    ids is ascending and counts[i] is the count (or any other non-NaN key,
+    inf included) of ids[i]. When there are many ids, only the n largest
+    counts (by _top_n) are sorted.
     """
     if n >= len(ids) or len(ids) < RANK_ALL_BELOW:
         return ids[np.lexsort((ids, -counts))]
@@ -334,18 +335,29 @@ def hybrid_select(
 ) -> Placement:
     """One slot's placement for the hybrid policy.
 
-    candidates is the live SNM ids; irm_ranking is the IRM ids by
-    descending popularity (ties by lower id), of which at uniform sizes
+    candidates is the live SNM ids, ascending; irm_ranking is the IRM ids
+    by descending popularity (ties by lower id), of which at uniform sizes
     only the first fill.count need be given; w_snm is the SNM share of
     fill.capacity. SNM candidates are admitted by descending UCB index,
     ties by lower id, so never-cached ones (infinite index) go first.
+
+    At uniform sizes a fill admits a prefix of its order, whose length
+    does not depend on the order. So the SNM ids admitted are counted in
+    the candidates' own order, and the candidates are ranked only when
+    fewer than all of them are admitted.
     """
+    if t < 1:
+        raise ValueError("t must be >= 1")
     capacity = fill.capacity
     irm_share = math.floor((1.0 - w_snm) * capacity)
     snm_share = capacity - irm_share
 
-    index = hybrid_ucb_index(state, candidates, t, exploration_beta)
-    snm_order = candidates[np.lexsort((candidates, -index))]
+    uniform = fill.count is not None
+    snm_order = candidates
+    if not uniform:
+        # at unequal sizes what fits depends on the order: rank first
+        index = hybrid_ucb_index(state, candidates, t, exploration_beta)
+        snm_order = candidates[np.lexsort((candidates, -index))]
     snm_chosen, snm_used = fill.admit(snm_order, snm_share)
 
     # unused SNM share rolls over to the IRM fill, and any capacity the
@@ -353,17 +365,21 @@ def hybrid_select(
     # so the cache is never left idle while candidates exist
     irm_chosen, irm_used = fill.admit(irm_ranking, capacity - snm_used)
     spare = capacity - snm_used - irm_used
-    extra = snm_order[:0]
     if spare > 0 and len(snm_chosen) < len(snm_order):
-        if fill.count is not None:
+        if uniform:
             # a uniform fill is a prefix of its order
             rest = snm_order[len(snm_chosen):]
         else:
             rest = snm_order[~np.isin(snm_order, snm_chosen)]
         extra, extra_used = fill.admit(rest, spare)
+        snm_chosen = np.concatenate((snm_chosen, extra))
         snm_used += extra_used
+    n = len(snm_chosen)
+    if uniform and n < len(candidates):
+        index = hybrid_ucb_index(state, candidates, t, exploration_beta)
+        snm_chosen = _ranking(candidates, index, n)[:n]
 
-    cached = np.concatenate((snm_chosen, extra, irm_chosen))
+    cached = np.concatenate((snm_chosen, irm_chosen))
     cached.sort()
     return Placement(cached, used_capacity=snm_used + irm_used, capacity=capacity)
 

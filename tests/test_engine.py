@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import hybridcache.engine as engine
 from catalog_helpers import array_catalog
+from hybridcache.cli import ExperimentConfig, make_workload
 from hybridcache.catalog import (
     CatalogConfig,
     build_catalog,
@@ -363,3 +364,20 @@ def test_pinned_runs_at_non_uniform_sizes(tmp_path, policy):
     trace = generate_trace(catalog, 40, 30, 0.5, 0.8, seed=62)
     metrics = run_simulation(catalog, trace, policy, 7.5, seed=64)
     assert run_digest(metrics) == NON_UNIFORM_DIGESTS[policy]
+
+
+# Pinned before the hybrid skipped its UCB ranking when its cache holds
+# every live SNM candidate: the CLI's reference workload (F=150, R=100,
+# w_snm=0.8) over 200 slots. The hybrid ranks in 184 of the 200 slots at
+# C=10 and in 15 at C=40, so both sides of that choice are covered.
+UNIFORM_HYBRID_DIGESTS = {
+    10.0: "808580c146c6a0251aa41032d975ba3a1fa9adeed99635814372b71fe4164a26",
+    40.0: "33635988729c476ceee7c26123a49a2c9974cd6bb73d6f59dec29415aac001f1",
+}
+
+
+@pytest.mark.parametrize("capacity", sorted(UNIFORM_HYBRID_DIGESTS))
+def test_pinned_hybrid_runs_at_uniform_sizes(capacity):
+    catalog, trace = make_workload(ExperimentConfig(horizon=200), 150, seed=1000)
+    metrics = run_simulation(catalog, trace, "hybrid", capacity, seed=1000)
+    assert run_digest(metrics) == UNIFORM_HYBRID_DIGESTS[capacity]

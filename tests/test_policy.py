@@ -1,5 +1,6 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -288,13 +289,17 @@ class TestLeanPaths:
         m=st.integers(0, 2 * RANK_ALL_BELOW + 100),
         distinct=st.integers(1, 6),
         seed=st.integers(0, 2**16),
+        as_float=st.booleans(),
         data=st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_ranking_prefix_equals_full_sort(self, m, distinct, seed, data):
+    def test_ranking_prefix_equals_full_sort(self, m, distinct, seed, as_float, data):
         rng = np.random.default_rng(seed)
         ids = np.sort(rng.choice(3 * m + 1, size=m, replace=False)) + 1
         counts = rng.integers(0, distinct, size=m)  # many ties
+        if as_float:
+            # as UCB indices are: floats, the largest tied at inf
+            counts = np.where(counts == distinct - 1, np.inf, counts / 3)
         n = data.draw(st.integers(0, m + 2))
         want = ids[np.lexsort((ids, -counts))][:n]
         got = _ranking(ids, counts, n)
@@ -597,6 +602,67 @@ class TestHybridSelect:
         )
         assert p.used_capacity <= capacity + 1e-9
         assert sum(sizes[f - 1] for f in p.cached) == pytest.approx(p.used_capacity)
+
+
+def select_both_ways(candidates, irm_ranking, w_snm, capacity, t=5):
+    """hybrid_select at unit sizes, and by the path that ranks before it fills.
+
+    The second adds one id of size 2 past every id used, so its fill has
+    unequal sizes and takes the general path.
+    """
+    n_ids = int(max(candidates.max(initial=0), irm_ranking.max(initial=0)))
+    rng = np.random.default_rng(n_ids)
+    state = BanditState.fresh(np.append(0.0, rng.uniform(0.01, 1.0, n_ids)))
+    # some never cached (index inf), few distinct means: ties on both sides
+    state.pulls[1:] = rng.integers(0, 3, n_ids)
+    state.mean[1:] = rng.integers(0, 3, n_ids) / 2
+    state.weight[1:] = rng.uniform(0.0, 1.0, n_ids)
+    args = (state, candidates, irm_ranking, w_snm)
+    uniform = hybrid_select(*args, Fill(unit_sizes(n_ids), capacity), t)
+    general = hybrid_select(*args, Fill(np.append(unit_sizes(n_ids), 2.0), capacity), t)
+    assert uniform.cached.tolist() == general.cached.tolist()
+    assert uniform.used_capacity == general.used_capacity
+    return uniform
+
+
+class TestHybridRankOnlyWhenShort:
+    """At C=10 and w_snm=0.5 the SNM share is 5 units, the IRM share 5."""
+
+    @pytest.mark.parametrize(
+        "n_candidates, n_irm, capacity, n_snm_cached",
+        [
+            (5, 9, 10, 5),  # the candidates exactly fill the SNM share
+            (6, 9, 10, 5),  # one more than fits
+            (0, 9, 10, 0),  # no candidates: the IRM side takes it all
+            (6, 9, 0, 0),  # C=0
+            (8, 2, 10, 8),  # 3 units of IRM room roll back: every one fits
+            (9, 2, 10, 8),  # the rollover leaves one out
+        ],
+    )
+    def test_equals_ranking_first(self, n_candidates, n_irm, capacity, n_snm_cached):
+        candidates = np.arange(100, 100 + n_candidates)
+        irm_ranking = np.arange(n_irm, 0, -1)
+        p = select_both_ways(candidates, irm_ranking, 0.5, capacity)
+        assert np.isin(p.cached, candidates).sum() == n_snm_cached
+        assert p.used_capacity == min(capacity, n_candidates + n_irm)
+
+    @pytest.mark.parametrize("n_candidates, n_irm", [(5, 9), (8, 2), (0, 9)])
+    def test_no_index_when_every_candidate_fits(self, n_candidates, n_irm):
+        state = BanditState.fresh(np.ones(120))
+        with mock.patch(
+            "hybridcache.policy.hybrid_ucb_index", side_effect=AssertionError("ranked")
+        ):
+            p = hybrid_select(
+                state, np.arange(100, 100 + n_candidates), np.arange(1, n_irm + 1),
+                0.5, Fill(unit_sizes(119), 10), t=5,
+            )
+        assert np.isin(np.arange(100, 100 + n_candidates), p.cached).all()
+
+    @pytest.mark.parametrize("sizes", [unit_sizes(12), np.append(unit_sizes(11), 2.0)])
+    def test_t_below_one_even_when_every_candidate_fits(self, sizes):
+        state = bandit({10: (0, 0, 0, 0.5), 11: (2, 0.5, 0.5, 0.5)})
+        with pytest.raises(ValueError, match="t must be >= 1"):
+            hybrid_select(state, ids(10, 11), ids(1), 0.5, Fill(sizes, 10), t=0)
 
 
 def fill_item_by_item(ordered_ids, sizes, capacity):
