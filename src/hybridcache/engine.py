@@ -10,10 +10,15 @@ it drives.
 Each slot is scored against a clairvoyant oracle that knows the slot's
 true request counts; the oracle's hits depend only on the trace, the
 catalog and C, so they are computed for every slot before the loop.
+
+The loop walks the trace a chunk of slots at a time: one np.bincount
+tallies the whole chunk, and its hits are read once the chunk's slots
+are placed and fed back.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -40,12 +45,56 @@ class RunMetrics:
     summary: dict
 
 
-def slot_step(placement: Placement, tally: np.ndarray) -> int:
-    """Serve one slot against a frozen cache; returns the hits.
+# the most tally cells, and the most events, of one chunk of slots; a
+# chunk holds one slot at least
+CHUNK_CELLS = 2**16
 
-    tally[id] is the slot's request count of an id.
+
+def _tally_chunks(trace: RequestTrace, id_space: int):
+    """Yield (t0, tallies) for successive chunks of the trace's slots.
+
+    tallies[r, id] is the request count of an id in slot t0 + r; the
+    array is read-only, so each row is a read-only tally. One bincount
+    builds a chunk: each event's key is its id plus its row times
+    id_space, as int32.
     """
-    return int(tally[placement.cached].sum())
+    bounds = trace.offsets.tolist()
+    most_rows = max(1, CHUNK_CELLS // id_space)
+    start = 0
+    while start < trace.horizon:
+        # the last slot index whose events end within CHUNK_CELLS events
+        by_events = bisect.bisect_right(bounds, bounds[start] + CHUNK_CELLS) - 1
+        stop = max(start + 1, min(start + most_rows, by_events))
+        rows = np.arange(0, (stop - start) * id_space, id_space, dtype=np.int32)
+        # added in place: one chunk-sized array less at the memory peak
+        keys = rows.repeat(np.diff(trace.offsets[start:stop + 1]))
+        keys += trace.ids[bounds[start]:bounds[stop]]
+        tallies = np.bincount(keys, minlength=len(rows) * id_space)
+        tallies = tallies.reshape(len(rows), id_space)
+        tallies.flags.writeable = False
+        yield start + 1, tallies
+        start = stop
+
+
+def slot_step(placements: Sequence[Placement], tallies: np.ndarray) -> np.ndarray:
+    """Serve a chunk of slots, each against its frozen cache; returns their hits.
+
+    tallies[r, id] is the request count of an id in the chunk's r-th
+    slot, and placements[r] is that slot's cache. The cached ids of all
+    the slots are gathered from the flat tallies at once; a slot's hits
+    are the difference of their running sum across its ids.
+    """
+    cached = [p.cached for p in placements]
+    lengths = np.fromiter(map(len, cached), dtype=np.int64, count=len(cached))
+    width = tallies.shape[1]
+    cells = np.concatenate(cached) + np.arange(
+        0, len(cached) * width, width
+    ).repeat(lengths)
+    running = np.zeros(len(cells) + 1, dtype=np.int64)
+    tallies.reshape(-1)[cells].cumsum(out=running[1:])
+    ends = np.zeros(len(cached) + 1, dtype=np.int64)
+    lengths.cumsum(out=ends[1:])
+    return np.diff(running[ends])
 
 
 def oracle_placement(
@@ -71,17 +120,18 @@ def oracle_placement(
         hits[some] = sums[starts[:-1][some] + take[some] - 1]
         return hits
     hits = []
-    for slot_ids in trace.events_by_slot():
-        tally = np.bincount(slot_ids, minlength=catalog.id_space)
-        ids = np.flatnonzero(tally)
-        placement = exact_knapsack(
-            tally[ids].astype(float).tolist(),
-            catalog.sizes[ids - 1].tolist(),
-            capacity,
-            ids=ids.tolist(),
-        )
-        hits.append(slot_step(placement, tally))
-    return np.array(hits, dtype=np.int64)
+    for _, tallies in _tally_chunks(trace, catalog.id_space):
+        placements = []
+        for tally in tallies:
+            ids = np.flatnonzero(tally)
+            placements.append(exact_knapsack(
+                tally[ids].astype(float).tolist(),
+                catalog.sizes[ids - 1].tolist(),
+                capacity,
+                ids=ids.tolist(),
+            ))
+        hits.append(slot_step(placements, tallies))
+    return np.concatenate(hits)
 
 
 def cumulative_regret(
@@ -127,13 +177,15 @@ def run_simulation(
         alloc_smoothing=alloc_smoothing,
     )
     oracle_hits = oracle_placement(trace, catalog, capacity)
-    hits = np.zeros(trace.horizon, dtype=np.int64)
-    offsets = trace.offsets.tolist()
-    for t in range(1, trace.horizon + 1):
-        placement = policy.place(t)
-        tally = np.bincount(ids[offsets[t - 1]:offsets[t]], minlength=catalog.id_space)
-        hits[t - 1] = slot_step(placement, tally)
-        policy.update(placement, tally)
+    hits = []
+    for t0, tallies in _tally_chunks(trace, catalog.id_space):
+        placements = []
+        for t, tally in enumerate(tallies, start=t0):
+            placement = policy.place(t)
+            policy.update(placement, tally)
+            placements.append(placement)
+        hits.append(slot_step(placements, tallies))
+    hits = np.concatenate(hits)
 
     totals = np.diff(trace.offsets)
     served = totals > 0

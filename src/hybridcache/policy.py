@@ -27,9 +27,6 @@ logger = logging.getLogger(__name__)
 WEIGHT_FLOOR = 0.01
 # the most ids one chunk of the random policy's permutations holds
 CHUNK_IDS = 2**14
-# below this many ids one lexsort of them all costs less than _top_n and a
-# sort of the top few (about 12 us either way at 480 ids, numpy 2.4)
-RANK_ALL_BELOW = 512
 # the only slack of the capacity rule: a set of ids fits in a capacity C
 # when their sizes sum to at most C + FIT_SLACK (see Fill)
 FIT_SLACK = 1e-9
@@ -41,7 +38,7 @@ def check_capacity(capacity) -> None:
         raise BadInput(f"capacity must be finite and >= 0, not {capacity!r}")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Placement:
     """A 0/1 cache decision: the cached ids under capacity C.
 
@@ -152,19 +149,6 @@ def _top_n(values: np.ndarray, n: int) -> np.ndarray:
         passed[np.flatnonzero(values == kth)[-surplus:]] = False
         chosen = np.flatnonzero(passed)
     return chosen
-
-
-def _ranking(ids: np.ndarray, counts: np.ndarray, n: int) -> np.ndarray:
-    """ids by descending count, ties by lower id: at least the first n of them.
-
-    ids is ascending and counts[i] is the count (or any other non-NaN key,
-    inf included) of ids[i]. When there are many ids, only the n largest
-    counts (by _top_n) are sorted.
-    """
-    if n >= len(ids) or len(ids) < RANK_ALL_BELOW:
-        return ids[np.lexsort((ids, -counts))]
-    top = _top_n(counts, n)
-    return ids[top[np.lexsort((top, -counts[top]))]]
 
 
 def greedy_knapsack(
@@ -314,9 +298,10 @@ def hybrid_update(state: BanditState, ids: np.ndarray, observed) -> None:
     so far.
     """
     observed = np.asarray(observed, dtype=float)
-    if observed.min(initial=0.0) < 0:
-        raise ValueError("observed rewards must be >= 0")
     slot_max = observed.max(initial=0.0)
+    # min and max propagate a NaN, which fails both comparisons
+    if not (observed.min(initial=0.0) >= 0 and slot_max < math.inf):
+        raise ValueError("observed rewards must be finite and >= 0")
     state.weight[ids] = observed / slot_max if slot_max > 0 else 0.0
     before = state.pulls[ids]
     pulls = before + 1
@@ -327,7 +312,8 @@ def hybrid_update(state: BanditState, ids: np.ndarray, observed) -> None:
 def hybrid_select(
     state: BanditState,
     candidates: np.ndarray,
-    irm_ranking: np.ndarray,
+    irm_ids: np.ndarray,
+    irm_counts: np.ndarray,
     w_snm: float,
     fill: Fill,
     t: int,
@@ -335,16 +321,18 @@ def hybrid_select(
 ) -> Placement:
     """One slot's placement for the hybrid policy.
 
-    candidates is the live SNM ids, ascending; irm_ranking is the IRM ids
-    by descending popularity (ties by lower id), of which at uniform sizes
-    only the first fill.count need be given; w_snm is the SNM share of
-    fill.capacity. SNM candidates are admitted by descending UCB index,
-    ties by lower id, so never-cached ones (infinite index) go first.
+    candidates is the live SNM ids and irm_ids the IRM ids, each
+    ascending; irm_counts[i] is the request count of irm_ids[i]; w_snm is
+    the SNM share of fill.capacity. IRM ids are admitted by descending
+    count and SNM candidates by descending UCB index, ties by lower id on
+    both sides, so never-cached candidates (infinite index) go first.
 
     At uniform sizes a fill admits a prefix of its order, whose length
-    does not depend on the order. So the SNM ids admitted are counted in
-    the candidates' own order, and the candidates are ranked only when
-    fewer than all of them are admitted.
+    does not depend on the order. So each side's admitted count is read
+    from a fill in id order, and the side caches that many ids with the
+    largest keys (_top_n, the same set as that prefix of its ranking).
+    The candidates' index is computed only when fewer than all of them
+    are admitted.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -353,17 +341,20 @@ def hybrid_select(
     snm_share = capacity - irm_share
 
     uniform = fill.count is not None
-    snm_order = candidates
+    snm_order, irm_order = candidates, irm_ids
     if not uniform:
         # at unequal sizes what fits depends on the order: rank first
         index = hybrid_ucb_index(state, candidates, t, exploration_beta)
         snm_order = candidates[np.lexsort((candidates, -index))]
+        irm_order = irm_ids[np.lexsort((irm_ids, -irm_counts))]
     snm_chosen, snm_used = fill.admit(snm_order, snm_share)
 
     # unused SNM share rolls over to the IRM fill, and any capacity the
     # IRM side cannot use rolls back to the remaining SNM candidates,
     # so the cache is never left idle while candidates exist
-    irm_chosen, irm_used = fill.admit(irm_ranking, capacity - snm_used)
+    irm_chosen, irm_used = fill.admit(irm_order, capacity - snm_used)
+    if uniform:
+        irm_chosen = irm_ids[_top_n(irm_counts, len(irm_chosen))]
     spare = capacity - snm_used - irm_used
     if spare > 0 and len(snm_chosen) < len(snm_order):
         if uniform:
@@ -377,7 +368,7 @@ def hybrid_select(
     n = len(snm_chosen)
     if uniform and n < len(candidates):
         index = hybrid_ucb_index(state, candidates, t, exploration_beta)
-        snm_chosen = _ranking(candidates, index, n)[:n]
+        snm_chosen = candidates[_top_n(index, n)]
 
     cached = np.concatenate((snm_chosen, irm_chosen))
     cached.sort()
@@ -497,10 +488,6 @@ class HybridPolicy:
         influence[catalog.snm_ids] = feature_influences(catalog.snm_features)
         self.state = BanditState.fresh(influence)
         self.fill = Fill(catalog.sizes, capacity)
-        # the most IRM ids the IRM fill can admit
-        self.irm_top = len(self.irm_ids)
-        if self.fill.count is not None:
-            self.irm_top = min(self.irm_top, self.fill.count)
 
     def place(self, t: int) -> Placement:
         try:
@@ -510,7 +497,8 @@ class HybridPolicy:
         return hybrid_select(
             self.state,
             self.catalog.active_snm_ids(t),
-            _ranking(self.irm_ids, self.irm_counts, self.irm_top),
+            self.irm_ids,
+            self.irm_counts,
             w_snm,
             self.fill,
             t,

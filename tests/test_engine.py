@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import engine_reference
 import hybridcache.engine as engine
 from catalog_helpers import array_catalog
 from hybridcache.cli import ExperimentConfig, make_workload
@@ -25,7 +26,7 @@ from hybridcache.engine import (
 )
 from hybridcache.errors import BadInput, LengthMismatch, UnknownContent, UnknownPolicy
 from hybridcache.policy import POLICY_NAMES, Placement, exact_knapsack
-from hybridcache.workload import RequestTrace, generate_trace
+from hybridcache.workload import RequestTrace, generate_trace, load_trace, save_trace
 
 
 def placement_of(ids, capacity):
@@ -53,15 +54,31 @@ def catalog_of(sizes):
     return array_catalog(sizes)
 
 
+def tallies_of(*slots):
+    """A chunk's tallies: row r is tally_of(slots[r])."""
+    return np.stack([tally_of(ids) for ids in slots])
+
+
 class TestSlotStep:
     def test_partial_hits(self):
-        assert slot_step(placement_of({1}, 2), tally_of([1, 1, 2, 3])) == 2
+        hits = slot_step([placement_of({1}, 2)], tallies_of([1, 1, 2, 3]))
+        assert hits.tolist() == [2]
 
     def test_empty_cache(self):
-        assert slot_step(placement_of(set(), 2), tally_of([1, 2])) == 0
+        hits = slot_step([placement_of(set(), 2)], tallies_of([1, 2]))
+        assert hits.tolist() == [0]
 
     def test_full_coverage(self):
-        assert slot_step(placement_of({1, 2, 3}, 3), tally_of([1, 2, 3, 3])) == 4
+        hits = slot_step([placement_of({1, 2, 3}, 3)], tallies_of([1, 2, 3, 3]))
+        assert hits.tolist() == [4]
+
+    def test_each_row_served_by_its_own_cache(self):
+        placements = [
+            placement_of({1}, 2), placement_of(set(), 2), placement_of({1, 2, 3}, 3)
+        ]
+        hits = slot_step(placements, tallies_of([1, 1, 2, 3], [1, 2], [1, 2, 3, 3]))
+        assert hits.dtype == np.int64
+        assert hits.tolist() == [2, 0, 4]
 
 
 class TestOraclePlacement:
@@ -381,3 +398,145 @@ def test_pinned_hybrid_runs_at_uniform_sizes(capacity):
     catalog, trace = make_workload(ExperimentConfig(horizon=200), 150, seed=1000)
     metrics = run_simulation(catalog, trace, "hybrid", capacity, seed=1000)
     assert run_digest(metrics) == UNIFORM_HYBRID_DIGESTS[capacity]
+
+
+RUN_SEED = 7
+
+
+def served(catalog, trace, policy, capacity):
+    """What run_simulation served, slot by slot, in a run seeded RUN_SEED.
+
+    Returns (hits, fed, chunks): the hits slot_step returned for the
+    run's slots, joined in slot order; the (placement, tally) of every
+    update call; and the number of slots in each of the run's chunks.
+    """
+    hits, fed, chunks = [], [], []
+    make, step = engine.make_policy, engine.slot_step
+
+    def made(*args, **kwargs):
+        policy = make(*args, **kwargs)
+        update = policy.update
+
+        def updated(placement, tally):
+            fed.append((placement, tally))
+            update(placement, tally)
+
+        policy.update = updated
+        return policy
+
+    def stepped(placements, tallies):
+        out = step(placements, tallies)
+        # the oracle's knapsack placements are served too, but never fed
+        if fed and placements[-1] is fed[-1][0]:
+            hits.extend(out.tolist())
+            chunks.append(len(placements))
+        return out
+
+    with mock.patch.object(engine, "make_policy", made), \
+            mock.patch.object(engine, "slot_step", stepped):
+        run_simulation(catalog, trace, policy, capacity, seed=RUN_SEED)
+    return hits, fed, chunks
+
+
+def assert_served_as_slot_by_slot(catalog, trace, policy, capacity, cap):
+    """The chunked run against the per-slot reference loop; returns the chunks."""
+    hits, fed, chunks = served(catalog, trace, policy, capacity)
+    assert len(fed) == trace.horizon
+    for t, (slot_ids, (placement, tally)) in enumerate(
+        zip(trace.events_by_slot(), fed), start=1
+    ):
+        assert not tally.flags.writeable, t
+        counted = np.bincount(slot_ids, minlength=catalog.id_space)
+        assert tally.tolist() == counted.tolist(), t
+        assert hits[t - 1] == tally[placement.cached].sum(), t
+    reference = engine_reference.slot_hits(catalog, trace, policy, capacity, RUN_SEED)
+    assert hits == reference.tolist()
+    # each chunk keeps within both caps, unless it is a single slot
+    assert sum(chunks) == trace.horizon
+    bounds = np.cumsum([0] + chunks)
+    events = np.diff(trace.offsets[bounds])
+    for n, n_events in zip(chunks, events):
+        assert n == 1 or (n * catalog.id_space <= cap and n_events <= cap)
+    return chunks
+
+
+def scattered(per_slot, n_ids, seed):
+    """A trace of per_slot[t - 1] uniform ids in 1..n_ids at each slot t."""
+    rng = np.random.default_rng(seed)
+    return trace_of(*(rng.integers(1, n_ids + 1, n).tolist() for n in per_slot))
+
+
+CAP = engine.CHUNK_CELLS
+
+
+def library_beyond_the_cap():
+    catalog = catalog_of(np.ones(CAP + 5))
+    return catalog, scattered([30, 0, 25, 40], CAP + 5, seed=1)
+
+
+def slot_beyond_the_cap():
+    return catalog_of(np.ones(9)), scattered([3, CAP + 7, 2], 9, seed=2)
+
+
+def uneven_horizon():
+    # 151 cells a slot: 434 slots a chunk, so 1000 slots are 434 + 434 + 132
+    return catalog_of(np.ones(150)), scattered([3] * 1000, 150, seed=3)
+
+
+CHUNK_EDGE_CASES = {
+    "id-space-beyond-the-cap": (library_beyond_the_cap, [1, 1, 1, 1]),
+    "slot-beyond-the-cap": (slot_beyond_the_cap, [1, 1, 1]),
+    "uneven-horizon": (uneven_horizon, [434, 434, 132]),
+}
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("case", CHUNK_EDGE_CASES)
+def test_chunk_edges_serve_as_slot_by_slot(policy, case):
+    make, want_chunks = CHUNK_EDGE_CASES[case]
+    catalog, trace = make()
+    chunks = assert_served_as_slot_by_slot(catalog, trace, policy, 12, CAP)
+    assert chunks == want_chunks
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_loaded_trace_ending_early_serves_as_slot_by_slot(tmp_path, workload, policy):
+    catalog, trace = workload
+    early = trace_of(*[list(ids) for ids in trace.events_by_slot()[:30]])
+    save_trace(early, tmp_path / "trace.csv")
+    loaded = load_trace(tmp_path / "trace.csv", catalog, 80)
+    assert loaded.horizon == 80 and loaded.offsets[30] == loaded.offsets[-1]
+    # 31 cells a slot, so 50 slots a chunk: the first ends in 20 empty
+    # slots, and the second holds only empty ones
+    with mock.patch.object(engine, "CHUNK_CELLS", 31 * 50):
+        chunks = assert_served_as_slot_by_slot(catalog, loaded, policy, 6, 31 * 50)
+    assert chunks == [50, 30]
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+@pytest.mark.parametrize("cap", [1, 31, 100, 1000])
+def test_small_chunks_serve_as_slot_by_slot(workload, policy, cap):
+    # cap 1 and 31: a slot per chunk; 100: two slots by their 80 events;
+    # 1000: 25 slots by events, under the 32 the cells allow
+    catalog, trace = workload
+    with mock.patch.object(engine, "CHUNK_CELLS", cap):
+        chunks = assert_served_as_slot_by_slot(catalog, trace, policy, 8, cap)
+    assert max(chunks) == {1: 1, 31: 1, 100: 2, 1000: 25}[cap]
+
+
+@pytest.mark.parametrize("cap", [1, 50])
+def test_knapsack_oracle_in_small_chunks(cap):
+    catalog, trace = generated_at(1.0, [1, 1, 1, 2, 1, 1], library_size=6)
+    want = []
+    for slot_ids in trace.events_by_slot():
+        tally = np.bincount(slot_ids, minlength=catalog.id_space)
+        ids = np.flatnonzero(tally)
+        best = exact_knapsack(
+            tally[ids].astype(float).tolist(),
+            catalog.sizes[ids - 1].tolist(),
+            3,
+            ids=ids.tolist(),
+        )
+        want.append(int(tally[best.cached].sum()))
+    with mock.patch.object(engine, "CHUNK_CELLS", cap):
+        assert oracle_placement(trace, catalog, 3).tolist() == want

@@ -16,9 +16,7 @@ from hybridcache.policy import (
     PopularPolicy,
     WEIGHT_FLOOR,
     RandomPolicy,
-    RANK_ALL_BELOW,
     _fill,
-    _ranking,
     _top_n,
     exact_knapsack,
     greedy_knapsack,
@@ -286,25 +284,34 @@ class TestLeanPaths:
         assert got.tolist() == want.tolist()
 
     @given(
-        m=st.integers(0, 2 * RANK_ALL_BELOW + 100),
+        m=st.integers(0, 1100),
         distinct=st.integers(1, 6),
         seed=st.integers(0, 2**16),
-        as_float=st.booleans(),
-        data=st.data(),
+        capacity=st.integers(0, 60),
+        w_snm=st.floats(0.0, 1.0),
     )
     @settings(max_examples=100, deadline=None)
-    def test_ranking_prefix_equals_full_sort(self, m, distinct, seed, as_float, data):
+    def test_hybrid_top_k_equals_rank_first(self, m, distinct, seed, capacity, w_snm):
+        # many ids and few distinct keys on both sides: the uniform path's
+        # top-k sets against the rank-first path's ranked prefixes
         rng = np.random.default_rng(seed)
-        ids = np.sort(rng.choice(3 * m + 1, size=m, replace=False)) + 1
-        counts = rng.integers(0, distinct, size=m)  # many ties
-        if as_float:
-            # as UCB indices are: floats, the largest tied at inf
-            counts = np.where(counts == distinct - 1, np.inf, counts / 3)
-        n = data.draw(st.integers(0, m + 2))
-        want = ids[np.lexsort((ids, -counts))][:n]
-        got = _ranking(ids, counts, n)
-        assert len(got) >= min(n, m)
-        assert got[:n].tolist() == want.tolist()
+        n_ids = 3 * m + 2
+        chosen = np.sort(rng.choice(n_ids, size=2 * m, replace=False)) + 1
+        snm = rng.random(2 * m) < 0.5
+        candidates, irm_ids = chosen[snm], chosen[~snm]
+        irm_counts = rng.integers(0, distinct, size=len(irm_ids))
+        state = BanditState.fresh(np.append(0.0, rng.uniform(0.01, 1.0, n_ids)))
+        # index ties: never cached (inf) and few distinct means
+        state.pulls[1:] = rng.integers(0, 2, n_ids)
+        state.mean[1:] = rng.integers(0, distinct, n_ids) / 2
+        state.weight[1:] = 1.0
+        state.influence[1:] = 0.5
+        args = (state, candidates, irm_ids, irm_counts, w_snm)
+        uniform = hybrid_select(*args, Fill(unit_sizes(n_ids), capacity), t=7)
+        scan = Fill(np.append(unit_sizes(n_ids), 2.0), capacity)
+        general = hybrid_select(*args, scan, t=7)
+        assert uniform.cached.tolist() == general.cached.tolist()
+        assert uniform.used_capacity == general.used_capacity
 
     @given(
         m=st.integers(0, 60),
@@ -343,15 +350,12 @@ class TestLeanPaths:
         candidates = ids[snm & (rng.random(n_ids) < 0.7)]
         irm_ids, counts = ids[~snm], rng.integers(0, 4, int((~snm).sum()))
         t = int(rng.integers(1, 100))
-        ranking = irm_ids[np.lexsort((irm_ids, -counts))]
         # one more id, in no order, of another size: the general scan
         scan = Fill(np.append(np.full(n_ids, size), size + 1.0), capacity)
         assert scan.count is None
-        general = hybrid_select(state, candidates, ranking, w_snm, scan, t)
-        # the uniform fill reads only the IRM ids that fit in the capacity
+        general = hybrid_select(state, candidates, irm_ids, counts, w_snm, scan, t)
         fill = Fill(np.full(n_ids, size), capacity)
-        top = min(fill.count, len(irm_ids))
-        uniform = hybrid_select(state, candidates, ranking[:top], w_snm, fill, t)
+        uniform = hybrid_select(state, candidates, irm_ids, counts, w_snm, fill, t)
         assert uniform.cached.tolist() == general.cached.tolist()
         assert uniform.used_capacity == general.used_capacity
         assert uniform.cached.dtype == np.int64
@@ -518,6 +522,16 @@ class TestHybridUpdate:
         with pytest.raises(ValueError):
             hybrid_update(state, np.array([1]), [-0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reward_rejected_before_any_change(self, bad):
+        state = BanditState.fresh([0.0, 0.5, 0.5])
+        state.pulls[2], state.mean[2], state.weight[2] = 3, 0.25, 0.5
+        with pytest.raises(ValueError, match="finite"):
+            hybrid_update(state, np.array([1, 2]), [0.5, bad])
+        assert state.pulls.tolist() == [0, 0, 3]
+        assert state.mean.tolist() == [0.0, 0.0, 0.25]
+        assert state.weight.tolist() == [0.0, 0.0, 0.5]
+
     def test_mean_equals_arithmetic_mean_exactly(self):
         observations = [0.25, 0.5, 0.125, 0.75, 0.0, 1.0, 0.375, 0.625]
         state = bandit({1: (0, 0.0, 0.0, 0.5)})
@@ -536,11 +550,20 @@ def unit_sizes(n):
     return np.ones(n)
 
 
+def ranked(*ranking):
+    """(irm_ids, irm_counts) whose ids by descending count are ranking."""
+    ranking = np.array(ranking, dtype=np.int64)
+    irm_ids = np.sort(ranking)
+    counts = np.empty(len(ranking), dtype=np.int64)
+    counts[np.searchsorted(irm_ids, ranking)] = np.arange(len(ranking), 0, -1)
+    return irm_ids, counts
+
+
 class TestHybridSelect:
     def test_cold_start_priority_and_tie(self):
         state = bandit({10: (0, 0, 0, 0.5), 11: (0, 0, 0, 0.5)})
         p = hybrid_select(
-            state, ids(10, 11), irm_ranking=ids(), w_snm=1.0,
+            state, ids(10, 11), *ranked(), w_snm=1.0,
             fill=Fill(unit_sizes(11), 1), t=3,
         )
         assert p.cached.tolist() == [10]
@@ -552,7 +575,7 @@ class TestHybridSelect:
             12: (5, 0.5, 0.9, 0.5),
         })
         p = hybrid_select(
-            state, ids(10, 11, 12), irm_ranking=ids(), w_snm=1.0,
+            state, ids(10, 11, 12), *ranked(), w_snm=1.0,
             fill=Fill(unit_sizes(12), 2), t=10,
         )
         indices = {f: index_of(state, f, 10) for f in (10, 11, 12)}
@@ -562,7 +585,7 @@ class TestHybridSelect:
     def test_zero_snm_share_pure_irm(self):
         state = bandit({10: (3, 0.9, 0.9, 0.5)})
         p = hybrid_select(
-            state, ids(10), irm_ranking=ids(1, 2, 3), w_snm=0.0,
+            state, ids(10), *ranked(1, 2, 3), w_snm=0.0,
             fill=Fill(unit_sizes(10), 2), t=5,
         )
         assert p.cached.tolist() == [1, 2]
@@ -570,7 +593,7 @@ class TestHybridSelect:
     def test_leftover_snm_share_rolls_to_irm(self):
         state = bandit({10: (0, 0, 0, 0.5)})
         p = hybrid_select(
-            state, ids(10), irm_ranking=ids(1, 2), w_snm=0.75,
+            state, ids(10), *ranked(1, 2), w_snm=0.75,
             fill=Fill(unit_sizes(10), 4), t=5,
         )
         assert p.cached.tolist() == [1, 2, 10]
@@ -597,7 +620,7 @@ class TestHybridSelect:
         sizes = rng.integers(1, 4, size=snm_ids[-1]).astype(float)
         ranking = rng.permutation(irm_ids)
         p = hybrid_select(
-            state, snm_ids, ranking, w_snm, Fill(sizes, capacity),
+            state, snm_ids, *ranked(*ranking), w_snm, Fill(sizes, capacity),
             t=int(rng.integers(1, 50)),
         )
         assert p.used_capacity <= capacity + 1e-9
@@ -617,7 +640,7 @@ def select_both_ways(candidates, irm_ranking, w_snm, capacity, t=5):
     state.pulls[1:] = rng.integers(0, 3, n_ids)
     state.mean[1:] = rng.integers(0, 3, n_ids) / 2
     state.weight[1:] = rng.uniform(0.0, 1.0, n_ids)
-    args = (state, candidates, irm_ranking, w_snm)
+    args = (state, candidates, *ranked(*irm_ranking), w_snm)
     uniform = hybrid_select(*args, Fill(unit_sizes(n_ids), capacity), t)
     general = hybrid_select(*args, Fill(np.append(unit_sizes(n_ids), 2.0), capacity), t)
     assert uniform.cached.tolist() == general.cached.tolist()
@@ -653,7 +676,7 @@ class TestHybridRankOnlyWhenShort:
             "hybridcache.policy.hybrid_ucb_index", side_effect=AssertionError("ranked")
         ):
             p = hybrid_select(
-                state, np.arange(100, 100 + n_candidates), np.arange(1, n_irm + 1),
+                state, np.arange(100, 100 + n_candidates), *ranked(*range(1, n_irm + 1)),
                 0.5, Fill(unit_sizes(119), 10), t=5,
             )
         assert np.isin(np.arange(100, 100 + n_candidates), p.cached).all()
@@ -662,7 +685,7 @@ class TestHybridRankOnlyWhenShort:
     def test_t_below_one_even_when_every_candidate_fits(self, sizes):
         state = bandit({10: (0, 0, 0, 0.5), 11: (2, 0.5, 0.5, 0.5)})
         with pytest.raises(ValueError, match="t must be >= 1"):
-            hybrid_select(state, ids(10, 11), ids(1), 0.5, Fill(sizes, 10), t=0)
+            hybrid_select(state, ids(10, 11), *ranked(1), 0.5, Fill(sizes, 10), t=0)
 
 
 def fill_item_by_item(ordered_ids, sizes, capacity):
