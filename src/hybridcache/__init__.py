@@ -13,7 +13,6 @@ from .policy import (
     HybridPolicy,
     Placement,
     exact_knapsack,
-    greedy_knapsack,
     hybrid_ucb_index,
     hybrid_update,
     make_policy,

@@ -100,6 +100,8 @@ class ExperimentConfig:
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ConfigError(f"policies: unknown policy {p!r}")
+        if len(set(self.policies)) < len(self.policies):
+            raise ConfigError("policies must not repeat")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
         if not all(math.isfinite(v) for v in self.sweep_values):

@@ -106,8 +106,9 @@ def oracle_placement(
     array indexed t - 1. It fits ids by the policies' rule (Fill). When
     every item has the same size the optimum caches the Fill.count most
     requested ids of a slot, so its hits are read from the trace's
-    running sums of descending counts; otherwise an exact knapsack
-    (integer sizes only) runs per slot over the requested ids.
+    running sums of descending counts; otherwise a slot's hits are the
+    optimal value of a 0/1 knapsack (integer sizes only) over its
+    requested ids.
     """
     fill = Fill(catalog.sizes, capacity)
     if fill.count is not None:
@@ -121,17 +122,11 @@ def oracle_placement(
         return hits
     hits = []
     for _, tallies in _tally_chunks(trace, catalog.id_space):
-        placements = []
         for tally in tallies:
             ids = np.flatnonzero(tally)
-            placements.append(exact_knapsack(
-                tally[ids].astype(float).tolist(),
-                catalog.sizes[ids - 1].tolist(),
-                capacity,
-                ids=ids.tolist(),
-            ))
-        hits.append(slot_step(placements, tallies))
-    return np.concatenate(hits)
+            hits.append(exact_knapsack(tally[ids], catalog.sizes[ids - 1], capacity))
+    # the knapsack's sums of whole counts are exact in float64
+    return np.array(hits, dtype=np.int64)
 
 
 def cumulative_regret(

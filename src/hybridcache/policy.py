@@ -13,7 +13,7 @@ import bisect
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -85,10 +85,6 @@ def _fill(ordered_ids: np.ndarray, sizes: np.ndarray, capacity) -> tuple:
     return chosen, used
 
 
-def _sorted_ids(chosen) -> np.ndarray:
-    return np.sort(np.asarray(chosen, dtype=np.int64))
-
-
 class Fill:
     """The capacity rule of every policy and the oracle, over one catalog.
 
@@ -151,88 +147,34 @@ def _top_n(values: np.ndarray, n: int) -> np.ndarray:
     return chosen
 
 
-def greedy_knapsack(
-    values: Sequence[float],
-    sizes: Sequence[float],
-    capacity: float,
-    ids: Optional[Sequence[int]] = None,
-) -> Placement:
-    """Density-greedy 0/1 knapsack: admit by value/size, skip misfits.
+def exact_knapsack(
+    values: Sequence[float], sizes: Sequence[float], capacity: float
+) -> float:
+    """The optimal value of the 0/1 knapsack, by dynamic programming over capacity.
 
-    Deterministic; ties broken by lower id.
+    Requires integer sizes. best[u] is the most value that fits in u
+    units; each item is folded in by one np.maximum over the cells it
+    reaches, from a right-hand side built before the write, so it counts
+    once. The table stops at the sizes' sum, past which every item fits.
     """
     values = np.asarray(values, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     if len(values) != len(sizes):
         raise BadInput("values and sizes must have the same length")
-    if (values < 0).any():
-        raise BadInput("values must be non-negative")
+    if not (np.isfinite(values).all() and (values >= 0).all()):
+        raise BadInput("values must be finite and non-negative")
     if (sizes <= 0).any():
         raise BadInput("sizes must be positive")
     check_capacity(capacity)
-    ids = np.arange(1, len(values) + 1) if ids is None else np.asarray(ids)
-    order = np.lexsort((ids, -values / sizes))
-    chosen, used = _fill(ids[order], sizes[order], capacity)
-    return Placement(_sorted_ids(chosen), used_capacity=used, capacity=capacity)
-
-
-def exact_knapsack(
-    values: Sequence[float],
-    sizes: Sequence[float],
-    capacity: float,
-    ids: Optional[Sequence[int]] = None,
-) -> Placement:
-    """Optimal 0/1 knapsack by dynamic programming over capacity.
-
-    Requires integer sizes. Ties among optimal subsets are broken by
-    the lexicographically smallest sorted id tuple (zero-value items
-    are never included).
-    """
-    # item by item, unlike greedy_knapsack: the inputs are short lists
-    # (the oracle's requested ids of a slot), where NumPy calls cost more
-    if len(values) != len(sizes):
-        raise BadInput("values and sizes must have the same length")
-    if any(v < 0 for v in values):
-        raise BadInput("values must be non-negative")
-    if any(s <= 0 for s in sizes):
-        raise BadInput("sizes must be positive")
-    check_capacity(capacity)
-    if any(not float(s).is_integer() for s in sizes):
+    if not (np.isfinite(sizes).all() and (sizes == np.floor(sizes)).all()):
         raise NeedsIntegerSizes("exact_knapsack requires integer sizes")
-    if ids is None:
-        ids = list(range(1, len(values) + 1))
-    cap = int(math.floor(capacity + FIT_SLACK))
-    int_sizes = [int(s) for s in sizes]
-
-    order = sorted(range(len(ids)), key=lambda i: ids[i])
-    # states: capacity used -> (total value, sorted id tuple)
-    best = {0: (0.0, ())}
-    for i in order:
-        cid, v, s = ids[i], values[i], int_sizes[i]
-        if v == 0:
-            continue
-        updates = {}
-        for used, (val, chosen) in best.items():
-            u2 = used + s
-            if u2 > cap:
-                continue
-            cand = (val + v, chosen + (cid,))
-            cur = updates.get(u2, best.get(u2))
-            if (
-                cur is None
-                or cand[0] > cur[0]
-                or (cand[0] == cur[0] and cand[1] < cur[1])
-            ):
-                updates[u2] = cand
-        best.update(updates)
-    used_best, (_, chosen_best) = min(
-        best.items(), key=lambda kv: (-kv[1][0], kv[1][1])
-    )
-    return Placement(
-        cached=_sorted_ids(chosen_best),
-        used_capacity=float(used_best),
-        capacity=capacity,
-    )
+    cells = int(min(math.floor(capacity + FIT_SLACK), sizes.sum())) + 1
+    best = np.zeros(cells)
+    for v, s in zip(values.tolist(), sizes.tolist()):
+        if s < cells:
+            s = int(s)
+            np.maximum(best[s:], best[:-s] + v, out=best[s:])
+    return float(best[-1])
 
 
 @dataclass
@@ -407,7 +349,7 @@ class RandomPolicy:
             if fill.count is None:
                 for order in orders:
                     chosen, used = fill.admit(order + 1, capacity)
-                    yield Placement(_sorted_ids(chosen), used, capacity)
+                    yield Placement(np.sort(chosen), used, capacity)
             else:
                 n, used = fill.count, fill.used
                 chosen = orders[:, :n] + 1
@@ -424,13 +366,14 @@ class RandomPolicy:
 
 
 class PopularPolicy:
-    """The most requested contents of the slots before t, by greedy_knapsack.
+    """The most requested contents per unit of size of the slots before t.
 
     Reads the per-content request counts it keeps from the tallies fed
     to update. Before any request it places as a RandomPolicy on the
-    run's rng. At uniform sizes the cache is the history's top n, where
-    n is known once per run, found by np.partition instead of a sort of
-    the library.
+    run's rng. The cache is the density-greedy fill: ids are admitted by
+    request frequency over size, ties by lower id, each that still fits.
+    At uniform sizes that is the history's top n, where n is known once
+    per run, found by np.partition instead of a sort of the library.
     """
 
     def __init__(self, catalog: Catalog, capacity: float, rng: np.random.Generator):
@@ -449,8 +392,10 @@ class PopularPolicy:
         freq = self.counts[1:] / self.total  # position = id - 1
         sizes = self.catalog.sizes
         if self.fill.count is None:
-            return greedy_knapsack(freq, sizes, self.capacity, ids=self.catalog.ids)
-        # the values greedy_knapsack ranks: frequency per unit of size
+            ids = self.catalog.ids
+            order = ids[np.lexsort((ids, -freq / sizes))]
+            chosen, used = self.fill.admit(order, self.capacity)
+            return Placement(np.sort(chosen), used_capacity=used, capacity=self.capacity)
         chosen = _top_n(freq / sizes, self.fill.count) + 1
         return Placement(chosen, used_capacity=self.fill.used, capacity=self.capacity)
 

@@ -18,8 +18,8 @@ from hybridcache.cli import ExperimentConfig, make_workload, main
 from hybridcache.engine import run_simulation
 from hybridcache.policy import (
     BanditState,
+    Fill,
     exact_knapsack,
-    greedy_knapsack,
     hybrid_update,
 )
 from hybridcache.popularity import estimate_allocation
@@ -190,19 +190,19 @@ def test_criterion_5_knapsack_oracle():
         values = (rng.integers(0, 1 << 16, size=n) / (1 << 10)).tolist()
         sizes = rng.integers(1, 8, size=n).tolist()
         capacity = int(rng.integers(0, int(1.5 * n) + 1))
-        placement = exact_knapsack(values, sizes, capacity)
-        objective = sum(values[cid - 1] for cid in sorted(placement.cached))
         best = 0.0
         for mask in itertools.product([0, 1], repeat=n):
             if sum(s for m, s in zip(mask, sizes) if m) > capacity:
                 continue
             best = max(best, sum(v for m, v in zip(mask, values) if m))
-        ok &= objective == best
-        # uniform sizes: greedy is exact
-        uniform = greedy_knapsack(values, [1] * n, min(capacity, n))
-        exact_u = exact_knapsack(values, [1] * n, min(capacity, n))
-        obj = lambda p: sum(values[c - 1] for c in sorted(p.cached))
-        ok &= obj(uniform) == obj(exact_u)
+        ok &= exact_knapsack(values, sizes, capacity) == best
+        # uniform sizes: the greedy fill by value, ties by lower id, is exact
+        ids = np.arange(1, n + 1)
+        order = ids[np.lexsort((ids, -np.array(values)))]
+        k = min(capacity, n)
+        chosen, _ = Fill(np.ones(n), k).admit(order, k)
+        greedy = sum(values[c - 1] for c in sorted(chosen.tolist()))
+        ok &= greedy == exact_knapsack(values, [1] * n, k)
     criterion(
         5,
         "exact knapsack matches 2^n enumeration on 200 instances (n<=15); "

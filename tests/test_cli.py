@@ -96,6 +96,17 @@ class TestBadValuesExitCode:
         argv = ["sweep", "--horizon", "20", "--values", "10"]
         self._expect_exit_2(argv, "seeds", tmp_path, capsys)
 
+    def test_repeated_policy(self, tmp_path, capsys, monkeypatch):
+        # a repeated policy would write each of its sweep rows twice
+        with pytest.raises(ConfigError, match="policies must not repeat"):
+            ExperimentConfig(policies=("hybrid", "random", "hybrid")).validate()
+        argv = ["sweep", "--horizon", "20", "--values", "10"]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("policies = popular,popular\n")
+        self._expect_exit_2([*argv, "--config", str(cfg)], "policies", tmp_path, capsys)
+        monkeypatch.setenv("HYBRIDCACHE_POLICIES", "hybrid,hybrid")
+        self._expect_exit_2(argv, "policies", tmp_path, capsys)
+
     def test_non_finite_capacity(self, tmp_path, capsys):
         for value in ("nan", "inf"):
             argv = ["run", *SMALL, "--capacity", value]

@@ -25,7 +25,7 @@ from hybridcache.engine import (
     slot_step,
 )
 from hybridcache.errors import BadInput, LengthMismatch, UnknownContent, UnknownPolicy
-from hybridcache.policy import POLICY_NAMES, Placement, exact_knapsack
+from hybridcache.policy import POLICY_NAMES, Placement
 from hybridcache.workload import RequestTrace, generate_trace, load_trace, save_trace
 
 
@@ -52,6 +52,14 @@ def trace_of(*slots):
 def catalog_of(sizes):
     """An all-IRM catalog whose id i has size sizes[i - 1]."""
     return array_catalog(sizes)
+
+
+def best_by_enumeration(counts, sizes, capacity):
+    """The most requests a cache within capacity serves, over all 2^n subsets."""
+    n = len(counts)
+    masks = (np.arange(2**n)[:, None] >> np.arange(n)) & 1
+    fits = masks @ np.asarray(sizes) <= capacity
+    return int((masks @ np.asarray(counts))[fits].max())
 
 
 def tallies_of(*slots):
@@ -112,14 +120,18 @@ class TestOraclePlacement:
     def test_top_k_equals_knapsack_objective(self, counts, size, capacity):
         # uniform integer sizes: the top-k sum is the knapsack optimum
         catalog = catalog_of([size] * len(counts))
-        tally = np.array([0] + counts, dtype=np.int64)
-        ids = list(range(1, len(counts) + 1))
-        best = exact_knapsack(
-            [float(c) for c in counts], [size] * len(counts), capacity, ids=ids
-        )
-        objective = sum(int(tally[cid]) for cid in best.cached)
+        best = best_by_enumeration(counts, [size] * len(counts), capacity)
+        ids = range(1, len(counts) + 1)
         trace = trace_of([cid for cid in ids for _ in range(counts[cid - 1])])
-        assert oracle_placement(trace, catalog, capacity).tolist() == [objective]
+        assert oracle_placement(trace, catalog, capacity).tolist() == [best]
+
+    def test_capacity_past_every_size_caches_every_request(self):
+        # the knapsack's table stops at the slot's size sum, not at C
+        catalog = catalog_of([3, 1, 2, 5, 1, 4, 2, 1, 3])
+        trace = trace_of([1, 1, 4, 9], [], [2, 3, 3, 5, 6, 7, 8, 8, 8])
+        got = oracle_placement(trace, catalog, 1e15)
+        assert got.dtype == np.int64
+        assert got.tolist() == np.diff(trace.offsets).tolist() == [4, 0, 9]
 
 
 @given(
@@ -531,12 +543,6 @@ def test_knapsack_oracle_in_small_chunks(cap):
     for slot_ids in trace.events_by_slot():
         tally = np.bincount(slot_ids, minlength=catalog.id_space)
         ids = np.flatnonzero(tally)
-        best = exact_knapsack(
-            tally[ids].astype(float).tolist(),
-            catalog.sizes[ids - 1].tolist(),
-            3,
-            ids=ids.tolist(),
-        )
-        want.append(int(tally[best.cached].sum()))
+        want.append(best_by_enumeration(tally[ids], catalog.sizes[ids - 1], 3))
     with mock.patch.object(engine, "CHUNK_CELLS", cap):
         assert oracle_placement(trace, catalog, 3).tolist() == want

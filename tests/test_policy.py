@@ -19,7 +19,6 @@ from hybridcache.policy import (
     _fill,
     _top_n,
     exact_knapsack,
-    greedy_knapsack,
     hybrid_select,
     hybrid_ucb_index,
     hybrid_update,
@@ -41,56 +40,42 @@ def brute_force_best(values, sizes, capacity):
     return best
 
 
-class TestGreedyKnapsack:
-    def test_unit_sizes(self):
-        p = greedy_knapsack([0.5, 0.4, 0.3], [1, 1, 1], 2)
-        assert p.cached.tolist() == [1, 2]
-        assert p.used_capacity == 2
-
-    def test_density_suboptimality(self):
-        # greedy takes density 0.5 item and leaves no room for the 0.6
-        p = greedy_knapsack([0.6, 0.5], [3, 1], 3)
-        assert p.cached.tolist() == [2]
-
-    def test_zero_capacity(self):
-        assert greedy_knapsack([0.5], [1], 0).cached.tolist() == []
-
-    def test_equal_density_lower_id_first(self):
-        p = greedy_knapsack([0.5, 0.5, 0.5], [1, 1, 1], 2, ids=[7, 3, 5])
-        assert p.cached.tolist() == [3, 5]
-        # densities tie at 0.5: id 1 (size 1) goes first, id 2 no longer fits
-        p = greedy_knapsack([1.0, 0.5], [2, 1], 2, ids=[2, 1])
-        assert p.cached.tolist() == [1]
-
-    def test_fill_continues_past_misfit(self):
-        # densities 0.2, 0.1, 0.1: id 2 does not fit after id 1, id 3 does
-        p = greedy_knapsack([0.6, 0.5, 0.1], [3, 5, 1], 4)
-        assert p.cached.tolist() == [1, 3]
-        assert p.used_capacity == 4
-
-    def test_bad_input(self):
-        with pytest.raises(BadInput):
-            greedy_knapsack([-0.1], [1], 2)
-        with pytest.raises(BadInput):
-            greedy_knapsack([0.5], [0], 2)
-
-    @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
-    def test_capacity_not_finite_or_negative(self, capacity):
-        with pytest.raises(BadInput):
-            greedy_knapsack([0.5], [1], capacity)
+def greedy_item_by_item(values, sizes, capacity):
+    """Reference density greedy: by value over size, lower id on ties,
+    each id admitted that still fits (ids 1..n)."""
+    order = sorted(range(len(values)), key=lambda i: (-(values[i] / sizes[i]), i))
+    return fill_item_by_item([i + 1 for i in order], [sizes[i] for i in order], capacity)
 
 
 class TestExactKnapsack:
     def test_beats_greedy_on_density_trap(self):
-        p = exact_knapsack([0.6, 0.5], [3, 1], 3)
-        assert p.cached.tolist() == [1]
+        value = exact_knapsack([0.6, 0.5], [3, 1], 3)
+        assert type(value) is float and value == 0.6
 
     def test_singleton(self):
-        assert exact_knapsack([0.4], [2], 2).cached.tolist() == [1]
+        assert exact_knapsack([0.4], [2], 2) == 0.4
+        assert exact_knapsack([0.4], [2], 1) == 0.0
+
+    def test_empty(self):
+        assert exact_knapsack([], [], 5) == 0.0
 
     def test_non_integer_sizes(self):
-        with pytest.raises(NeedsIntegerSizes):
-            exact_knapsack([0.5], [1.5], 2)
+        for size in (1.5, float("inf"), float("nan")):
+            with pytest.raises(NeedsIntegerSizes):
+                exact_knapsack([0.5], [size], 2)
+
+    def test_bad_input(self):
+        with pytest.raises(BadInput, match="same length"):
+            exact_knapsack([0.5, 0.5], [1], 2)
+        with pytest.raises(BadInput, match="non-negative"):
+            exact_knapsack([-0.1], [1], 2)
+        with pytest.raises(BadInput, match="positive"):
+            exact_knapsack([0.5], [0], 2)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_values(self, value):
+        with pytest.raises(BadInput, match="finite"):
+            exact_knapsack([value, 1.0], [1, 1], 1)
 
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
     def test_capacity_not_finite_or_negative(self, capacity):
@@ -99,11 +84,17 @@ class TestExactKnapsack:
 
     def test_capacity_has_the_fill_slack(self):
         # 3 fits in 2.9999999995 plus the slack, as it does for the fills
-        values, sizes, capacity = [0.5, 0.4, 0.3, 0.2], [1, 1, 1, 2], 2.9999999995
-        exact = exact_knapsack(values, sizes, capacity)
-        assert exact.cached.tolist() == [1, 2, 3]
-        assert exact.used_capacity == 3.0
-        assert greedy_knapsack(values, sizes, capacity).cached.tolist() == [1, 2, 3]
+        values, sizes = [0.5, 0.25, 0.125, 0.0625], [1, 1, 1, 2]
+        assert exact_knapsack(values, sizes, 2.9999999995) == 0.875
+        assert exact_knapsack(values, sizes, 2.999999998) == 0.75
+
+    def test_table_ends_at_the_sizes_sum(self):
+        # a capacity past every size sum caches everything, with no
+        # table of that many cells
+        values, sizes = [0.5, 0.25, 0.125], [3, 1, 2]
+        assert exact_knapsack(values, sizes, 1e300) == 0.875
+        assert exact_knapsack(values, sizes, 6) == 0.875
+        assert exact_knapsack(values, sizes, 5) == 0.75
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(77)
@@ -113,11 +104,8 @@ class TestExactKnapsack:
             values = (rng.integers(0, 1024, size=n) / 1024).tolist()
             sizes = rng.integers(1, 6, size=n).tolist()
             capacity = int(rng.integers(0, 3 * n))
-            p = exact_knapsack(values, sizes, capacity)
-            objective = sum(
-                values[cid - 1] for cid in sorted(p.cached)
-            )
-            assert objective == brute_force_best(values, sizes, capacity)
+            best = brute_force_best(values, sizes, capacity)
+            assert exact_knapsack(values, sizes, capacity) == best
 
     def test_equals_greedy_for_uniform_sizes(self):
         rng = np.random.default_rng(78)
@@ -125,10 +113,9 @@ class TestExactKnapsack:
             n = int(rng.integers(1, 20))
             values = (rng.integers(0, 1024, size=n) / 1024).tolist()
             capacity = int(rng.integers(0, n + 3))
-            exact = exact_knapsack(values, [1] * n, capacity)
-            greedy = greedy_knapsack(values, [1] * n, capacity)
-            obj = lambda p: sum(values[c - 1] for c in sorted(p.cached))
-            assert obj(exact) == obj(greedy)
+            chosen, _ = greedy_item_by_item(values, [1] * n, capacity)
+            greedy = sum(values[c - 1] for c in chosen)
+            assert exact_knapsack(values, [1] * n, capacity) == greedy
 
 
 @pytest.fixture(scope="module")
@@ -213,10 +200,11 @@ class TestUniformFills:
         policy = PopularPolicy(catalog, capacity, np.random.default_rng(0))
         policy.update(None, tally)
         got = policy.place(2)
-        ids = catalog.ids
-        want = greedy_knapsack(freq[ids], catalog.sizes, capacity, ids=ids)
-        assert got.cached.tolist() == want.cached.tolist()
-        assert got.used_capacity == want.used_capacity
+        chosen, used = greedy_item_by_item(
+            freq[catalog.ids].tolist(), catalog.sizes.tolist(), capacity
+        )
+        assert got.cached.tolist() == sorted(chosen)
+        assert got.used_capacity == used
 
     @given(
         n=st.integers(1, 40),
@@ -396,11 +384,27 @@ class TestUnequalSizes:
         policy = PopularPolicy(catalog, capacity, np.random.default_rng(0))
         policy.update(None, tally)
         got = policy.place(2)
-        ids = catalog.ids
-        freq = tally[ids] / tally.sum()
-        want = greedy_knapsack(freq, catalog.sizes, capacity, ids=ids)
-        assert got.cached.tolist() == want.cached.tolist()
-        assert got.used_capacity == want.used_capacity
+        freq = tally[catalog.ids] / tally.sum()
+        chosen, used = greedy_item_by_item(freq.tolist(), catalog.sizes.tolist(), capacity)
+        assert got.cached.tolist() == sorted(chosen)
+        assert got.used_capacity == used
+
+    @pytest.mark.parametrize(
+        "sizes, counts, capacity, cached, used",
+        [
+            # density first: id 2 leaves no room for the more requested id 1
+            ([3.0, 1.0], {1: 6, 2: 5}, 3, [2], 1.0),
+            ([3.0, 1.0], {1: 6, 2: 5}, 0, [], 0.0),
+            # densities tie at 1/3: id 1 goes first, id 2 no longer fits
+            ([1.0, 2.0], {1: 1, 2: 2}, 2, [1], 1.0),
+            # id 2 does not fit after id 1, id 3 still does
+            ([3.0, 5.0, 1.0], {1: 6, 2: 5, 3: 1}, 4, [1, 3], 4.0),
+        ],
+    )
+    def test_popular_hand_cases(self, sizes, counts, capacity, cached, used):
+        got = popular_place(array_catalog(sizes), counts, capacity)
+        assert got.cached.tolist() == cached
+        assert got.used_capacity == used
 
     @pytest.mark.parametrize(
         "sizes", [[1.0] * 9, [3.0, 1.0, 2.5, 1.0, 4.0, 2.0, 1.5, 1.0, 2.0]]
