@@ -57,48 +57,18 @@ class Placement:
             )
 
 
-def _fill(ordered_ids: np.ndarray, sizes: np.ndarray, capacity) -> tuple:
-    """Admit ids in the given order, skipping any that no longer fit.
-
-    sizes[i] is the size of ordered_ids[i]. The prefix that fits whole is
-    admitted at once from the running sums (np.cumsum adds in order, as
-    an item-by-item scan would). Past the first misfit the scan goes id
-    by id and stops once the smallest remaining size no longer fits,
-    since no later id could then be admitted.
-
-    Returns (admitted ids as ints, used capacity).
-    """
-    limit = capacity + FIT_SLACK
-    sums = sizes.cumsum()
-    n = int(sums.searchsorted(limit, side="right"))
-    chosen = ordered_ids[:n].tolist()
-    used = float(sums[n - 1]) if n else 0.0
-    rest = sizes[n + 1:]
-    smallest = rest.min() if len(rest) else np.inf
-    if used + smallest <= limit:
-        for cid, s in zip(ordered_ids[n + 1:].tolist(), rest.tolist()):
-            if used + smallest > limit:
-                break
-            if used + s <= limit:
-                chosen.append(cid)
-                used += s
-    return chosen, used
-
-
 class Fill:
     """The capacity rule of every policy and the oracle, over one catalog.
 
     A set of ids fits in a share of the capacity when their sizes, added
     in order, sum to at most the share plus FIT_SLACK. sizes[id - 1] is
-    the size of an id. At uniform sizes a fill admits the prefix of its
-    order that fits and nothing past it, since the first misfit's size is
-    the smallest left; so its length and used capacity are read from the
-    running sums of the one size (unit_sums, as np.cumsum adds them, up
-    to the first past the capacity). At unequal sizes it is _fill's scan.
-
-    count and used are the length and used capacity of a fill of the
-    whole library within the capacity: known once, at uniform sizes only
-    (None otherwise).
+    the size of an id. admit fills in a given order, top by a ranking.
+    At uniform sizes a fill admits the prefix of its order that fits and
+    nothing past it, since the first misfit's size is the smallest left;
+    so its length and used capacity are read from the running sums of the
+    one size (unit_sums, as np.cumsum adds them, up to the first past the
+    capacity). count and used are those of a fill of the whole library
+    within the capacity: known once, at uniform sizes only (else None).
     """
 
     def __init__(self, sizes: np.ndarray, capacity):
@@ -117,12 +87,48 @@ class Fill:
         return n, self.unit_sums[n - 1] if n else 0.0
 
     def admit(self, order: np.ndarray, share) -> tuple:
-        """(admitted ids, used capacity) of the ids in order within share."""
-        if self.unit_sums is not None:
-            n, used = self._prefix(len(order), share)
-            return order[:n], used
-        chosen, used = _fill(order, self.sizes[order - 1], share)
+        """(admitted ids, used capacity) of the ids in order within share.
+
+        The prefix that fits whole is admitted at once from the running
+        sums (np.cumsum adds in order, as an item-by-item scan would). Past
+        the first misfit the scan admits each id that still fits, and stops
+        once the smallest remaining size no longer fits.
+        """
+        sizes = self.sizes[order - 1]
+        limit = share + FIT_SLACK
+        sums = sizes.cumsum()
+        n = int(sums.searchsorted(limit, side="right"))
+        chosen = order[:n].tolist()
+        used = float(sums[n - 1]) if n else 0.0
+        rest = sizes[n + 1:]
+        smallest = rest.min() if len(rest) else np.inf
+        if used + smallest <= limit:
+            for cid, s in zip(order[n + 1:].tolist(), rest.tolist()):
+                if used + smallest > limit:
+                    break
+                if used + s <= limit:
+                    chosen.append(cid)
+                    used += s
         return np.array(chosen, dtype=np.int64), used
+
+    def top(self, ids: np.ndarray, keys, share) -> tuple:
+        """(admitted ids ascending, used capacity) of a ranked fill within share.
+
+        The ascending ids are admitted by descending keys(), ties to the
+        lower id; keys() returns one key per id, and share is at most the
+        capacity. At uniform sizes the fill's length n does not depend on
+        the ranking, so the ids of the n largest keys are taken (_top_n)
+        and keys is called only when not every id fits. At unequal sizes
+        the ids are ranked, then admitted.
+        """
+        if self.unit_sums is not None:
+            n, used = self._prefix(len(ids), share)
+            if n < len(ids):
+                ids = ids[_top_n(keys(), n)]
+            return ids, used
+        chosen, used = self.admit(ids[np.lexsort((ids, -keys()))], share)
+        chosen.sort()
+        return chosen, used
 
 
 def _top_n(values: np.ndarray, n: int) -> np.ndarray:
@@ -269,12 +275,8 @@ def hybrid_select(
     count and SNM candidates by descending UCB index, ties by lower id on
     both sides, so never-cached candidates (infinite index) go first.
 
-    At uniform sizes a fill admits a prefix of its order, whose length
-    does not depend on the order. So each side's admitted count is read
-    from a fill in id order, and the side caches that many ids with the
-    largest keys (_top_n, the same set as that prefix of its ranking).
-    The candidates' index is computed only when fewer than all of them
-    are admitted.
+    Each fill is one Fill.top, so at uniform sizes the candidates' index
+    is computed only when a share cannot hold them all.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -282,35 +284,21 @@ def hybrid_select(
     irm_share = math.floor((1.0 - w_snm) * capacity)
     snm_share = capacity - irm_share
 
-    uniform = fill.count is not None
-    snm_order, irm_order = candidates, irm_ids
-    if not uniform:
-        # at unequal sizes what fits depends on the order: rank first
-        index = hybrid_ucb_index(state, candidates, t, exploration_beta)
-        snm_order = candidates[np.lexsort((candidates, -index))]
-        irm_order = irm_ids[np.lexsort((irm_ids, -irm_counts))]
-    snm_chosen, snm_used = fill.admit(snm_order, snm_share)
+    def ucb(ids):
+        return lambda: hybrid_ucb_index(state, ids, t, exploration_beta)
+
+    snm_chosen, snm_used = fill.top(candidates, ucb(candidates), snm_share)
 
     # unused SNM share rolls over to the IRM fill, and any capacity the
     # IRM side cannot use rolls back to the remaining SNM candidates,
     # so the cache is never left idle while candidates exist
-    irm_chosen, irm_used = fill.admit(irm_order, capacity - snm_used)
-    if uniform:
-        irm_chosen = irm_ids[_top_n(irm_counts, len(irm_chosen))]
+    irm_chosen, irm_used = fill.top(irm_ids, lambda: irm_counts, capacity - snm_used)
     spare = capacity - snm_used - irm_used
-    if spare > 0 and len(snm_chosen) < len(snm_order):
-        if uniform:
-            # a uniform fill is a prefix of its order
-            rest = snm_order[len(snm_chosen):]
-        else:
-            rest = snm_order[~np.isin(snm_order, snm_chosen)]
-        extra, extra_used = fill.admit(rest, spare)
+    if spare > 0 and len(snm_chosen) < len(candidates):
+        rest = candidates[~np.isin(candidates, snm_chosen)]
+        extra, extra_used = fill.top(rest, ucb(rest), spare)
         snm_chosen = np.concatenate((snm_chosen, extra))
         snm_used += extra_used
-    n = len(snm_chosen)
-    if uniform and n < len(candidates):
-        index = hybrid_ucb_index(state, candidates, t, exploration_beta)
-        snm_chosen = candidates[_top_n(index, n)]
 
     cached = np.concatenate((snm_chosen, irm_chosen))
     cached.sort()
@@ -371,9 +359,9 @@ class PopularPolicy:
     Reads the per-content request counts it keeps from the tallies fed
     to update. Before any request it places as a RandomPolicy on the
     run's rng. The cache is the density-greedy fill: ids are admitted by
-    request frequency over size, ties by lower id, each that still fits.
-    At uniform sizes that is the history's top n, where n is known once
-    per run, found by np.partition instead of a sort of the library.
+    request frequency over size, ties by lower id, each that still fits:
+    one Fill.top of the library (at uniform sizes the history's top n,
+    found by np.partition instead of a sort of the library).
     """
 
     def __init__(self, catalog: Catalog, capacity: float, rng: np.random.Generator):
@@ -389,15 +377,12 @@ class PopularPolicy:
             logger.warning("popular policy: empty history at slot %d, "
                            "falling back to random", t)
             return self.fallback.place(t)
-        freq = self.counts[1:] / self.total  # position = id - 1
-        sizes = self.catalog.sizes
-        if self.fill.count is None:
-            ids = self.catalog.ids
-            order = ids[np.lexsort((ids, -freq / sizes))]
-            chosen, used = self.fill.admit(order, self.capacity)
-            return Placement(np.sort(chosen), used_capacity=used, capacity=self.capacity)
-        chosen = _top_n(freq / sizes, self.fill.count) + 1
-        return Placement(chosen, used_capacity=self.fill.used, capacity=self.capacity)
+        chosen, used = self.fill.top(
+            self.catalog.ids,
+            lambda: self.counts[1:] / self.total / self.catalog.sizes,  # position = id - 1
+            self.capacity,
+        )
+        return Placement(chosen, used_capacity=used, capacity=self.capacity)
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:
         self.counts += tally

@@ -83,7 +83,7 @@ class RequestTrace:
 
     ids is a read-only int32 array of content ids in event order; slot
     t's ids are ids[offsets[t - 1]:offsets[t]], so offsets has
-    horizon + 1 entries.
+    horizon + 1 integer entries, from 0 up to len(ids), never decreasing.
     """
 
     horizon: int
@@ -92,7 +92,15 @@ class RequestTrace:
     stats: Optional[TraceStats] = None
 
     def __post_init__(self):
-        self.ids.flags.writeable = False
+        ids, offsets = self.ids, np.asarray(self.offsets)
+        if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"):
+            raise ValueError("trace ids must be a 1-D integer array")
+        if not (self.horizon >= 0 and offsets.shape == (self.horizon + 1,)
+                and offsets.dtype.kind in "iu" and offsets[0] == 0
+                and offsets[-1] == len(ids) and (offsets[1:] >= offsets[:-1]).all()):
+            raise ValueError("trace offsets must be horizon + 1 integers rising "
+                             f"from 0 to the {len(ids)} ids, never decreasing")
+        ids.flags.writeable = False
 
     @classmethod
     def from_events(cls, horizon: int, events) -> "RequestTrace":

@@ -16,7 +16,6 @@ from hybridcache.policy import (
     PopularPolicy,
     WEIGHT_FLOOR,
     RandomPolicy,
-    _fill,
     _top_n,
     exact_knapsack,
     hybrid_select,
@@ -219,7 +218,9 @@ class TestUniformFills:
         got = RandomPolicy(catalog, capacity, rng).place(1)
         reference = np.random.default_rng(seed)
         order = reference.permutation(n)
-        chosen, used = _fill(catalog.ids[order], catalog.sizes[order], capacity)
+        chosen, used = fill_item_by_item(
+            catalog.ids[order].tolist(), catalog.sizes[order].tolist(), capacity
+        )
         assert got.cached.tolist() == sorted(chosen)
         assert got.used_capacity == used
         # one permutation draw per placement, as in the general path
@@ -252,7 +253,9 @@ class TestLeanPaths:
         reference = np.random.default_rng(5)
         for t in range(1, 40):
             order = reference.permutation(7)
-            chosen, used = _fill(order + 1, catalog.sizes[order], 5.0)
+            chosen, used = fill_item_by_item(
+                (order + 1).tolist(), catalog.sizes[order].tolist(), 5.0
+            )
             got = policy.place(t)
             assert got.cached.tolist() == sorted(chosen), t
             assert got.used_capacity == used
@@ -311,11 +314,11 @@ class TestLeanPaths:
     def test_prefix_fill_equals_fill(self, m, size, capacity, seed):
         fill = Fill(np.full(60, size), capacity)
         order = np.random.default_rng(seed).permutation(m) + 1
-        chosen, used = _fill(order, np.full(m, size), capacity)
+        chosen, used = fill_item_by_item(order.tolist(), [size] * m, capacity)
         got, got_used = fill.admit(order, capacity)
-        assert (len(got), got_used) == (len(chosen), used)
-        assert chosen == order[: len(chosen)].tolist() == got.tolist()
-        full = _fill(np.arange(1, 61), np.full(60, size), capacity)
+        assert (got.tolist(), got_used) == (chosen, used)
+        assert chosen == order[: len(chosen)].tolist()
+        full = fill_item_by_item(list(range(1, 61)), [size] * 60, capacity)
         assert (fill.count, fill.used) == (len(full[0]), full[1])
 
     @given(
@@ -367,7 +370,9 @@ class TestUnequalSizes:
         got = RandomPolicy(catalog, capacity, rng).place(1)
         reference = np.random.default_rng(seed)
         order = reference.permutation(len(sizes))
-        chosen, used = _fill(catalog.ids[order], catalog.sizes[order], capacity)
+        chosen, used = fill_item_by_item(
+            catalog.ids[order].tolist(), catalog.sizes[order].tolist(), capacity
+        )
         assert got.cached.tolist() == sorted(chosen)
         assert got.used_capacity == used
         assert rng.random() == reference.random()
@@ -673,7 +678,7 @@ class TestHybridRankOnlyWhenShort:
         assert np.isin(p.cached, candidates).sum() == n_snm_cached
         assert p.used_capacity == min(capacity, n_candidates + n_irm)
 
-    @pytest.mark.parametrize("n_candidates, n_irm", [(5, 9), (8, 2), (0, 9)])
+    @pytest.mark.parametrize("n_candidates, n_irm", [(5, 9), (0, 9)])
     def test_no_index_when_every_candidate_fits(self, n_candidates, n_irm):
         state = BanditState.fresh(np.ones(120))
         with mock.patch(
@@ -704,22 +709,84 @@ def fill_item_by_item(ordered_ids, sizes, capacity):
 
 class TestFill:
     def test_continues_past_first_misfit(self):
-        chosen, used = _fill(ids(4, 5, 6, 7), np.array([2.0, 3.0, 1.0, 5.0]), 3.5)
-        assert (chosen, used) == ([4, 6], 3.0)
+        fill = Fill(np.array([9.0, 9.0, 9.0, 2.0, 3.0, 1.0, 5.0]), 3.5)
+        chosen, used = fill.admit(ids(4, 5, 6, 7), 3.5)
+        assert (chosen.tolist(), used) == ([4, 6], 3.0)
 
     @given(
         sizes=st.lists(
             st.one_of(st.integers(1, 5).map(float), st.floats(0.05, 5.0)),
-            max_size=40,
+            min_size=1, max_size=40,
         ),
         capacity=st.floats(0.0, 40.0),
         seed=st.integers(0, 2**16),
     )
     def test_matches_item_by_item_loop(self, sizes, capacity, seed):
+        sizes = np.array(sizes, dtype=float)  # sizes[id - 1]
         order = np.random.default_rng(seed).permutation(len(sizes)) + 1
-        sizes = np.array(sizes, dtype=float)
-        got = _fill(order, sizes, capacity)
-        assert got == fill_item_by_item(order.tolist(), sizes.tolist(), capacity)
+        chosen, used = Fill(sizes, capacity).admit(order, capacity)
+        assert chosen.dtype == np.int64
+        assert (chosen.tolist(), used) == fill_item_by_item(
+            order.tolist(), sizes[order - 1].tolist(), capacity
+        )
+
+
+# sizes[id - 1] of 1..30 ids: all one size, or unequal
+SIZES = st.one_of(
+    UNIFORM_SIZES.flatmap(lambda size: st.lists(st.just(size), min_size=1, max_size=30)),
+    UNEQUAL_SIZES,
+)
+# few distinct keys: ties, zeros and never-cached (inf) UCB indices
+KEYS = st.sampled_from([0.0, 0.5, 1.0, 2.0, math.inf])
+
+
+class TestFillTop:
+    """Fill.top is the ranked fill: ids by descending key, ties to the lower id."""
+
+    @given(data=st.data(), sizes=SIZES, capacity=CAPACITIES)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_item_by_item_over_the_ranking(self, data, sizes, capacity):
+        sizes = np.array(sizes)
+        chosen_ids = data.draw(st.sets(st.integers(1, len(sizes))))
+        id_array = np.array(sorted(chosen_ids), dtype=np.int64)
+        keys = np.array(data.draw(st.lists(KEYS, min_size=len(id_array),
+                                           max_size=len(id_array))))
+        share = data.draw(st.one_of(st.just(capacity), st.floats(0.0, capacity)))
+        got, used = Fill(sizes, capacity).top(id_array, lambda: keys, share)
+        ranking = sorted(range(len(id_array)), key=lambda i: (-keys[i], id_array[i]))
+        ranked_ids = id_array[ranking]
+        want, want_used = fill_item_by_item(
+            ranked_ids.tolist(), sizes[ranked_ids - 1].tolist(), share
+        )
+        assert got.tolist() == sorted(want)
+        assert used == want_used
+        assert got.dtype == np.int64
+
+    @pytest.mark.parametrize(
+        "n_ids, share, calls",
+        [
+            (0, 5, 0),  # no ids
+            (4, 5, 0),  # every id fits with room to spare
+            (5, 5, 0),  # every id fits exactly
+            (6, 5, 1),  # one is left out: ranked once
+            (6, 0, 1),  # none fits
+        ],
+    )
+    def test_keys_read_at_uniform_sizes_only_when_some_id_is_left_out(
+        self, n_ids, share, calls
+    ):
+        keys = mock.Mock(return_value=np.arange(n_ids, dtype=float))
+        chosen, used = Fill(unit_sizes(10), 10).top(np.arange(1, n_ids + 1), keys, share)
+        assert keys.call_count == calls
+        assert (len(chosen), used) == (min(n_ids, share), float(min(n_ids, share)))
+        # keys ascend with the id: the highest ids are kept
+        assert chosen.tolist() == list(range(n_ids - len(chosen) + 1, n_ids + 1))
+
+    @pytest.mark.parametrize("share", [0, 5, 20])
+    def test_keys_read_once_at_unequal_sizes(self, share):
+        keys = mock.Mock(return_value=np.zeros(4))
+        Fill(np.append(unit_sizes(9), 2.0), 20).top(np.arange(1, 5), keys, share)
+        assert keys.call_count == 1
 
 
 class TestCapacityRule:
@@ -733,7 +800,7 @@ class TestCapacityRule:
     )
     def test_count_is_the_fill_of_the_library(self, size, capacity, count):
         fill = Fill(np.full(9, size), capacity)
-        chosen, used = _fill(np.arange(1, 10), np.full(9, size), capacity)
+        chosen, used = fill_item_by_item(list(range(1, 10)), [size] * 9, capacity)
         assert (fill.count, fill.used) == (len(chosen), used)
         assert fill.count == count
 

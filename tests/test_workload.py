@@ -482,3 +482,43 @@ class TestTraceRows:
     def test_id_below_one_rejected(self):
         with pytest.raises(ValueError):
             RequestTrace.from_events(3, ((1, 0),))
+
+    @pytest.mark.parametrize(
+        "horizon, offsets",
+        [
+            # slot 1 is [1], slot 2 is [2]: id 3 lies in no slot
+            (2, [0, 1, 2]),
+            # the slots start past id 1
+            (2, [1, 2, 3]),
+            # the last slot runs past the ids
+            (2, [0, 2, 4]),
+            (2, [0, 3]),
+            (2, [0, 1, 2, 3]),
+            (2, [[0, 1, 3]]),
+            # from 0 to 3, but slot 2 would end before it starts
+            (2, [0, 4, 3]),
+            (2, [0.0, 1.0, 3.0]),
+            (-1, []),
+        ],
+        ids=[
+            "short-of-the-ids", "not-from-0", "past-the-ids", "too-few", "too-many",
+            "2-d", "decreasing", "float", "negative-horizon",
+        ],
+    )
+    def test_offsets_must_span_the_ids(self, horizon, offsets):
+        ids = np.array([1, 2, 3], np.int32)
+        with pytest.raises(ValueError, match="offsets must be horizon \\+ 1 integers"):
+            RequestTrace(horizon=horizon, ids=ids, offsets=np.array(offsets))
+
+    @pytest.mark.parametrize(
+        "ids",
+        [np.array([1.0, 2.0, 3.0]), np.array([[1, 2, 3]], np.int32), [1, 2, 3]],
+        ids=["float", "2-d", "list"],
+    )
+    def test_ids_must_be_a_1d_integer_array(self, ids):
+        with pytest.raises(ValueError, match="1-D integer array"):
+            RequestTrace(horizon=2, ids=ids, offsets=np.array([0, 1, 3]))
+
+    def test_empty_trace_accepted(self):
+        trace = RequestTrace(horizon=0, ids=np.zeros(0, np.int32), offsets=np.array([0]))
+        assert trace.events == ()
