@@ -3,14 +3,13 @@
 The library is partitioned into static-popularity (IRM) content and
 temporary (SNM) content, whose requests come in one rectangular pulse
 as in the shot-noise model. Each content carries a normalized feature
-vector (size, bandwidth, value, category weight by default) that the
-hybrid policy folds into its exploration bonus.
+vector (size, bandwidth, value, category weight) that the hybrid
+policy folds into its exploration bonus.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -30,6 +29,15 @@ FEATURE_BENEFIT = (False, False, True, True)
 # strictly positive even for the worst-featured content
 INFLUENCE_FLOOR = 0.01
 
+# The fixed generation laws of every content. Each content has size 1.
+# Its raw size, bandwidth and value features are uniform over the first
+# three ranges and its category weight is a uniform choice among
+# CATEGORY_WEIGHTS; each feature is then normalized by its range. An SNM
+# content's lifespan is uniform on LIFESPAN_RANGE, both ends included.
+FEATURE_RANGES = ((1.0, 100.0), (1.0, 50.0), (0.0, 1.0), (0.0, 1.0))
+CATEGORY_WEIGHTS = (0.2, 0.4, 0.6, 0.8, 1.0)
+LIFESPAN_RANGE = (20, 80)
+
 
 CatalogRow = namedtuple("CatalogRow", "id size")
 
@@ -38,6 +46,21 @@ def _frozen(values, dtype=None) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _whole(name: str, values) -> np.ndarray:
+    """values as an array, each checked to be a whole finite number.
+
+    The int64 cast would truncate a fraction and turn a NaN or an
+    infinity into an arbitrary number.
+    """
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu":
+        as_float = values.astype(float)
+        bad = ~np.isfinite(as_float) | (as_float != np.trunc(as_float))
+        if bad.any():
+            raise ValueError(f"content {int(bad.argmax()) + 1}: {name} must be a whole number")
+    return values
 
 
 def _row_checks(sizes, features, snm, arrival, lifespan, volume) -> tuple:
@@ -90,7 +113,10 @@ class Catalog:
 
     def __post_init__(self):
         for name, dtype in _FIELDS.items():
-            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
+            values = getattr(self, name)
+            if dtype is np.int64:
+                values = _whole(name, values)
+            object.__setattr__(self, name, _frozen(values, dtype))
         n, snm = self.sizes.size, self.snm
         if n == 0:
             raise EmptyLibrary("catalog is empty")
@@ -166,60 +192,30 @@ def feature_influences(features: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CatalogConfig:
-    """Generation laws for a synthetic catalog.
-
-    Raw feature draws are uniform over the configured ranges and then
-    normalized; the category feature is a uniform choice among the
-    configured per-category benefit weights.
-    """
+    """The settings of a synthetic catalog; its other laws are fixed above."""
 
     library_size: int = 150
     w_snm: float = 0.8
     horizon: int = 600
-    item_size: float = 1.0
-    size_range: tuple = (1.0, 100.0)
-    bandwidth_range: tuple = (1.0, 50.0)
-    value_range: tuple = (0.0, 1.0)
-    category_weights: tuple = (0.2, 0.4, 0.6, 0.8, 1.0)
-    lifespan_range: tuple = (20, 80)
     pareto_beta: float = 2.0
     pareto_n_min: float = 1.0
 
 
-def _uniform_law(name: str, bounds) -> tuple:
-    """(low, high - low) of a uniform law, checked as rng.uniform checks it."""
-    low, high = map(float, bounds)
-    width = high - low
-    if not math.isfinite(width):
-        raise OverflowError(f"{name}: high - low is not finite")
-    if width < 0:
-        raise ValueError(f"{name}: high < low")
-    return low, width
+def _arrival_span(horizon) -> int:
+    """The span of the arrival law on 1..horizon, which must lie in 1..2**32.
 
-
-def _whole(name: str, value) -> int:
-    """A bound of a bounded-integer law, which must be a whole number.
-
-    int() raises first for a NaN (ValueError) or an infinity
-    (OverflowError), as numpy's integers() does.
+    horizon must be a whole number: int() raises first for a NaN
+    (ValueError) or an infinity (OverflowError), as numpy's integers()
+    does. numpy draws a span above 2**32 from whole 64-bit words, which
+    the catalog's draw plan does not read.
     """
-    whole = int(value)
-    if whole != value:
-        raise ValueError(f"{name} must be whole numbers")
-    return whole
-
-
-def _integer_span(name: str, low: int, high: int) -> int:
-    """The span high - low + 1 of a bounded-integer law, which must lie in 1..2**32.
-
-    numpy draws a span above 2**32 from whole 64-bit words, which the
-    catalog's draw plan does not read.
-    """
-    span = high - low + 1
+    span = int(horizon)
+    if span != horizon:
+        raise ValueError("horizon must be a whole number")
     if span < 1:
-        raise ValueError(f"{name}: low > high")
+        raise ValueError("horizon must be >= 1")
     if span > 2**32:
-        raise ValueError(f"{name} spans more than 2**32 values")
+        raise ValueError("horizon spans more than 2**32 values")
     return span
 
 
@@ -297,11 +293,11 @@ _CATEGORY, _ARRIVAL, _LIFESPAN, _VOLUME = 3, 4, 5, 6
 
 
 def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
-    """Build a deterministic synthetic catalog from generation laws.
+    """Build a deterministic synthetic catalog from its settings and fixed laws.
 
     Ids 1..N_I are IRM (id order defines the Zipf rank); ids
     N_I+1..F are SNM with arrival slots uniform on [1, horizon],
-    lifespans uniform on the configured range and Pareto volumes.
+    lifespans uniform on LIFESPAN_RANGE and Pareto volumes.
 
     The catalog is the one that per-content rng calls give: for each
     content in id order, rng.uniform for size, bandwidth and value, and
@@ -310,11 +306,10 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     endpoint=True) and rng.random() for its Pareto volume. Each of
     those calls reads a fixed slice of the PCG64 stream (see
     _stream_draws), so one block of raw words gives every value, bit
-    for bit; a span of 1 reads nothing. A law is checked, with the
-    error class its rng call raises, only where a content draws from it.
-    Laws numpy would take but no caller means raise ValueError: a NaN,
-    infinite or negative category weight, and a horizon or lifespan
-    bound that is not a whole number.
+    for bit; a span of 1 (horizon 1) reads nothing. The horizon is
+    checked only where a content draws from it, with the error class
+    its rng call raises; a fractional horizon, which numpy would
+    truncate, raises ValueError.
     """
     from .workload import ParetoVolume, sample_pareto_volume
 
@@ -326,30 +321,19 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     n = config.library_size
     n_irm = n - round(config.w_snm * n)
     volume_law = ParetoVolume(beta=config.pareto_beta, n_min=config.pareto_n_min)
-    # which draws each content makes, in call order
-    plan = np.zeros((n, len(_BOUNDED_DRAW)), dtype=bool)
-    categories = np.asarray(config.category_weights, dtype=float)
-    if not (np.isfinite(categories) & (categories >= 0)).all():
-        raise ValueError("category_weights must be finite and >= 0")
-    uniforms = [
-        _uniform_law(name, getattr(config, name))
-        for name in ("size_range", "bandwidth_range", "value_range")
-    ]
-    # each bounded draw's low bound and span; integers() takes int(bound)
+    # each bounded draw's low bound and span
     lows = np.zeros(len(_BOUNDED_DRAW), dtype=np.int64)
     spans = np.ones(len(_BOUNDED_DRAW), dtype=np.int64)
-    spans[_CATEGORY] = _integer_span("category_weights", 0, len(categories) - 1)
-    plan[:, :_CATEGORY] = True
-    plan[:, _CATEGORY] = spans[_CATEGORY] > 1
+    lows[_ARRIVAL], lows[_LIFESPAN] = 1, LIFESPAN_RANGE[0]
+    spans[_CATEGORY] = len(CATEGORY_WEIGHTS)
+    spans[_LIFESPAN] = LIFESPAN_RANGE[1] - LIFESPAN_RANGE[0] + 1
+    # which draws each content makes, in call order
+    plan = np.zeros((n, len(_BOUNDED_DRAW)), dtype=bool)
+    plan[:, :_ARRIVAL] = True
     if n_irm < n:
-        horizon = _whole("horizon", config.horizon)
-        low, high = (_whole("lifespan_range", b) for b in config.lifespan_range)
-        lows[_ARRIVAL], lows[_LIFESPAN] = 1, low
-        spans[_ARRIVAL] = _integer_span("horizon", 1, horizon)
-        spans[_LIFESPAN] = _integer_span("lifespan_range", low, high)
+        spans[_ARRIVAL] = _arrival_span(config.horizon)
         plan[n_irm:, _ARRIVAL] = spans[_ARRIVAL] > 1
-        plan[n_irm:, _LIFESPAN] = spans[_LIFESPAN] > 1
-        plan[n_irm:, _VOLUME] = True
+        plan[n_irm:, _LIFESPAN:] = True
 
     rng = np.random.default_rng(seed)
     drawn = np.flatnonzero(plan)
@@ -361,19 +345,19 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     )
     unit = (result[:, ~_BOUNDED_DRAW] >> 11) * 2.0**-53  # random() of each word
     raw = np.empty((n, len(FEATURE_BENEFIT)))
-    for j, (low, width) in enumerate(uniforms):
-        raw[:, j] = low + width * unit[:, j]  # uniform(low, high), as numpy computes it
-    raw[:, 3] = categories[result[:, _CATEGORY].astype(np.intp)]
+    # uniform(low, high) of the first three features, as numpy computes it
+    for j, (low, high) in enumerate(FEATURE_RANGES[:_CATEGORY]):
+        raw[:, j] = low + (high - low) * unit[:, j]
+    raw[:, _CATEGORY] = np.array(CATEGORY_WEIGHTS)[result[:, _CATEGORY].astype(np.intp)]
     snm = np.arange(n) >= n_irm
     pulse = [np.where(snm, result[:, j].astype(np.int64) + lows[j], 0)
              for j in (_ARRIVAL, _LIFESPAN)]
     volume = np.zeros(n)
     # Python's float ** per content: numpy's power can differ in the last bit
     volume[snm] = [sample_pareto_volume(volume_law, u) for u in unit[snm, -1].tolist()]
-    ranges = (config.size_range, config.bandwidth_range, config.value_range, (0, 1))
     return Catalog(
-        sizes=np.full(n, config.item_size, dtype=float),
-        features=normalize_features(raw, ranges),
+        sizes=np.ones(n),
+        features=normalize_features(raw, FEATURE_RANGES),
         snm=snm,
         arrival=pulse[0],
         lifespan=pulse[1],

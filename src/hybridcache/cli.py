@@ -97,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError("seeds must be >= 0")
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError("seeds must not repeat")
+        if not self.policies:
+            raise ConfigError("policies must be non-empty")
         for p in self.policies:
             if p not in POLICY_NAMES:
                 raise ConfigError(f"policies: unknown policy {p!r}")
@@ -104,6 +106,8 @@ class ExperimentConfig:
             raise ConfigError("policies must not repeat")
         if self.sweep_axis not in SWEEP_AXES:
             raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
+        if not self.sweep_values:
+            raise ConfigError("sweep_values must be non-empty")
         if not all(math.isfinite(v) for v in self.sweep_values):
             raise ConfigError("sweep_values must be finite numbers")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):

@@ -12,7 +12,10 @@ from __future__ import annotations
 import numpy as np
 
 from hybridcache.catalog import (
+    CATEGORY_WEIGHTS,
     FEATURE_BENEFIT,
+    FEATURE_RANGES,
+    LIFESPAN_RANGE,
     Catalog,
     CatalogConfig,
     normalize_features,
@@ -22,11 +25,11 @@ from hybridcache.workload import ParetoVolume, sample_pareto_volume
 
 
 def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
-    """Build a deterministic synthetic catalog from generation laws.
+    """Build a deterministic synthetic catalog from its settings and fixed laws.
 
     Ids 1..N_I are IRM (id order defines the Zipf rank); ids
     N_I+1..F are SNM with arrival slots uniform on [1, horizon],
-    lifespans uniform on the configured range and Pareto volumes.
+    lifespans uniform on LIFESPAN_RANGE and Pareto volumes.
     """
     if config.library_size < 2:
         raise LibraryTooSmall(f"library_size={config.library_size} < 2")
@@ -43,31 +46,25 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     arrival = np.zeros(n, dtype=np.int64)
     lifespan = np.zeros(n, dtype=np.int64)
     volume = np.zeros(n)
-    # indexed by one bounded draw, as rng.choice draws, at a fraction of its cost
-    categories = np.asarray(config.category_weights, dtype=float)
-    if not (np.isfinite(categories) & (categories >= 0)).all():
-        raise ValueError("category_weights must be finite and >= 0")
-    if n_irm < n:
-        # numpy's integers() would truncate a fractional bound
-        for name, bounds in (("horizon", (config.horizon,)),
-                             ("lifespan_range", config.lifespan_range)):
-            if any(int(b) != b for b in bounds):
-                raise ValueError(f"{name} must be whole numbers")
+    # numpy's integers() would truncate a fractional horizon
+    if n_irm < n and int(config.horizon) != config.horizon:
+        raise ValueError("horizon must be a whole number")
+    size, bandwidth, value, _ = FEATURE_RANGES
     for row in range(n):
         raw[row] = (
-            rng.uniform(*config.size_range),
-            rng.uniform(*config.bandwidth_range),
-            rng.uniform(*config.value_range),
-            categories[rng.integers(0, len(categories))],
+            rng.uniform(*size),
+            rng.uniform(*bandwidth),
+            rng.uniform(*value),
+            # indexed by one bounded draw, as rng.choice draws, at a fraction of its cost
+            CATEGORY_WEIGHTS[rng.integers(0, len(CATEGORY_WEIGHTS))],
         )
         if row >= n_irm:
             arrival[row] = rng.integers(1, config.horizon + 1)
-            lifespan[row] = rng.integers(*config.lifespan_range, endpoint=True)
+            lifespan[row] = rng.integers(*LIFESPAN_RANGE, endpoint=True)
             volume[row] = sample_pareto_volume(volume_law, float(rng.random()))
-    ranges = (config.size_range, config.bandwidth_range, config.value_range, (0, 1))
     return Catalog(
-        sizes=np.full(n, config.item_size, dtype=float),
-        features=normalize_features(raw, ranges),
+        sizes=np.ones(n),
+        features=normalize_features(raw, FEATURE_RANGES),
         snm=np.arange(n) >= n_irm,
         arrival=arrival,
         lifespan=lifespan,

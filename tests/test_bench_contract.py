@@ -8,6 +8,7 @@ rows it reads sizes from, and the run results and placements that
 perfbench/checks.py checks.
 """
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -79,10 +80,8 @@ def test_trace_attributes_read_by_the_benchmark():
 
 def test_catalog_attributes_read_by_the_benchmark():
     # perfbench/checks.py reads catalog.items as rows with .id and .size
-    catalog = build_catalog(
-        CatalogConfig(library_size=20, w_snm=0.5, horizon=10, item_size=2.5),
-        seed=1,
-    )
+    catalog = build_catalog(CatalogConfig(library_size=20, w_snm=0.5, horizon=10), seed=1)
+    catalog = dataclasses.replace(catalog, sizes=np.full(20, 2.5))
     rows = catalog.items
     assert [row.id for row in rows] == catalog.ids.tolist()
     assert [row.size for row in rows] == catalog.sizes.tolist()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import catalog_reference
 from catalog_helpers import array_catalog
 from hybridcache.catalog import (
+    LIFESPAN_RANGE,
     Catalog,
     CatalogConfig,
     _float,
@@ -183,7 +184,7 @@ class TestBuildCatalog:
         assert (cat.sizes > 0).all()
         assert (cat.snm_volume >= cfg.pareto_n_min).all()
         assert ((1 <= cat.snm_arrival) & (cat.snm_arrival <= cfg.horizon)).all()
-        lo, hi = cfg.lifespan_range
+        lo, hi = LIFESPAN_RANGE
         lifespans = cat.snm_expiry - cat.snm_arrival
         assert ((lo <= lifespans) & (lifespans <= hi)).all()
         irm = ~cat.snm
@@ -240,6 +241,8 @@ class TestCatalogType:
             ("volume", np.nan), ("volume", np.inf), ("volume", -2.0),
             ("features", [0.5, 1.5, 0.5, 0.5]), ("features", [0.5, -0.1, 0.5, 0.5]),
             ("features", [0.5, np.nan, 0.5, 0.5]),
+            # the int64 cast would truncate these
+            ("arrival", 2.5), ("lifespan", 3.7), ("arrival", np.nan),
         ],
     )
     def test_rejects_a_bad_value(self, name, value):
@@ -327,7 +330,8 @@ class TestCatalogIO:
 
 
 # sha256 of save_catalog's bytes, pinned while the catalog was still a
-# tuple of per-item objects; the last config sets every generation law.
+# tuple of per-item objects; the last config also sets the horizon and
+# the Pareto volume law.
 PINNED_CATALOGS = [
     ((150, 0.8, 1000), {},
      "1095657d3d315e4cbfa1b9b9dc72b1113a12ef7314f64309d554fe3e039e6fe4"),
@@ -339,11 +343,8 @@ PINNED_CATALOGS = [
      "409381146d243eb7851429fc794d3434b67258dfd0e2ed7bffab6759ede71a57"),
     ((24, 0.5, 61), {},
      "858440821f9dd056a3ba9c257f9f6a77324cefd7738d07b8f1ef976258be031e"),
-    ((30, 0.6, 5),
-     dict(horizon=50, item_size=2.5, size_range=(3.0, 9.0),
-          lifespan_range=(2, 9), category_weights=(0.3, 0.9),
-          pareto_beta=1.5, pareto_n_min=4.0),
-     "7d4dce3586b28c455abe9c22a9959eec75291b8d3d8c5fbbbbe08c298009b4e3"),
+    ((30, 0.6, 5), dict(horizon=50, pareto_beta=1.5, pareto_n_min=4.0),
+     "c3a8c543758b08be6b0f83d89ab54074230ea5c5832cc635f812c023c1f1fff0"),
 ]
 
 
@@ -425,10 +426,7 @@ class TestBuildMatchesReference:
         assert same_catalog(build_catalog(config, seed=seed), expected)
 
     LAWS = {
-        "one-category": dict(category_weights=(0.7,)),
-        "fixed-lifespan": dict(lifespan_range=(30, 30)),
         "span-2**32": dict(horizon=2**32),
-        "pinned-custom-laws": PINNED_CATALOGS[-1][1],
     }
 
     @pytest.mark.parametrize("laws", LAWS.values(), ids=LAWS.keys())
@@ -439,24 +437,12 @@ class TestBuildMatchesReference:
         assert same_catalog(build_catalog(config, seed=library_size), expected)
 
     INVALID_LAWS = {
-        "size-reversed": dict(size_range=(5.0, 3.0)),
-        "size-infinite": dict(size_range=(1.0, math.inf)),
-        "size-nan": dict(size_range=(math.nan, 1.0)),
-        "size-degenerate": dict(size_range=(3.0, 3.0)),
-        "size-one-bound": dict(size_range=(1.0,)),
-        "bandwidth-reversed": dict(bandwidth_range=(2, 1)),
-        "value-nan": dict(value_range=(0.0, math.nan)),
-        "no-categories": dict(category_weights=()),
         "horizon-0": dict(horizon=0),
         "horizon-negative": dict(horizon=-3),
         "horizon-nan": dict(horizon=math.nan),
         "horizon-infinite": dict(horizon=math.inf),
-        "lifespan-reversed": dict(lifespan_range=(5, 3)),
-        "lifespan-from-0": dict(lifespan_range=(0, 3)),
-        "lifespan-three-bounds": dict(lifespan_range=(1, 2, 3)),
         "pareto-beta-1": dict(pareto_beta=1.0),
         "pareto-n-min-0": dict(pareto_n_min=0.0),
-        "item-size-0": dict(item_size=0.0),
         "library-size-1": dict(library_size=1),
         "library-size-float": dict(library_size=10.0),
     }
@@ -475,7 +461,6 @@ class TestBuildMatchesReference:
 
     @pytest.mark.parametrize("field, laws", [
         ("horizon", dict(horizon=2**32 + 1)),
-        ("lifespan_range", dict(lifespan_range=(1, 2**32 + 1))),
     ])
     def test_span_above_2_to_the_32_is_rejected(self, field, laws):
         # numpy draws such a span from whole 64-bit words
@@ -486,17 +471,10 @@ class TestBuildMatchesReference:
         expected = catalog_reference.build_catalog(config, seed=3)
         assert same_catalog(build_catalog(config, seed=3), expected)
 
-    # laws numpy would take but no caller means: a category weight that
-    # is not finite or is negative (NaN became feature 0), and a
-    # fractional horizon or lifespan bound (numpy truncates it)
+    # a law numpy would take but no caller means: a fractional horizon
+    # (numpy truncates it)
     UNMEANT_LAWS = {
-        "category-nan": dict(category_weights=(math.nan,)),
-        "category-nan-among-others": dict(category_weights=(0.2, math.nan, 0.6)),
-        "category-infinite": dict(category_weights=(0.2, math.inf)),
-        "category-negative": dict(category_weights=(0.4, -0.1)),
         "horizon-fractional": dict(horizon=600.5),
-        "lifespan-low-fractional": dict(lifespan_range=(20.5, 80)),
-        "lifespan-high-fractional": dict(lifespan_range=(20, 80.25)),
     }
 
     @pytest.mark.parametrize("w_snm", [0.0, 0.5, 1.0])
@@ -507,9 +485,8 @@ class TestBuildMatchesReference:
     def test_unmeant_laws_are_rejected(self, build, laws, w_snm):
         config = CatalogConfig(**{"library_size": 10, "w_snm": w_snm, **laws})
         (field,) = laws
-        # every content reads its category weight; only SNM contents
-        # draw from the horizon and lifespan laws
-        if field == "category_weights" or w_snm > 0:
+        # only SNM contents draw from the horizon
+        if w_snm > 0:
             with pytest.raises(ValueError, match=field):
                 build(config, seed=3)
         else:
@@ -521,9 +498,9 @@ class TestBuildMatchesReference:
     @pytest.mark.parametrize(
         "build", [build_catalog, catalog_reference.build_catalog], ids=["bulk", "reference"]
     )
-    def test_whole_float_bounds_and_zero_weights_build(self, build):
-        config = CatalogConfig(library_size=40, w_snm=0.5, category_weights=(0.0, 0.5))
-        whole = dataclasses.replace(config, horizon=600.0, lifespan_range=(20.0, 80.0))
+    def test_whole_float_horizon_builds(self, build):
+        config = CatalogConfig(library_size=40, w_snm=0.5)
+        whole = dataclasses.replace(config, horizon=600.0)
         assert same_catalog(build(whole, seed=5), build(config, seed=5))
 
     def test_stream_draws_match_scalar_calls(self):

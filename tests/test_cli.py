@@ -60,6 +60,11 @@ class TestConfig:
             ExperimentConfig(sweep_values=(3.0, 2.0)).validate()
         with pytest.raises(ConfigError, match="sweep_axis"):
             ExperimentConfig(sweep_axis="delta").validate()
+        # a sweep over no policies or no values writes no data rows
+        with pytest.raises(ConfigError, match="policies"):
+            ExperimentConfig(policies=()).validate()
+        with pytest.raises(ConfigError, match="sweep_values"):
+            ExperimentConfig(sweep_values=()).validate()
 
     def test_hash_is_stable_and_sensitive(self):
         a = ExperimentConfig().hash()

@@ -244,15 +244,15 @@ class TestRunSimulation:
             assert hits == pytest.approx(round(hits))
 
 
-def generated_at(item_size, sizes=None, library_size=12):
-    """A generated catalog (sizes replaced when given) and a 40-slot trace."""
+def generated_at(sizes, library_size=12):
+    """A generated catalog with its sizes replaced, and a 40-slot trace.
+
+    sizes is one size for every content, or a list of one per content.
+    """
     catalog = build_catalog(
-        CatalogConfig(library_size=library_size, w_snm=0.5, horizon=40,
-                      item_size=item_size),
-        seed=5,
+        CatalogConfig(library_size=library_size, w_snm=0.5, horizon=40), seed=5
     )
-    if sizes is not None:
-        catalog = dataclasses.replace(catalog, sizes=np.array(sizes, dtype=float))
+    catalog = dataclasses.replace(catalog, sizes=np.full(library_size, sizes, dtype=float))
     return catalog, generate_trace(catalog, 40, 20, 0.5, 0.8, seed=6)
 
 
@@ -262,7 +262,7 @@ ORACLE_BOUND_CASES = {
     "uniform-0.1-at-0.3": (lambda: generated_at(0.1), 0.3),
     "generated-1.0-at-3": (lambda: generated_at(1.0), 2.9999999995),
     "knapsack-at-3": (
-        lambda: generated_at(1.0, [1, 1, 1, 2, 1, 1], library_size=6),
+        lambda: generated_at([1, 1, 1, 2, 1, 1], library_size=6),
         2.9999999995,
     ),
 }
@@ -294,10 +294,10 @@ def test_unknown_content_rejected_before_any_policy_runs(policy, stray):
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-@pytest.mark.parametrize("sizes", [None, [1, 1, 1, 2, 1, 1]], ids=["uniform", "unequal"])
+@pytest.mark.parametrize("sizes", [1.0, [1, 1, 1, 2, 1, 1]], ids=["uniform", "unequal"])
 @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_capacity_rejected(policy, sizes, capacity):
-    catalog, trace = generated_at(1.0, sizes, library_size=6)
+    catalog, trace = generated_at(sizes, library_size=6)
     with pytest.raises(BadInput):
         run_simulation(catalog, trace, policy, capacity, seed=1)
 
@@ -538,7 +538,7 @@ def test_small_chunks_serve_as_slot_by_slot(workload, policy, cap):
 
 @pytest.mark.parametrize("cap", [1, 50])
 def test_knapsack_oracle_in_small_chunks(cap):
-    catalog, trace = generated_at(1.0, [1, 1, 1, 2, 1, 1], library_size=6)
+    catalog, trace = generated_at([1, 1, 1, 2, 1, 1], library_size=6)
     want = []
     for slot_ids in trace.events_by_slot():
         tally = np.bincount(slot_ids, minlength=catalog.id_space)

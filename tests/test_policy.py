@@ -713,6 +713,13 @@ class TestFill:
         chosen, used = fill.admit(ids(4, 5, 6, 7), 3.5)
         assert (chosen.tolist(), used) == ([4, 6], 3.0)
 
+    def test_admits_the_smallest_size_that_fits_exactly_at_the_slack_edge(self):
+        # past the misfit id 2, id 3 brings the used capacity to exactly
+        # the share plus FIT_SLACK (3.0): the scan must not stop before it
+        fill = Fill(np.array([2.0, 3.0, 1.0]), 2.999999999)
+        chosen, used = fill.admit(ids(1, 2, 3), 2.999999999)
+        assert (chosen.tolist(), used) == ([1, 3], 3.0)
+
     @given(
         sizes=st.lists(
             st.one_of(st.integers(1, 5).map(float), st.floats(0.05, 5.0)),
