@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import catalog_reference
 from catalog_helpers import array_catalog
 from hybridcache.catalog import (
+    CATEGORY_WEIGHTS,
     LIFESPAN_RANGE,
     Catalog,
     CatalogConfig,
@@ -192,6 +194,70 @@ class TestBuildCatalog:
                     or cat.volume[irm].any())
 
 
+@functools.lru_cache(maxsize=None)
+def law_catalog(build, w_snm):
+    """A 5000-content catalog, large enough that each law shows its whole range."""
+    return build(CatalogConfig(library_size=5000, w_snm=w_snm), seed=11)
+
+
+def uniform_feature(column):
+    """A check that a feature column is a uniform draw over the column's
+    range, normalized by that same range: it covers [0, 1) and no clamp
+    leaves a value at 1."""
+
+    def check(cat):
+        x = cat.features[:, column]
+        assert ((0 <= x) & (x < 1)).all()
+        assert x.min() < 0.01 and x.max() > 0.99
+        assert abs(x.mean() - 0.5) < 0.02
+
+    return check
+
+
+def unit_sizes(cat):
+    assert (cat.sizes == 1.0).all()
+
+
+def category_choice(cat):
+    # the weights lie in [0, 1], their own normalized values
+    values, counts = np.unique(cat.features[:, 3], return_counts=True)
+    assert values.tolist() == list(CATEGORY_WEIGHTS)
+    share = len(cat.sizes) / len(CATEGORY_WEIGHTS)
+    assert (abs(counts - share) < 0.15 * share).all()
+
+
+def lifespan_law(cat):
+    assert not cat.lifespan[~cat.snm].any()
+    lifespans = cat.lifespan[cat.snm]
+    if lifespans.size:
+        assert (lifespans.min(), lifespans.max()) == LIFESPAN_RANGE
+
+
+class TestFixedLaws:
+    """Each generation law that CatalogConfig does not set holds in a built catalog."""
+
+    LAWS = {
+        "item-size": unit_sizes,
+        "size": uniform_feature(0),
+        "bandwidth": uniform_feature(1),
+        "value": uniform_feature(2),
+        "category": category_choice,
+        "lifespan": lifespan_law,
+    }
+
+    @pytest.mark.parametrize("w_snm", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("law", LAWS.values(), ids=LAWS.keys())
+    @pytest.mark.parametrize(
+        "build", [build_catalog, catalog_reference.build_catalog], ids=["bulk", "reference"]
+    )
+    def test_law_holds(self, build, law, w_snm):
+        law(law_catalog(build, w_snm))
+
+    def test_config_holds_only_the_run_settings(self):
+        names = [f.name for f in dataclasses.fields(CatalogConfig)]
+        assert names == ["library_size", "w_snm", "horizon", "pareto_beta", "pareto_n_min"]
+
+
 def irm_fields(n=3):
     """The fields of an all-IRM catalog of n contents, as lists."""
     return dict(
@@ -243,6 +309,7 @@ class TestCatalogType:
             ("features", [0.5, np.nan, 0.5, 0.5]),
             # the int64 cast would truncate these
             ("arrival", 2.5), ("lifespan", 3.7), ("arrival", np.nan),
+            ("arrival", np.inf), ("lifespan", np.nan), ("lifespan", -np.inf),
         ],
     )
     def test_rejects_a_bad_value(self, name, value):
@@ -426,7 +493,10 @@ class TestBuildMatchesReference:
         assert same_catalog(build_catalog(config, seed=seed), expected)
 
     LAWS = {
+        "span-2": dict(horizon=2),
         "span-2**32": dict(horizon=2**32),
+        "heavy-tail": dict(pareto_beta=1.1, pareto_n_min=0.5),
+        "pinned-custom-laws": PINNED_CATALOGS[-1][1],
     }
 
     @pytest.mark.parametrize("laws", LAWS.values(), ids=LAWS.keys())
@@ -442,9 +512,16 @@ class TestBuildMatchesReference:
         "horizon-nan": dict(horizon=math.nan),
         "horizon-infinite": dict(horizon=math.inf),
         "pareto-beta-1": dict(pareto_beta=1.0),
+        "pareto-beta-below-1": dict(pareto_beta=0.5),
+        "pareto-beta-nan": dict(pareto_beta=math.nan),
         "pareto-n-min-0": dict(pareto_n_min=0.0),
+        "pareto-n-min-negative": dict(pareto_n_min=-1.0),
+        "pareto-n-min-infinite": dict(pareto_n_min=math.inf),
+        "library-size-0": dict(library_size=0),
         "library-size-1": dict(library_size=1),
         "library-size-float": dict(library_size=10.0),
+        "w-snm-above-1": dict(w_snm=1.5),
+        "w-snm-nan": dict(w_snm=math.nan),
     }
 
     @pytest.mark.parametrize("w_snm", [0.0, 0.5])

@@ -1,12 +1,16 @@
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
+from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.cli import (
     ExperimentConfig,
     aggregate_results,
     load_config,
     main,
+    make_workload,
     read_sweep_csv,
 )
 from hybridcache.errors import ConfigError, TraceParseError
@@ -151,6 +155,33 @@ class TestGenerate:
         main(["generate", *SMALL, "--out", str(out2)])
         for name in ("catalog.csv", "trace.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    # a value of each catalog setting other than the default
+    SETTINGS = dict(library_size=21, w_snm=0.5, horizon=40, pareto_beta=3.0,
+                    pareto_n_min=2.0)
+
+    @pytest.mark.parametrize("setting", SETTINGS)
+    def test_workload_catalog_takes_each_setting(self, setting):
+        assert list(self.SETTINGS) == [f.name for f in dataclasses.fields(CatalogConfig)]
+        config = ExperimentConfig(horizon=30, requests_per_slot=20)
+        size = 20
+        if setting == "library_size":
+            size = self.SETTINGS[setting]
+        else:
+            config = dataclasses.replace(config, **{setting: self.SETTINGS[setting]})
+        catalog, _ = make_workload(config, size, seed=4)
+        expected = build_catalog(CatalogConfig(
+            library_size=size, w_snm=config.w_snm, horizon=config.horizon,
+            pareto_beta=config.pareto_beta, pareto_n_min=config.pareto_n_min,
+        ), seed=4)
+        unchanged, _ = make_workload(ExperimentConfig(horizon=30, requests_per_slot=20),
+                                     20, seed=4)
+        for name in ("sizes", "features", "snm", "arrival", "lifespan", "volume"):
+            assert np.array_equal(getattr(catalog, name), getattr(expected, name))
+        assert not all(
+            np.array_equal(getattr(catalog, name), getattr(unchanged, name))
+            for name in ("sizes", "snm", "arrival", "volume")
+        )
 
 
 class TestRun:
