@@ -18,7 +18,6 @@ are placed and fed back.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,7 +27,7 @@ from .catalog import Catalog
 from .errors import LengthMismatch, UnknownContent
 from .policy import Fill, Placement, exact_knapsack, make_policy
 from .popularity import PopularitySnapshot  # noqa: F401  perfbench/probe.py patches this name
-from .workload import RequestTrace
+from .workload import CHUNK_CELLS, RequestTrace
 
 
 @dataclass(frozen=True)
@@ -45,35 +44,19 @@ class RunMetrics:
     summary: dict
 
 
-# the most tally cells, and the most events, of one chunk of slots; a
-# chunk holds one slot at least
-CHUNK_CELLS = 2**16
-
-
 def _tally_chunks(trace: RequestTrace, id_space: int):
     """Yield (t0, tallies) for successive chunks of the trace's slots.
 
     tallies[r, id] is the request count of an id in slot t0 + r; the
     array is read-only, so each row is a read-only tally. One bincount
-    builds a chunk: each event's key is its id plus its row times
-    id_space, as int32.
+    of the chunk's keys (RequestTrace.key_chunks, at most CHUNK_CELLS
+    cells and events) builds a chunk.
     """
-    bounds = trace.offsets.tolist()
-    most_rows = max(1, CHUNK_CELLS // id_space)
-    start = 0
-    while start < trace.horizon:
-        # the last slot index whose events end within CHUNK_CELLS events
-        by_events = bisect.bisect_right(bounds, bounds[start] + CHUNK_CELLS) - 1
-        stop = max(start + 1, min(start + most_rows, by_events))
-        rows = np.arange(0, (stop - start) * id_space, id_space, dtype=np.int32)
-        # added in place: one chunk-sized array less at the memory peak
-        keys = rows.repeat(np.diff(trace.offsets[start:stop + 1]))
-        keys += trace.ids[bounds[start]:bounds[stop]]
-        tallies = np.bincount(keys, minlength=len(rows) * id_space)
-        tallies = tallies.reshape(len(rows), id_space)
+    for t0, rows, keys in trace.key_chunks(id_space, CHUNK_CELLS):
+        tallies = np.bincount(keys, minlength=rows * id_space)
+        tallies = tallies.reshape(rows, id_space)
         tallies.flags.writeable = False
-        yield start + 1, tallies
-        start = stop
+        yield t0, tallies
 
 
 def slot_step(placements: Sequence[Placement], tallies: np.ndarray) -> np.ndarray:

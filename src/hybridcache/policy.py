@@ -30,6 +30,7 @@ CHUNK_IDS = 2**14
 # the only slack of the capacity rule: a set of ids fits in a capacity C
 # when their sizes sum to at most C + FIT_SLACK (see Fill)
 FIT_SLACK = 1e-9
+INT64_MAX = np.iinfo(np.int64).max
 
 
 def check_capacity(capacity) -> None:
@@ -145,11 +146,11 @@ def _top_n(values: np.ndarray, n: int) -> np.ndarray:
         return np.arange(0)
     kth = np.partition(values, len(values) - n)[len(values) - n]
     passed = values >= kth
-    chosen = np.flatnonzero(passed)
+    chosen = passed.nonzero()[0]
     surplus = len(chosen) - n
     if surplus:
-        passed[np.flatnonzero(values == kth)[-surplus:]] = False
-        chosen = np.flatnonzero(passed)
+        passed[(values == kth).nonzero()[0][-surplus:]] = False
+        chosen = passed.nonzero()[0]
     return chosen
 
 
@@ -360,8 +361,15 @@ class PopularPolicy:
     to update. Before any request it places as a RandomPolicy on the
     run's rng. The cache is the density-greedy fill: ids are admitted by
     request frequency over size, ties by lower id, each that still fits:
-    one Fill.top of the library (at uniform sizes the history's top n,
-    found by np.partition instead of a sort of the library).
+    one Fill.top of the library.
+
+    At equal sizes the cache is the top Fill.count ids by (count, lower
+    id), the order of frequency over size, so it is ranked on the integer
+    counts. Counts only grow, so the last placement is returned again
+    unless an uncached id now outranks a cached one: the keep test
+    compares the least cached count (low) with the greatest uncached one
+    (high), and at high == low the highest cached id at low with the
+    lowest uncached id at high. Only a placement that changes is ranked.
     """
 
     def __init__(self, catalog: Catalog, capacity: float, rng: np.random.Generator):
@@ -371,18 +379,44 @@ class PopularPolicy:
         self.fill = self.fallback.fill
         self.counts = np.zeros(catalog.id_space, dtype=np.int64)  # position = id
         self.total = 0
+        # the last ranked placement and the ids outside it, read only at
+        # equal sizes
+        self._kept = None
+        self._outside = np.append(False, np.ones(len(catalog.ids), dtype=bool))
 
     def place(self, t: int) -> Placement:
         if self.total == 0:
             logger.warning("popular policy: empty history at slot %d, "
                            "falling back to random", t)
             return self.fallback.place(t)
-        chosen, used = self.fill.top(
-            self.catalog.ids,
-            lambda: self.counts[1:] / self.total / self.catalog.sizes,  # position = id - 1
-            self.capacity,
-        )
-        return Placement(chosen, used_capacity=used, capacity=self.capacity)
+        if self.fill.count is None:
+            keys = self.counts[1:] / self.total / self.catalog.sizes  # position = id - 1
+        elif self._kept is None or not self._kept_is_top():
+            keys = self.counts[1:]
+        else:
+            return self._kept
+        chosen, used = self.fill.top(self.catalog.ids, lambda: keys, self.capacity)
+        if self._kept is not None:
+            self._outside[self._kept.cached] = True
+        self._outside[chosen] = False
+        self._kept = Placement(chosen, used_capacity=used, capacity=self.capacity)
+        return self._kept
+
+    def _kept_is_top(self) -> bool:
+        """Whether no uncached id outranks a kept one by (count, lower id)."""
+        counts, cached = self.counts, self._kept.cached
+        in_counts = counts[cached]
+        # an empty cache, and one of the whole library, are always kept
+        low = in_counts.min(initial=INT64_MAX)
+        high = counts.max(where=self._outside, initial=-1)
+        if high < low:
+            return True
+        if high > low:
+            return False
+        # tied: the cache holds the lower ids
+        last_in = cached[in_counts == low][-1]
+        first_out = ((counts == high) & self._outside).argmax()
+        return first_out > last_in
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:
         self.counts += tally

@@ -42,10 +42,19 @@ def estimate_allocation(
     prior estimate: w = smoothing * prior + (1 - smoothing) * raw. The
     IRM share is 1 - w.
     """
-    if not (0.0 <= smoothing <= 1.0):
-        raise ValueError("smoothing must lie in [0, 1]")
+    _check_smoothing(smoothing)
     total_snm = sum(s for s, _ in history)
     total_irm = sum(i for _, i in history)
+    return _blend(total_snm, total_irm, smoothing, prior)
+
+
+def _check_smoothing(smoothing: float) -> None:
+    if not (0.0 <= smoothing <= 1.0):
+        raise ValueError("smoothing must lie in [0, 1]")
+
+
+def _blend(total_snm: int, total_irm: int, smoothing: float, prior) -> float:
+    """The SNM share of a window's totals, blended with prior (if any)."""
     if total_snm + total_irm == 0:
         raise EmptyWindow("no requests in the estimation window")
     raw = total_snm / (total_snm + total_irm)
@@ -59,22 +68,33 @@ def estimate_allocation(
 
 
 class AllocationEstimator:
-    """Stateful windowed estimator fed one slot of class counts at a time."""
+    """Stateful windowed estimator fed one slot of class counts at a time.
+
+    Keeps the window's (n_snm, n_irm) pairs and their running totals, so
+    an estimate equals estimate_allocation over the window without
+    summing it again.
+    """
 
     def __init__(self, window: int = 10, smoothing: float = 0.3):
         if window < 1:
             raise ValueError("window must be >= 1")
+        _check_smoothing(smoothing)
         self.window = window
         self.smoothing = smoothing
         self._counts = deque(maxlen=window)
+        self._snm = self._irm = 0  # the sums over _counts
         self._prior = None
 
     def observe(self, n_snm: int, n_irm: int) -> None:
+        if len(self._counts) == self.window:
+            old_snm, old_irm = self._counts[0]
+            self._snm -= old_snm
+            self._irm -= old_irm
         self._counts.append((n_snm, n_irm))
+        self._snm += n_snm
+        self._irm += n_irm
 
     def estimate(self) -> float:
         """The SNM share of the window, blended with the last estimate."""
-        self._prior = estimate_allocation(
-            self._counts, smoothing=self.smoothing, prior=self._prior
-        )
+        self._prior = _blend(self._snm, self._irm, self.smoothing, self._prior)
         return self._prior

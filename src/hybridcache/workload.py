@@ -12,6 +12,7 @@ with no IRM content is the exception; see generate_trace.
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 import warnings
@@ -128,6 +129,28 @@ class RequestTrace:
         """Per-slot id arrays (views into ids), index t-1 for slot t."""
         return np.split(self.ids, self.offsets[1:-1])
 
+    def key_chunks(self, id_space: int, cap: int):
+        """Yield (t0, rows, keys) for successive chunks of the slots.
+
+        A chunk is the slots t0 .. t0 + rows - 1; it spans at most cap
+        cells (rows * id_space) and holds at most cap events, and one
+        slot at least. keys is a new int32 array holding each event's id
+        plus its row in the chunk times id_space, in event order.
+        """
+        bounds = self.offsets.tolist()
+        most_rows = max(1, cap // id_space)
+        start = 0
+        while start < self.horizon:
+            # the last slot index whose events end within cap events
+            by_events = bisect.bisect_right(bounds, bounds[start] + cap) - 1
+            stop = max(start + 1, min(start + most_rows, by_events))
+            rows = np.arange(0, (stop - start) * id_space, id_space, dtype=np.int32)
+            # added in place: one chunk-sized array less at the memory peak
+            keys = rows.repeat(np.diff(self.offsets[start:stop + 1]))
+            keys += self.ids[bounds[start]:bounds[stop]]
+            yield start + 1, stop - start, keys
+            start = stop
+
     @cached_property
     def ranked_count_sums(self) -> tuple:
         """Each slot's request counts in descending order, as running sums.
@@ -136,16 +159,42 @@ class RequestTrace:
         requests, sums[starts[t - 1]:starts[t]], so the requests to its k
         most requested ids are sums[starts[t - 1] + k - 1]. Built on first
         use and shared by every run over the trace.
+
+        A chunk's keys (key_chunks) are sorted, so each run of one key is
+        one (slot, id) and its length the id's count in the slot; then all
+        the (slot, count) pairs are sorted by slot, then count descending.
+        The sorts cost by the number of events, where a tally of every id
+        in every slot would cost by the library size.
         """
-        per_slot = []
-        for slot_ids in self.events_by_slot():
-            counts = np.bincount(slot_ids)
-            per_slot.append(np.sort(counts[counts > 0])[::-1].cumsum())
+        id_space = int(self.ids.max(initial=0)) + 1
+        none = np.zeros(0, dtype=np.int64)  # a trace may have no slot
+        slots, counts = [none], [none]
+        for t0, _, keys in self.key_chunks(id_space, CHUNK_CELLS):
+            keys.sort()
+            # where a run of one key starts, and where the last one ends
+            edges = np.empty(len(keys) + 1, dtype=bool)
+            edges[0] = edges[-1] = True
+            np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+            edges = edges.nonzero()[0]
+            counts.append(np.diff(edges))
+            rows = (keys[edges[:-1]] // id_space).astype(np.int64)
+            slots.append(rows + (t0 - 1))  # t - 1 of each (slot, id)
+        slots, counts = np.concatenate(slots), np.concatenate(counts)
+        top = int(counts.max(initial=0)) + 1
+        order = slots * top + (top - 1 - counts)
+        order.sort()
+        sums = (top - 1 - order % top).cumsum()
+        per_slot = np.bincount(slots, minlength=self.horizon)
         starts = np.zeros(self.horizon + 1, dtype=np.int64)
-        np.cumsum([len(s) for s in per_slot], out=starts[1:])
-        return starts, np.concatenate(per_slot)
+        np.cumsum(per_slot, out=starts[1:])
+        # restart the running sum at each slot's first id
+        sums -= np.append(0, sums)[starts[:-1]].repeat(per_slot)
+        return starts, sums
 
 
+# the most tally cells, and the most events, of one chunk of slots (see
+# RequestTrace.key_chunks)
+CHUNK_CELLS = 2**16
 # the most doubles one rng.random call draws (1 MiB); a chunk is as many
 # whole slots as fit, and at least one
 CHUNK_DOUBLES = 2**17

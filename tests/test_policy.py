@@ -227,6 +227,71 @@ class TestUniformFills:
         assert rng.random() == reference.random()
 
 
+class TestPopularKeep:
+    """At equal sizes popular keeps its last placement only while it is
+    still the top of the counts: in every slot it equals a fresh fill."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(2, 12),
+        size=UNIFORM_SIZES,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_every_slot_equals_a_fresh_fill(self, data, n, size):
+        catalog = uniform_catalog(n, size)
+        # below one size, half the library, all of it and more, or any
+        capacity = data.draw(
+            st.sampled_from([0.0, 0.4 * size, n // 2 * size, n * size, 2 * n * size])
+            | st.floats(0.0, n * size)
+        )
+        # slots of few small counts (heavy ties) and all-zero slots, so
+        # the random fallback repeats and kept placements face ties
+        zero = [0] * n
+        tallies = data.draw(st.lists(
+            st.one_of(st.just(zero), st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+            min_size=1, max_size=25,
+        ))
+        policy = PopularPolicy(catalog, capacity, np.random.default_rng(9))
+        fallback = RandomPolicy(catalog, capacity, np.random.default_rng(9))
+        fill = Fill(catalog.sizes, capacity)
+        counts = np.zeros(catalog.id_space, dtype=np.int64)
+        for t, row in enumerate(tallies, start=1):
+            got = policy.place(t)
+            if counts.any():
+                chosen, used = fill.top(
+                    catalog.ids, lambda: counts[1:] / counts.sum() / catalog.sizes, capacity
+                )
+            else:
+                want = fallback.place(t)
+                chosen, used = want.cached, want.used_capacity
+            assert got.cached.tolist() == chosen.tolist()
+            assert got.used_capacity == used
+            tally = np.array([0] + row, dtype=np.int64)
+            policy.update(got, tally)
+            counts += tally
+
+    @pytest.mark.parametrize(
+        "first, then, cached",
+        [
+            # id 1 ties id 2 at 1 and outranks it by its lower id
+            ({2: 1}, {1: 1}, [1]),
+            # id 3 ties id 2 at 1 but not below it: the cache stays
+            ({2: 1}, {3: 1}, [2]),
+            # id 3 passes id 2
+            ({2: 1}, {3: 2}, [3]),
+        ],
+    )
+    def test_ties_go_to_the_lower_id(self, first, then, cached):
+        catalog = uniform_catalog(4, 1.0)
+        policy = PopularPolicy(catalog, 1.0, np.random.default_rng(0))
+        for slot, counts in enumerate((first, then), start=1):
+            tally = np.zeros(catalog.id_space, dtype=np.int64)
+            for cid, n in counts.items():
+                tally[cid] = n
+            policy.update(policy.place(slot), tally)
+        assert policy.place(3).cached.tolist() == cached
+
+
 class TestLeanPaths:
     """The per-slot shortcuts give what the general code gives."""
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.errors import EmptyWindow
+from hybridcache.policy import make_policy
 from hybridcache.popularity import (
     AllocationEstimator,
     PopularitySnapshot,
@@ -59,6 +62,41 @@ class TestAllocationEstimator:
             est = estimate_allocation(counts, smoothing=0.0)
             adjusted = target - trace.stats.fallback_count / trace.stats.total_requests
             assert est == pytest.approx(adjusted, abs=0.05)
+
+    @given(
+        window=st.integers(1, 5),
+        smoothing=st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 1.0),
+        # many all-zero slots, so windows empty and fill again
+        slots=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3)) | st.just((0, 0)),
+            max_size=30,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_running_sums_equal_the_window_estimate(self, window, smoothing, slots):
+        est = AllocationEstimator(window=window, smoothing=smoothing)
+        prior = None
+        for seen, (n_snm, n_irm) in enumerate(slots, start=1):
+            est.observe(n_snm, n_irm)
+            history = list(est._counts)
+            assert history == slots[max(0, seen - window):seen]
+            try:
+                want = estimate_allocation(history, smoothing=smoothing, prior=prior)
+            except EmptyWindow:
+                with pytest.raises(EmptyWindow):
+                    est.estimate()
+                continue
+            assert est.estimate() == want
+            prior = want
+
+    @pytest.mark.parametrize("smoothing", [1.5, -0.1, float("nan")])
+    def test_bad_smoothing_raises_at_construction(self, smoothing):
+        with pytest.raises(ValueError, match="smoothing"):
+            AllocationEstimator(window=3, smoothing=smoothing)
+        catalog = build_catalog(CatalogConfig(library_size=6, w_snm=0.5, horizon=5), seed=1)
+        with pytest.raises(ValueError, match="smoothing"):
+            make_policy("hybrid", catalog, 2.0, np.random.default_rng(0),
+                        alloc_smoothing=smoothing)
 
 
 class TestPopularitySnapshot:

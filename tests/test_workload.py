@@ -3,12 +3,14 @@ import math
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hybridcache.workload as workload
 import trace_reference
 from catalog_helpers import array_catalog
 from hybridcache.catalog import CatalogConfig, build_catalog
@@ -522,3 +524,44 @@ class TestTraceRows:
     def test_empty_trace_accepted(self):
         trace = RequestTrace(horizon=0, ids=np.zeros(0, np.int32), offsets=np.array([0]))
         assert trace.events == ()
+
+
+def ranked_count_sums_by_slot(trace):
+    """Reference: each slot's tally, its nonzero counts sorted descending,
+    their running sums, one slot at a time."""
+    per_slot = [np.zeros(0, dtype=np.int64)]
+    for slot_ids in trace.events_by_slot():
+        counts = np.bincount(slot_ids)
+        per_slot.append(np.sort(counts[counts > 0])[::-1].cumsum())
+    starts = np.zeros(trace.horizon + 1, dtype=np.int64)
+    np.cumsum([len(s) for s in per_slot[1:]], out=starts[1:])
+    return starts, np.concatenate(per_slot)
+
+
+class TestRankedCountSums:
+    @given(
+        data=st.data(),
+        n_ids=st.sampled_from([1, 3, 40, 70_000]),
+        # a chunk of one slot or event, of a few, and the default
+        cells=st.sampled_from([1, 7, 64, workload.CHUNK_CELLS]),
+        per_slot=st.lists(st.integers(0, 12), max_size=20),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_a_sort_of_each_slot(self, data, n_ids, cells, per_slot):
+        ids = st.integers(1, n_ids) | st.sampled_from([1, n_ids])
+        trace = RequestTrace.from_events(len(per_slot), [
+            (t, data.draw(ids)) for t, n in enumerate(per_slot, start=1) for _ in range(n)
+        ])
+        with mock.patch.object(workload, "CHUNK_CELLS", cells):
+            starts, sums = trace.ranked_count_sums
+        want_starts, want_sums = ranked_count_sums_by_slot(trace)
+        assert starts.dtype == sums.dtype == np.int64
+        assert starts.tolist() == want_starts.tolist()
+        assert sums.tolist() == want_sums.tolist()
+
+    def test_hand_trace(self):
+        # slot 2 is empty; slot 3 requests id 7 twice and ids 1 and 4 once
+        trace = RequestTrace.from_events(3, ((1, 5), (3, 4), (3, 7), (3, 1), (3, 7)))
+        starts, sums = trace.ranked_count_sums
+        assert starts.tolist() == [0, 1, 1, 4]
+        assert sums.tolist() == [1, 2, 3, 4]
