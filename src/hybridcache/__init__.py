@@ -3,9 +3,11 @@
 from .catalog import (
     Catalog,
     CatalogConfig,
+    ParetoVolume,
     build_catalog,
     feature_influences,
     normalize_features,
+    sample_pareto_volume,
 )
 from .engine import RunMetrics, cumulative_regret, run_simulation
 from .policy import (
@@ -22,12 +24,6 @@ from .popularity import (
     PopularitySnapshot,
     estimate_allocation,
 )
-from .workload import (
-    ParetoVolume,
-    RequestTrace,
-    generate_trace,
-    sample_pareto_volume,
-    zipf_pmf,
-)
+from .workload import RequestTrace, generate_trace, zipf_pmf
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EmptyLibrary, LibraryTooSmall, RangeDegenerate, TraceParseError
+from .errors import HybridCacheError, TraceParseError
 
 # Whether a larger value of each feature column helps caching (benefit)
 # or hurts it (cost): size and transmission bandwidth are costs (smaller
@@ -59,7 +59,9 @@ def _whole(name: str, values) -> np.ndarray:
         as_float = values.astype(float)
         bad = ~np.isfinite(as_float) | (as_float != np.trunc(as_float))
         if bad.any():
-            raise ValueError(f"content {int(bad.argmax()) + 1}: {name} must be a whole number")
+            raise HybridCacheError(
+                f"content {int(bad.argmax()) + 1}: {name} must be a whole number"
+            )
     return values
 
 
@@ -119,14 +121,14 @@ class Catalog:
             object.__setattr__(self, name, _frozen(values, dtype))
         n, snm = self.sizes.size, self.snm
         if n == 0:
-            raise EmptyLibrary("catalog is empty")
+            raise HybridCacheError("catalog is empty")
         for name in _FIELDS:
             shape = (n, len(FEATURE_BENEFIT)) if name == "features" else (n,)
             if getattr(self, name).shape != shape:
-                raise ValueError(f"{name} must have shape {shape}")
+                raise HybridCacheError(f"{name} must have shape {shape}")
         for bad, message in _row_checks(*(getattr(self, f) for f in _FIELDS)):
             if bad.any():
-                raise ValueError(f"content {int(bad.argmax()) + 1}: {message}")
+                raise HybridCacheError(f"content {int(bad.argmax()) + 1}: {message}")
         ids = np.arange(1, n + 1)
         derived = {
             "ids": ids,
@@ -170,7 +172,7 @@ def normalize_features(raw: np.ndarray, ranges: Sequence[tuple]) -> np.ndarray:
     """
     lo, hi = np.array(ranges, dtype=float).T
     if (hi <= lo).any():
-        raise RangeDegenerate(f"a range in {ranges} has max <= min")
+        raise HybridCacheError(f"a range in {ranges} has max <= min")
     unit = (raw - lo) / (hi - lo)
     unit = np.where(unit > 0.0, unit, 0.0)
     return np.where(unit < 1.0, unit, 1.0)
@@ -201,6 +203,27 @@ class CatalogConfig:
     pareto_n_min: float = 1.0
 
 
+@dataclass(frozen=True)
+class ParetoVolume:
+    """Pareto law for SNM total request volumes: shape beta, scale n_min."""
+
+    beta: float
+    n_min: float
+
+    def __post_init__(self):
+        if self.beta <= 1:
+            raise HybridCacheError("beta must exceed 1 (finite mean)")
+        if self.n_min <= 0:
+            raise HybridCacheError("n_min must be positive")
+
+
+def sample_pareto_volume(model: ParetoVolume, u: float) -> float:
+    """Inverse-CDF draw: v = n_min * (1 - u)^(-1/beta), v >= n_min."""
+    if not (0.0 <= u < 1.0):
+        raise HybridCacheError(f"u={u} outside [0, 1)")
+    return model.n_min * (1.0 - u) ** (-1.0 / model.beta)
+
+
 def _arrival_span(horizon) -> int:
     """The span of the arrival law on 1..horizon, which must lie in 1..2**32.
 
@@ -209,6 +232,9 @@ def _arrival_span(horizon) -> int:
     does. numpy draws a span above 2**32 from whole 64-bit words, which
     the catalog's draw plan does not read.
     """
+    # ValueError, not HybridCacheError: the checks raise the classes that
+    # numpy's integers() raises, as the per-content reference builder
+    # does, and the CLI's validate rejects such a horizon before a build
     span = int(horizon)
     if span != horizon:
         raise ValueError("horizon must be a whole number")
@@ -311,12 +337,10 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     its rng call raises; a fractional horizon, which numpy would
     truncate, raises ValueError.
     """
-    from .workload import ParetoVolume, sample_pareto_volume
-
     if config.library_size < 2:
-        raise LibraryTooSmall(f"library_size={config.library_size} < 2")
+        raise HybridCacheError(f"library_size={config.library_size} < 2")
     if not (0.0 <= config.w_snm <= 1.0):
-        raise ValueError("w_snm must lie in [0, 1]")
+        raise HybridCacheError("w_snm must lie in [0, 1]")
 
     n = config.library_size
     n_irm = n - round(config.w_snm * n)
@@ -399,6 +423,8 @@ _ROW = np.dtype([("id", np.int64)] + [
 ])
 
 
+# _number and _parse_row raise ValueError, as int() and float() do:
+# load_catalog catches it and raises TraceParseError with the line
 def _number(kind, pattern: re.Pattern, text: str):
     """kind(text) if text fully matches pattern; ValueError otherwise."""
     if not pattern.fullmatch(text):

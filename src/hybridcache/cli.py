@@ -5,7 +5,8 @@ Configuration is a flat key=value file; every key can be overridden by
 an environment variable with the HYBRIDCACHE_ prefix (uppercased key)
 and by command-line flags, in that order of precedence.
 
-Exit codes: 0 success, 2 configuration error, 3 I/O error.
+Exit codes: 0 success, 2 rejected input (HybridCacheError: a setting, a
+file row or an argument), 3 I/O error.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from .catalog import CatalogConfig, build_catalog, save_catalog
 from .engine import run_simulation
-from .errors import ConfigError, HybridCacheError, TraceParseError
+from .errors import HybridCacheError, TraceParseError
 from .policy import POLICY_NAMES
 from .workload import generate_trace, load_trace, save_trace
 
@@ -65,59 +66,59 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         for f in dataclasses.fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be a finite number")
+                raise HybridCacheError(f"{f.name} must be a finite number")
         if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
+            raise HybridCacheError("horizon must be >= 1")
         if self.horizon > 2**32:
             # build_catalog draws SNM arrivals from at most 2**32 slots
-            raise ConfigError("horizon must be <= 2**32")
+            raise HybridCacheError("horizon must be <= 2**32")
         if self.library_size < 2:
-            raise ConfigError("library_size must be >= 2")
+            raise HybridCacheError("library_size must be >= 2")
         if self.capacity < 0:
-            raise ConfigError("capacity must be >= 0")
+            raise HybridCacheError("capacity must be >= 0")
         if not (0.0 <= self.w_snm <= 1.0):
-            raise ConfigError("w_snm must lie in [0, 1]")
+            raise HybridCacheError("w_snm must lie in [0, 1]")
         if self.zipf_delta < 0:
-            raise ConfigError("zipf_delta must be >= 0")
+            raise HybridCacheError("zipf_delta must be >= 0")
         if self.pareto_beta <= 1:
-            raise ConfigError("pareto_beta must exceed 1")
+            raise HybridCacheError("pareto_beta must exceed 1")
         if self.pareto_n_min <= 0:
-            raise ConfigError("pareto_n_min must be positive")
+            raise HybridCacheError("pareto_n_min must be positive")
         if self.requests_per_slot < 1:
-            raise ConfigError("requests_per_slot must be >= 1")
+            raise HybridCacheError("requests_per_slot must be >= 1")
         if self.exploration_beta <= 0:
-            raise ConfigError("exploration_beta must be positive")
+            raise HybridCacheError("exploration_beta must be positive")
         if self.alloc_window < 1:
-            raise ConfigError("alloc_window must be >= 1")
+            raise HybridCacheError("alloc_window must be >= 1")
         if not (0.0 <= self.alloc_smoothing <= 1.0):
-            raise ConfigError("alloc_smoothing must lie in [0, 1]")
+            raise HybridCacheError("alloc_smoothing must lie in [0, 1]")
         if not self.seeds:
-            raise ConfigError("seeds must be non-empty")
+            raise HybridCacheError("seeds must be non-empty")
         if any(seed < 0 for seed in self.seeds):
-            raise ConfigError("seeds must be >= 0")
+            raise HybridCacheError("seeds must be >= 0")
         if len(set(self.seeds)) < len(self.seeds):
-            raise ConfigError("seeds must not repeat")
+            raise HybridCacheError("seeds must not repeat")
         if not self.policies:
-            raise ConfigError("policies must be non-empty")
+            raise HybridCacheError("policies must be non-empty")
         for p in self.policies:
             if p not in POLICY_NAMES:
-                raise ConfigError(f"policies: unknown policy {p!r}")
+                raise HybridCacheError(f"policies: unknown policy {p!r}")
         if len(set(self.policies)) < len(self.policies):
-            raise ConfigError("policies must not repeat")
+            raise HybridCacheError("policies must not repeat")
         if self.sweep_axis not in SWEEP_AXES:
-            raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}")
+            raise HybridCacheError(f"sweep_axis must be one of {SWEEP_AXES}")
         if not self.sweep_values:
-            raise ConfigError("sweep_values must be non-empty")
+            raise HybridCacheError("sweep_values must be non-empty")
         if not all(math.isfinite(v) for v in self.sweep_values):
-            raise ConfigError("sweep_values must be finite numbers")
+            raise HybridCacheError("sweep_values must be finite numbers")
         if any(b <= a for a, b in zip(self.sweep_values, self.sweep_values[1:])):
-            raise ConfigError("sweep_values must be strictly increasing")
+            raise HybridCacheError("sweep_values must be strictly increasing")
         if self.sweep_axis == "library_size" and any(
             v < 2 or not float(v).is_integer() for v in self.sweep_values
         ):
-            raise ConfigError("library_size sweep values must be whole numbers >= 2")
+            raise HybridCacheError("library_size sweep values must be whole numbers >= 2")
         if self.sweep_axis == "capacity" and any(v < 0 for v in self.sweep_values):
-            raise ConfigError("sweep_values must be >= 0 on the capacity axis")
+            raise HybridCacheError("sweep_values must be >= 0 on the capacity axis")
         return self
 
     def hash(self) -> str:
@@ -142,7 +143,7 @@ def _parse_value(name: str, text: str, kind):
             return float(text)
         return text
     except ValueError as exc:
-        raise ConfigError(f"{name}: cannot parse {text!r}") from exc
+        raise HybridCacheError(f"{name}: cannot parse {text!r}") from exc
 
 
 def load_config(path=None, env=None, overrides=None) -> ExperimentConfig:
@@ -157,11 +158,11 @@ def load_config(path=None, env=None, overrides=None) -> ExperimentConfig:
                 if not line or line.startswith("#"):
                     continue
                 if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected key = value")
+                    raise HybridCacheError(f"{path}:{lineno}: expected key = value")
                 key, _, text = line.partition("=")
                 key = key.strip()
                 if key not in kinds:
-                    raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+                    raise HybridCacheError(f"{path}:{lineno}: unknown key {key!r}")
                 values[key] = _parse_value(key, text, typemap.get(kinds[key], str))
     env = os.environ if env is None else env
     for key, kind in kinds.items():
@@ -198,9 +199,9 @@ def make_workload(config: ExperimentConfig, library_size: int, seed: int):
 
 
 def cmd_generate(config: ExperimentConfig) -> int:
+    catalog, trace = make_workload(config, config.library_size, config.seeds[0])
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    catalog, trace = make_workload(config, config.library_size, config.seeds[0])
     save_catalog(catalog, outdir / "catalog.csv")
     save_trace(trace, outdir / "trace.csv")
     print(f"config_hash={config.hash()}")
@@ -224,9 +225,9 @@ def _run_one(config, config_hash, catalog, trace, policy, capacity, seed):
 
 def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int:
     if catalog_path is not None and trace_path is None:
-        raise ConfigError("trace: --trace is required with --catalog")
+        raise HybridCacheError("trace: --trace is required with --catalog")
     if trace_path is not None and catalog_path is None:
-        raise ConfigError("catalog: --catalog is required with --trace")
+        raise HybridCacheError("catalog: --catalog is required with --trace")
     fixed = None
     if catalog_path is not None:
         from .catalog import load_catalog
@@ -428,41 +429,29 @@ def aggregate_results(rows: list) -> list:
         return mean, stderr
 
     out = []
-    values = sorted({v for v, _ in groups})
-    for value in values:
-        means = {
-            p: stats([r["mean_hit_ratio"] for r in groups[(value, p)]])
-            for v, p in groups
-            if v == value
-        }
-        regrets = {
-            p: stats([r["final_regret"] for r in groups[(value, p)]])
-            for v, p in groups
-            if v == value
-        }
-        for policy in sorted(means):
-            hr_mean, hr_se = means[policy]
-            rg_mean, rg_se = regrets[policy]
-            entry = {
-                "value": value,
-                "policy": policy,
-                "n_seeds": len(groups[(value, policy)]),
-                "mean_hit_ratio": hr_mean,
-                "stderr_hit_ratio": hr_se,
-                "mean_final_regret": rg_mean,
-                "stderr_final_regret": rg_se,
-                "improvement_over": "",
-            }
-            if policy == "hybrid":
-                gains = []
-                for other, (other_mean, _) in sorted(means.items()):
-                    if other == "hybrid" or other_mean == 0:
-                        continue
-                    gains.append(
-                        f"{other}:{(hr_mean - other_mean) / other_mean:+.2%}"
-                    )
-                entry["improvement_over"] = ";".join(gains)
-            out.append(entry)
+    for (value, policy), group in sorted(groups.items()):
+        hr_mean, hr_se = stats([r["mean_hit_ratio"] for r in group])
+        rg_mean, rg_se = stats([r["final_regret"] for r in group])
+        out.append({
+            "value": value,
+            "policy": policy,
+            "n_seeds": len(group),
+            "mean_hit_ratio": hr_mean,
+            "stderr_hit_ratio": hr_se,
+            "mean_final_regret": rg_mean,
+            "stderr_final_regret": rg_se,
+            "improvement_over": "",
+        })
+    # the hybrid's gain over each other policy at its value, in policy order
+    hybrid = {entry["value"]: entry for entry in out if entry["policy"] == "hybrid"}
+    gains = {}
+    for entry in out:
+        ours, base = hybrid.get(entry["value"]), entry["mean_hit_ratio"]
+        if ours is not None and ours is not entry and base != 0:
+            gain = (ours["mean_hit_ratio"] - base) / base
+            gains.setdefault(entry["value"], []).append(f"{entry['policy']}:{gain:+.2%}")
+    for value, entry in hybrid.items():
+        entry["improvement_over"] = ";".join(gains.get(value, ()))
     return out
 
 

@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Catalog
-from .errors import LengthMismatch, UnknownContent
+from .errors import HybridCacheError
 from .policy import Fill, Placement, exact_knapsack, make_policy
 from .popularity import PopularitySnapshot  # noqa: F401  perfbench/probe.py patches this name
 from .workload import CHUNK_CELLS, RequestTrace
@@ -117,9 +117,7 @@ def cumulative_regret(
 ) -> np.ndarray:
     """Prefix sums of the per-slot gaps max(0, oracle - achieved)."""
     if len(achieved) != len(oracle):
-        raise LengthMismatch(
-            f"achieved has {len(achieved)} slots, oracle {len(oracle)}"
-        )
+        raise HybridCacheError(f"achieved has {len(achieved)} slots, oracle {len(oracle)}")
     gaps = np.maximum(0.0, np.asarray(oracle, float) - np.asarray(achieved, float))
     return np.cumsum(gaps)
 
@@ -141,10 +139,10 @@ def run_simulation(
     deterministic given (catalog, trace, policy, seed).
     """
     if trace.horizon < 1:
-        raise ValueError("trace horizon must be >= 1")
+        raise HybridCacheError("trace horizon must be >= 1")
     ids, n_ids = trace.ids, len(catalog.ids)
     if len(ids) and not 1 <= ids.min() <= ids.max() <= n_ids:
-        raise UnknownContent(f"trace requests an id outside the catalog's 1..{n_ids}")
+        raise HybridCacheError(f"trace requests an id outside the catalog's 1..{n_ids}")
     policy = make_policy(
         policy_name,
         catalog,

@@ -1,28 +1,20 @@
-"""Exception hierarchy for the caching simulator."""
+"""Exception classes of the caching simulator.
+
+A class exists only where code catches it by type or it carries data;
+every other rejection raises HybridCacheError with a message that names
+what was wrong.
+"""
 
 
-class HybridCacheError(Exception):
-    """Base class for all simulator errors."""
+class HybridCacheError(ValueError):
+    """Rejected input: a setting, a file row or an argument.
 
-
-class RangeDegenerate(HybridCacheError):
-    """A feature normalization range has max == min."""
-
-
-class LibraryTooSmall(HybridCacheError):
-    """Catalog construction needs at least two items."""
-
-
-class EmptyLibrary(HybridCacheError):
-    """An operation over library contents received zero contents."""
-
-
-class BadUniform(HybridCacheError):
-    """Inverse-CDF sampling needs a uniform draw in [0, 1)."""
+    The CLI exits 2 on it.
+    """
 
 
 class TraceParseError(HybridCacheError):
-    """A trace or results file failed to parse.
+    """A trace, catalog or results file failed to parse.
 
     Carries the 1-based line number of the offending row.
     """
@@ -34,29 +26,5 @@ class TraceParseError(HybridCacheError):
         self.line = line
 
 
-class UnknownContent(HybridCacheError):
-    """A trace event references an id absent from the catalog."""
-
-
 class EmptyWindow(HybridCacheError):
     """Allocation estimation over a window with no observed requests."""
-
-
-class BadInput(HybridCacheError):
-    """Knapsack input with a negative value or non-positive size."""
-
-
-class NeedsIntegerSizes(HybridCacheError):
-    """Exact knapsack requires integer item sizes."""
-
-
-class LengthMismatch(HybridCacheError):
-    """Paired per-slot series have different lengths."""
-
-
-class UnknownPolicy(HybridCacheError):
-    """Policy name not one of the registered policies."""
-
-
-class ConfigError(HybridCacheError):
-    """Invalid experiment configuration; message names the field."""

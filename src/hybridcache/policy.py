@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import Catalog, feature_influences
-from .errors import BadInput, EmptyWindow, NeedsIntegerSizes, UnknownPolicy
+from .errors import EmptyWindow, HybridCacheError
 from .popularity import AllocationEstimator
 
 logger = logging.getLogger(__name__)
@@ -34,9 +34,9 @@ INT64_MAX = np.iinfo(np.int64).max
 
 
 def check_capacity(capacity) -> None:
-    """Raise BadInput unless capacity is a finite number >= 0."""
+    """Raise HybridCacheError unless capacity is a finite number >= 0."""
     if not (math.isfinite(capacity) and capacity >= 0):
-        raise BadInput(f"capacity must be finite and >= 0, not {capacity!r}")
+        raise HybridCacheError(f"capacity must be finite and >= 0, not {capacity!r}")
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -53,6 +53,7 @@ class Placement:
     def __post_init__(self):
         self.cached.flags.writeable = False
         if self.used_capacity > self.capacity + FIT_SLACK:
+            # a policy bug, not bad input: it keeps its traceback in the CLI
             raise ValueError(
                 f"used {self.used_capacity} exceeds capacity {self.capacity}"
             )
@@ -167,14 +168,14 @@ def exact_knapsack(
     values = np.asarray(values, dtype=float)
     sizes = np.asarray(sizes, dtype=float)
     if len(values) != len(sizes):
-        raise BadInput("values and sizes must have the same length")
+        raise HybridCacheError("values and sizes must have the same length")
     if not (np.isfinite(values).all() and (values >= 0).all()):
-        raise BadInput("values must be finite and non-negative")
+        raise HybridCacheError("values must be finite and non-negative")
     if (sizes <= 0).any():
-        raise BadInput("sizes must be positive")
+        raise HybridCacheError("sizes must be positive")
     check_capacity(capacity)
     if not (np.isfinite(sizes).all() and (sizes == np.floor(sizes)).all()):
-        raise NeedsIntegerSizes("exact_knapsack requires integer sizes")
+        raise HybridCacheError("exact_knapsack requires integer sizes")
     cells = int(min(math.floor(capacity + FIT_SLACK), sizes.sum())) + 1
     best = np.zeros(cells)
     for v, s in zip(values.tolist(), sizes.tolist()):
@@ -226,7 +227,7 @@ def hybrid_ucb_index(
     an infinite index, so it ranks before every warmed-up one.
     """
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise HybridCacheError("t must be >= 1")
     pulls = state.pulls[ids]
     bonus = np.sqrt(
         exploration_beta
@@ -250,7 +251,7 @@ def hybrid_update(state: BanditState, ids: np.ndarray, observed) -> None:
     slot_max = observed.max(initial=0.0)
     # min and max propagate a NaN, which fails both comparisons
     if not (observed.min(initial=0.0) >= 0 and slot_max < math.inf):
-        raise ValueError("observed rewards must be finite and >= 0")
+        raise HybridCacheError("observed rewards must be finite and >= 0")
     state.weight[ids] = observed / slot_max if slot_max > 0 else 0.0
     before = state.pulls[ids]
     pulls = before + 1
@@ -280,7 +281,7 @@ def hybrid_select(
     is computed only when a share cannot hold them all.
     """
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise HybridCacheError("t must be >= 1")
     capacity = fill.capacity
     irm_share = math.floor((1.0 - w_snm) * capacity)
     snm_share = capacity - irm_share
@@ -504,4 +505,4 @@ def make_policy(
         return PopularPolicy(catalog, capacity, rng)
     if name == "random":
         return RandomPolicy(catalog, capacity, rng)
-    raise UnknownPolicy(f"unknown policy {name!r}; choose from {POLICY_NAMES}")
+    raise HybridCacheError(f"unknown policy {name!r}; choose from {POLICY_NAMES}")

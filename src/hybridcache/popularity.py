@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EmptyWindow
+from .errors import EmptyWindow, HybridCacheError
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,7 @@ class PopularitySnapshot:
         if self.freq.any():
             total = float(self.freq.sum())
             if abs(total - 1.0) > 1e-9:
-                raise ValueError(f"frequencies sum to {total}, not 1")
+                raise HybridCacheError(f"frequencies sum to {total}, not 1")
 
 
 def estimate_allocation(
@@ -50,7 +50,7 @@ def estimate_allocation(
 
 def _check_smoothing(smoothing: float) -> None:
     if not (0.0 <= smoothing <= 1.0):
-        raise ValueError("smoothing must lie in [0, 1]")
+        raise HybridCacheError("smoothing must lie in [0, 1]")
 
 
 def _blend(total_snm: int, total_irm: int, smoothing: float, prior) -> float:
@@ -63,7 +63,7 @@ def _blend(total_snm: int, total_irm: int, smoothing: float, prior) -> float:
     else:
         w_snm = smoothing * prior + (1.0 - smoothing) * raw
     if not (0.0 <= w_snm <= 1.0):
-        raise ValueError("w_snm must lie in [0, 1]")
+        raise HybridCacheError("w_snm must lie in [0, 1]")
     return w_snm
 
 
@@ -77,7 +77,7 @@ class AllocationEstimator:
 
     def __init__(self, window: int = 10, smoothing: float = 0.3):
         if window < 1:
-            raise ValueError("window must be >= 1")
+            raise HybridCacheError("window must be >= 1")
         _check_smoothing(smoothing)
         self.window = window
         self.smoothing = smoothing

@@ -24,7 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import Catalog
-from .errors import BadUniform, EmptyLibrary, TraceParseError, UnknownContent
+from .errors import HybridCacheError, TraceParseError
 
 
 def zipf_pmf(n: int, delta: float) -> np.ndarray:
@@ -33,33 +33,12 @@ def zipf_pmf(n: int, delta: float) -> np.ndarray:
     Index 0 is rank 1 (the most popular content).
     """
     if n < 1:
-        raise EmptyLibrary("zipf_pmf needs n >= 1")
+        raise HybridCacheError("zipf_pmf needs n >= 1")
     if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError("delta must be finite and >= 0")
+        raise HybridCacheError("delta must be finite and >= 0")
     ranks = np.arange(1, n + 1, dtype=float)
     weights = ranks ** (-delta)
     return weights / weights.sum()
-
-
-@dataclass(frozen=True)
-class ParetoVolume:
-    """Pareto law for SNM total request volumes: shape beta, scale n_min."""
-
-    beta: float
-    n_min: float
-
-    def __post_init__(self):
-        if self.beta <= 1:
-            raise ValueError("beta must exceed 1 (finite mean)")
-        if self.n_min <= 0:
-            raise ValueError("n_min must be positive")
-
-
-def sample_pareto_volume(model: ParetoVolume, u: float) -> float:
-    """Inverse-CDF draw: v = n_min * (1 - u)^(-1/beta), v >= n_min."""
-    if not (0.0 <= u < 1.0):
-        raise BadUniform(f"u={u} outside [0, 1)")
-    return model.n_min * (1.0 - u) ** (-1.0 / model.beta)
 
 
 @dataclass(frozen=True)
@@ -95,12 +74,12 @@ class RequestTrace:
     def __post_init__(self):
         ids, offsets = self.ids, np.asarray(self.offsets)
         if not (isinstance(ids, np.ndarray) and ids.ndim == 1 and ids.dtype.kind in "iu"):
-            raise ValueError("trace ids must be a 1-D integer array")
+            raise HybridCacheError("trace ids must be a 1-D integer array")
         if not (self.horizon >= 0 and offsets.shape == (self.horizon + 1,)
                 and offsets.dtype.kind in "iu" and offsets[0] == 0
                 and offsets[-1] == len(ids) and (offsets[1:] >= offsets[:-1]).all()):
-            raise ValueError("trace offsets must be horizon + 1 integers rising "
-                             f"from 0 to the {len(ids)} ids, never decreasing")
+            raise HybridCacheError("trace offsets must be horizon + 1 integers rising "
+                                   f"from 0 to the {len(ids)} ids, never decreasing")
         ids.flags.writeable = False
 
     @classmethod
@@ -109,11 +88,11 @@ class RequestTrace:
         pairs = np.asarray(events, dtype=np.int64).reshape(-1, 2)
         slots, ids = pairs[:, 0], pairs[:, 1]
         if len(slots) and (slots[0] < 1 or slots[-1] > horizon):
-            raise ValueError(f"event slots must lie in [1, {horizon}]")
+            raise HybridCacheError(f"event slots must lie in [1, {horizon}]")
         if (slots[1:] < slots[:-1]).any():
-            raise ValueError("event slots must be non-decreasing")
+            raise HybridCacheError("event slots must be non-decreasing")
         if (ids < 1).any():
-            raise ValueError("content ids must be >= 1")
+            raise HybridCacheError("content ids must be >= 1")
         offsets = np.searchsorted(slots, np.arange(1, horizon + 2))
         return cls(horizon=horizon, ids=ids.astype(np.int32), offsets=offsets)
 
@@ -205,16 +184,16 @@ _SUM_ATOL = np.sqrt(np.finfo(np.float64).eps)
 def choice_cdf(p: np.ndarray) -> np.ndarray:
     """The CDF that Generator.choice(a, size, p) searches its uniforms in.
 
-    Raises ValueError for the probabilities choice rejects: a NaN, a
+    Raises HybridCacheError for the probabilities choice rejects: a NaN, a
     negative entry, or a sum off 1 by more than sqrt(float64 eps).
     """
     total = p.sum()
     if np.isnan(total):
-        raise ValueError("probabilities contain NaN")
+        raise HybridCacheError("probabilities contain NaN")
     if (p < 0).any():
-        raise ValueError("probabilities must be non-negative")
+        raise HybridCacheError("probabilities must be non-negative")
     if abs(total - 1.0) > _SUM_ATOL:
-        raise ValueError(f"probabilities sum to {total!r}, not 1")
+        raise HybridCacheError(f"probabilities sum to {total!r}, not 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
@@ -248,11 +227,11 @@ def generate_trace(
     so such a catalog draws one slot at a time in that order.
     """
     if horizon < 1 or requests_per_slot < 1:
-        raise ValueError("horizon and requests_per_slot must be >= 1")
+        raise HybridCacheError("horizon and requests_per_slot must be >= 1")
     if not (math.isfinite(w_snm) and 0.0 <= w_snm <= 1.0):
-        raise ValueError("w_snm must lie in [0, 1]")
+        raise HybridCacheError("w_snm must lie in [0, 1]")
     if not (math.isfinite(delta) and delta >= 0):
-        raise ValueError("delta must be finite and >= 0")
+        raise HybridCacheError("delta must be finite and >= 0")
 
     rng = np.random.default_rng(seed)
     r = requests_per_slot
@@ -420,7 +399,7 @@ def load_trace(path, catalog: Catalog, horizon: int) -> RequestTrace:
             raise TraceParseError(
                 f"slot {slot} follows slot {slots[row - 1]}", line=lineno
             )
-        raise UnknownContent(f"line {lineno}: content id {cid} not in catalog")
+        raise TraceParseError(f"content id {cid} not in catalog", line=lineno)
     if malformed is not None:
         raise TraceParseError("a row must be two integers: slot,content_id",
                               line=malformed)

@@ -18,10 +18,11 @@ from hybridcache.catalog import (
     LIFESPAN_RANGE,
     Catalog,
     CatalogConfig,
+    ParetoVolume,
     normalize_features,
+    sample_pareto_volume,
 )
-from hybridcache.errors import LibraryTooSmall
-from hybridcache.workload import ParetoVolume, sample_pareto_volume
+from hybridcache.errors import HybridCacheError
 
 
 def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
@@ -32,9 +33,9 @@ def build_catalog(config: CatalogConfig, seed: int) -> Catalog:
     lifespans uniform on LIFESPAN_RANGE and Pareto volumes.
     """
     if config.library_size < 2:
-        raise LibraryTooSmall(f"library_size={config.library_size} < 2")
+        raise HybridCacheError(f"library_size={config.library_size} < 2")
     if not (0.0 <= config.w_snm <= 1.0):
-        raise ValueError("w_snm must lie in [0, 1]")
+        raise HybridCacheError("w_snm must lie in [0, 1]")
 
     rng = np.random.default_rng(seed)
     n = config.library_size

@@ -13,7 +13,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from hybridcache.catalog import CatalogConfig, build_catalog
+from hybridcache.catalog import (
+    CatalogConfig,
+    ParetoVolume,
+    build_catalog,
+    sample_pareto_volume,
+)
 from hybridcache.cli import ExperimentConfig, make_workload, main
 from hybridcache.engine import run_simulation
 from hybridcache.policy import (
@@ -23,12 +28,7 @@ from hybridcache.policy import (
     hybrid_update,
 )
 from hybridcache.popularity import estimate_allocation
-from hybridcache.workload import (
-    ParetoVolume,
-    generate_trace,
-    sample_pareto_volume,
-    zipf_pmf,
-)
+from hybridcache.workload import generate_trace, zipf_pmf
 
 SEEDS = tuple(range(1000, 1010))
 POLICIES = ("hybrid", "popular", "random")

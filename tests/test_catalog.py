@@ -25,12 +25,7 @@ from hybridcache.catalog import (
     normalize_features,
     save_catalog,
 )
-from hybridcache.errors import (
-    EmptyLibrary,
-    LibraryTooSmall,
-    RangeDegenerate,
-    TraceParseError,
-)
+from hybridcache.errors import HybridCacheError, TraceParseError
 from hybridcache.policy import HybridPolicy
 
 
@@ -65,9 +60,9 @@ class TestNormalizeFeatures:
         assert out.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_degenerate_range(self):
-        with pytest.raises(RangeDegenerate):
+        with pytest.raises(HybridCacheError, match="has max <= min"):
             normalize_features([[1, 1]], ((0, 1), (3, 3)))
-        with pytest.raises(RangeDegenerate):
+        with pytest.raises(HybridCacheError, match="has max <= min"):
             normalize_features([[1]], ((4, 3),))
 
     def test_idempotent_on_unit_range(self):
@@ -172,7 +167,7 @@ class TestBuildCatalog:
         assert not same_catalog(a, build_catalog(cfg, seed=8))
 
     def test_library_too_small(self):
-        with pytest.raises(LibraryTooSmall):
+        with pytest.raises(HybridCacheError, match="library_size=1 < 2"):
             build_catalog(CatalogConfig(library_size=1), seed=1)
 
     def test_partition_and_item_invariants(self):
@@ -326,7 +321,7 @@ class TestCatalogType:
             Catalog(**fields)
 
     def test_empty_library(self):
-        with pytest.raises(EmptyLibrary):
+        with pytest.raises(HybridCacheError, match="catalog is empty"):
             Catalog(**irm_fields(0))
 
     def test_arrays_are_read_only_copies(self):

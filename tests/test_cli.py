@@ -13,7 +13,7 @@ from hybridcache.cli import (
     make_workload,
     read_sweep_csv,
 )
-from hybridcache.errors import ConfigError, TraceParseError
+from hybridcache.errors import HybridCacheError, TraceParseError
 
 SMALL = [
     "--horizon", "30",
@@ -54,20 +54,20 @@ class TestConfig:
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("horzon = 50\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(HybridCacheError, match="unknown key 'horzon'"):
             load_config(path=path, env={})
 
     def test_validation_names_field(self):
-        with pytest.raises(ConfigError, match="w_snm"):
+        with pytest.raises(HybridCacheError, match="w_snm"):
             ExperimentConfig(w_snm=1.5).validate()
-        with pytest.raises(ConfigError, match="sweep_values"):
+        with pytest.raises(HybridCacheError, match="sweep_values"):
             ExperimentConfig(sweep_values=(3.0, 2.0)).validate()
-        with pytest.raises(ConfigError, match="sweep_axis"):
+        with pytest.raises(HybridCacheError, match="sweep_axis"):
             ExperimentConfig(sweep_axis="delta").validate()
         # a sweep over no policies or no values writes no data rows
-        with pytest.raises(ConfigError, match="policies"):
+        with pytest.raises(HybridCacheError, match="policies"):
             ExperimentConfig(policies=()).validate()
-        with pytest.raises(ConfigError, match="sweep_values"):
+        with pytest.raises(HybridCacheError, match="sweep_values"):
             ExperimentConfig(sweep_values=()).validate()
 
     def test_hash_is_stable_and_sensitive(self):
@@ -99,7 +99,7 @@ class TestBadValuesExitCode:
 
     def test_repeated_seed(self, tmp_path, capsys, monkeypatch):
         # a repeated seed would write each of its sweep rows twice
-        with pytest.raises(ConfigError, match="seeds"):
+        with pytest.raises(HybridCacheError, match="seeds"):
             ExperimentConfig(seeds=(5, 5)).validate()
         monkeypatch.setenv("HYBRIDCACHE_SEEDS", "5,6,5")
         argv = ["sweep", "--horizon", "20", "--values", "10"]
@@ -107,7 +107,7 @@ class TestBadValuesExitCode:
 
     def test_repeated_policy(self, tmp_path, capsys, monkeypatch):
         # a repeated policy would write each of its sweep rows twice
-        with pytest.raises(ConfigError, match="policies must not repeat"):
+        with pytest.raises(HybridCacheError, match="policies must not repeat"):
             ExperimentConfig(policies=("hybrid", "random", "hybrid")).validate()
         argv = ["sweep", "--horizon", "20", "--values", "10"]
         cfg = tmp_path / "exp.cfg"
@@ -115,6 +115,13 @@ class TestBadValuesExitCode:
         self._expect_exit_2([*argv, "--config", str(cfg)], "policies", tmp_path, capsys)
         monkeypatch.setenv("HYBRIDCACHE_POLICIES", "hybrid,hybrid")
         self._expect_exit_2(argv, "policies", tmp_path, capsys)
+
+    def test_setting_rejected_past_validate(self, tmp_path, capsys, monkeypatch):
+        # validate takes any pareto_n_min > 0, but a Pareto volume that
+        # overflows to inf is rejected by the catalog the build makes
+        monkeypatch.setenv("HYBRIDCACHE_PARETO_N_MIN", "1e308")
+        argv = ["generate", "--seed", "1", "--horizon", "50", "--library-size", "20"]
+        self._expect_exit_2(argv, "volume must be positive and finite", tmp_path, capsys)
 
     def test_non_finite_capacity(self, tmp_path, capsys):
         for value in ("nan", "inf"):
@@ -264,9 +271,9 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "body",
-        ["", "1,2,7\n", "1000000000000000,3\n", "31,3\n"],
+        ["", "1,2,7\n", "1000000000000000,3\n", "31,3\n", "1,9999\n"],
         # SMALL runs 30 slots, so slot 31 is past the horizon
-        ids=["no-events", "three-fields", "huge-slot", "slot-past-horizon"],
+        ids=["no-events", "three-fields", "huge-slot", "slot-past-horizon", "unknown-id"],
     )
     def test_bad_trace_exit_code(self, tmp_path, capsys, body):
         gen = tmp_path / "gen"

@@ -24,7 +24,7 @@ from hybridcache.engine import (
     run_simulation,
     slot_step,
 )
-from hybridcache.errors import BadInput, LengthMismatch, UnknownContent, UnknownPolicy
+from hybridcache.errors import HybridCacheError
 from hybridcache.policy import POLICY_NAMES, Placement
 from hybridcache.workload import RequestTrace, generate_trace, load_trace, save_trace
 
@@ -173,7 +173,7 @@ class TestCumulativeRegret:
         assert out[-1] >= 0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(HybridCacheError, match="achieved has 1 slots, oracle 2"):
             cumulative_regret([0.1], [0.1, 0.2])
 
 
@@ -195,7 +195,7 @@ class TestRunSimulation:
 
     def test_unknown_policy(self, workload):
         catalog, trace = workload
-        with pytest.raises(UnknownPolicy):
+        with pytest.raises(HybridCacheError, match="unknown policy 'fifo'"):
             run_simulation(catalog, trace, "fifo", 10, seed=1)
 
     @pytest.mark.parametrize("policy", ["hybrid", "popular", "random"])
@@ -288,7 +288,7 @@ def test_unknown_content_rejected_before_any_policy_runs(policy, stray):
         offsets=np.array([0, 2, 3]),
     )
     with mock.patch.object(engine, "make_policy", wraps=engine.make_policy) as made:
-        with pytest.raises(UnknownContent):
+        with pytest.raises(HybridCacheError, match="id outside the catalog's 1..6"):
             run_simulation(catalog, trace, policy, 3, seed=1)
     made.assert_not_called()
 
@@ -298,7 +298,7 @@ def test_unknown_content_rejected_before_any_policy_runs(policy, stray):
 @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -float("inf")])
 def test_non_finite_capacity_rejected(policy, sizes, capacity):
     catalog, trace = generated_at(sizes, library_size=6)
-    with pytest.raises(BadInput):
+    with pytest.raises(HybridCacheError, match="capacity must be finite and >= 0"):
         run_simulation(catalog, trace, policy, capacity, seed=1)
 
 

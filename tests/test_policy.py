@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from catalog_helpers import array_catalog
 from hybridcache.catalog import CatalogConfig, build_catalog
-from hybridcache.errors import BadInput, NeedsIntegerSizes, UnknownPolicy
+from hybridcache.errors import HybridCacheError
 from hybridcache.policy import (
     BanditState,
     Fill,
@@ -60,25 +60,25 @@ class TestExactKnapsack:
 
     def test_non_integer_sizes(self):
         for size in (1.5, float("inf"), float("nan")):
-            with pytest.raises(NeedsIntegerSizes):
+            with pytest.raises(HybridCacheError, match="requires integer sizes"):
                 exact_knapsack([0.5], [size], 2)
 
     def test_bad_input(self):
-        with pytest.raises(BadInput, match="same length"):
+        with pytest.raises(HybridCacheError, match="same length"):
             exact_knapsack([0.5, 0.5], [1], 2)
-        with pytest.raises(BadInput, match="non-negative"):
+        with pytest.raises(HybridCacheError, match="non-negative"):
             exact_knapsack([-0.1], [1], 2)
-        with pytest.raises(BadInput, match="positive"):
+        with pytest.raises(HybridCacheError, match="positive"):
             exact_knapsack([0.5], [0], 2)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_values(self, value):
-        with pytest.raises(BadInput, match="finite"):
+        with pytest.raises(HybridCacheError, match="finite"):
             exact_knapsack([value, 1.0], [1, 1], 1)
 
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
     def test_capacity_not_finite_or_negative(self, capacity):
-        with pytest.raises(BadInput):
+        with pytest.raises(HybridCacheError, match="capacity must be finite and >= 0"):
             exact_knapsack([0.5], [1], capacity)
 
     def test_capacity_has_the_fill_slack(self):
@@ -864,7 +864,7 @@ class TestFillTop:
 class TestCapacityRule:
     @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), -1.0])
     def test_fill_rejects_capacity(self, capacity):
-        with pytest.raises(BadInput):
+        with pytest.raises(HybridCacheError, match="capacity must be finite and >= 0"):
             Fill(np.ones(3), capacity)
 
     @pytest.mark.parametrize(
@@ -887,7 +887,7 @@ def test_make_policy_unknown():
     catalog = build_catalog(
         CatalogConfig(library_size=6, w_snm=0.5, horizon=20), seed=42
     )
-    with pytest.raises(UnknownPolicy):
+    with pytest.raises(HybridCacheError, match="unknown policy 'lru'"):
         make_policy("lru", catalog, 3, np.random.default_rng(0))
 
 
