@@ -19,11 +19,7 @@ from .policy import (
     hybrid_update,
     make_policy,
 )
-from .popularity import (
-    AllocationEstimator,
-    PopularitySnapshot,
-    estimate_allocation,
-)
+from .popularity import AllocationEstimator
 from .workload import RequestTrace, generate_trace, zipf_pmf
 
 __version__ = "0.1.0"

@@ -244,6 +244,8 @@ def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int
                 file=sys.stderr,
             )
         fixed = (catalog, trace)
+    # build before any output file opens, so a rejected build leaves none
+    workload = fixed or make_workload(config, config.library_size, config.seeds[0])
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -252,10 +254,10 @@ def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int
     with open(outdir / "per_slot.csv", "w", newline="") as fh:
         fh.write("seed,policy,slot,hit_ratio,oracle_hit_ratio,"
                  "regret_increment,cumulative_regret\n")
-        for seed in config.seeds:
-            catalog, trace = fixed or make_workload(
-                config, config.library_size, seed
-            )
+        for i, seed in enumerate(config.seeds):
+            if i and not fixed:
+                workload = make_workload(config, config.library_size, seed)
+            catalog, trace = workload
             for policy in config.policies:
                 metrics = _run_one(
                     config, config_hash, catalog, trace, policy,
@@ -320,13 +322,16 @@ def sweep_results(config: ExperimentConfig):
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
+    rows = sweep_results(config)
+    first = next(rows)  # its build runs before the output file opens
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
     path = outdir / "sweep.csv"
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, SWEEP_HEADER, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(sweep_results(config))
+        writer.writerow(first)
+        writer.writerows(rows)
     print(f"config_hash={config.hash()}")
     print(f"wrote {path}")
     return 0

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,54 +30,20 @@ class PopularitySnapshot:
                 raise HybridCacheError(f"frequencies sum to {total}, not 1")
 
 
-def estimate_allocation(
-    history: Sequence[tuple],
-    smoothing: float = 0.0,
-    prior: Optional[float] = None,
-) -> float:
-    """Estimate the SNM share from per-slot (n_snm, n_irm) counts.
-
-    The raw ratio over the window is exponentially blended with the
-    prior estimate: w = smoothing * prior + (1 - smoothing) * raw. The
-    IRM share is 1 - w.
-    """
-    _check_smoothing(smoothing)
-    total_snm = sum(s for s, _ in history)
-    total_irm = sum(i for _, i in history)
-    return _blend(total_snm, total_irm, smoothing, prior)
-
-
-def _check_smoothing(smoothing: float) -> None:
-    if not (0.0 <= smoothing <= 1.0):
-        raise HybridCacheError("smoothing must lie in [0, 1]")
-
-
-def _blend(total_snm: int, total_irm: int, smoothing: float, prior) -> float:
-    """The SNM share of a window's totals, blended with prior (if any)."""
-    if total_snm + total_irm == 0:
-        raise EmptyWindow("no requests in the estimation window")
-    raw = total_snm / (total_snm + total_irm)
-    if prior is None:
-        w_snm = raw
-    else:
-        w_snm = smoothing * prior + (1.0 - smoothing) * raw
-    if not (0.0 <= w_snm <= 1.0):
-        raise HybridCacheError("w_snm must lie in [0, 1]")
-    return w_snm
-
-
 class AllocationEstimator:
     """Stateful windowed estimator fed one slot of class counts at a time.
 
     Keeps the window's (n_snm, n_irm) pairs and their running totals, so
-    an estimate equals estimate_allocation over the window without
-    summing it again.
+    an estimate reads the window's share without summing it again. The
+    share is blended with the last estimate:
+    w = smoothing * prior + (1 - smoothing) * raw.
     """
 
     def __init__(self, window: int = 10, smoothing: float = 0.3):
         if window < 1:
             raise HybridCacheError("window must be >= 1")
-        _check_smoothing(smoothing)
+        if not (0.0 <= smoothing <= 1.0):
+            raise HybridCacheError("smoothing must lie in [0, 1]")
         self.window = window
         self.smoothing = smoothing
         self._counts = deque(maxlen=window)
@@ -96,5 +61,13 @@ class AllocationEstimator:
 
     def estimate(self) -> float:
         """The SNM share of the window, blended with the last estimate."""
-        self._prior = _blend(self._snm, self._irm, self.smoothing, self._prior)
-        return self._prior
+        total = self._snm + self._irm
+        if total == 0:
+            raise EmptyWindow("no requests in the estimation window")
+        w_snm = raw = self._snm / total
+        if self._prior is not None:
+            w_snm = self.smoothing * self._prior + (1.0 - self.smoothing) * raw
+        if not (0.0 <= w_snm <= 1.0):
+            raise HybridCacheError("w_snm must lie in [0, 1]")
+        self._prior = w_snm
+        return w_snm

@@ -41,22 +41,6 @@ def zipf_pmf(n: int, delta: float) -> np.ndarray:
     return weights / weights.sum()
 
 
-@dataclass(frozen=True)
-class TraceStats:
-    """Generation-side bookkeeping, most notably the IRM fallback count."""
-
-    total_requests: int
-    snm_intended: int
-    snm_served: int
-    fallback_count: int
-
-    @property
-    def snm_share(self) -> float:
-        if self.total_requests == 0:
-            return 0.0
-        return self.snm_served / self.total_requests
-
-
 @dataclass(frozen=True, eq=False)
 class RequestTrace:
     """A slotted request trace held as compressed sparse rows.
@@ -64,12 +48,15 @@ class RequestTrace:
     ids is a read-only int32 array of content ids in event order; slot
     t's ids are ids[offsets[t - 1]:offsets[t]], so offsets has
     horizon + 1 integer entries, from 0 up to len(ids), never decreasing.
+    fallback_count is the number of SNM draws that generate_trace served
+    from IRM because no SNM item was live; a trace read from a file has
+    None, since its ids cannot give that count back.
     """
 
     horizon: int
     ids: np.ndarray
     offsets: np.ndarray
-    stats: Optional[TraceStats] = None
+    fallback_count: Optional[int] = None
 
     def __post_init__(self):
         ids, offsets = self.ids, np.asarray(self.offsets)
@@ -213,8 +200,9 @@ def generate_trace(
     IRM otherwise. IRM requests are i.i.d. Zipf over the IRM items;
     SNM requests are drawn from the currently active SNM items with
     probability proportional to their pulse rates. Slots with no
-    active SNM item fall back to IRM draws (counted in the stats), so
-    every slot carries exactly R events; a slot's IRM ids come first.
+    active SNM item fall back to IRM draws (counted in the trace's
+    fallback_count), so every slot carries exactly R events; a slot's
+    IRM ids come first.
 
     The trace is the one that per-slot rng calls give: rng.random(R)
     for the classes, then rng.choice(ids, n, p) for the IRM and for the
@@ -247,7 +235,6 @@ def generate_trace(
     ids = np.empty((horizon, r), dtype=np.int32)
     rows = max(1, CHUNK_DOUBLES // (2 * r)) if zipf_cdf is not None else 1
     position = np.arange(r)
-    snm_intended = 0
     fallback = 0
     for start in range(0, horizon, rows):
         stop = min(start + rows, horizon)
@@ -260,7 +247,6 @@ def generate_trace(
             u = np.empty((1, 2 * r))
             u[0, :r] = rng.random(r)
         n_snm = (u[:, :r] < w_snm).sum(axis=1)
-        snm_intended += int(n_snm.sum())
         empty = live[start:stop] == 0
         fallback += int(n_snm[empty].sum())
         n_snm[empty] = 0
@@ -279,18 +265,12 @@ def generate_trace(
             k = n_irm[i]
             block[i, k:] = snm_ids[active][cdf.searchsorted(u[i, r + k:], side="right")]
 
-    stats = TraceStats(
-        total_requests=horizon * r,
-        snm_intended=snm_intended,
-        snm_served=snm_intended - fallback,
-        fallback_count=fallback,
-    )
     return RequestTrace(
         horizon=horizon,
         ids=ids.reshape(-1),
         # every slot carries exactly R events
         offsets=np.arange(0, (horizon + 1) * r, r),
-        stats=stats,
+        fallback_count=fallback,
     )
 
 

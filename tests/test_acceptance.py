@@ -27,7 +27,7 @@ from hybridcache.policy import (
     exact_knapsack,
     hybrid_update,
 )
-from hybridcache.popularity import estimate_allocation
+from hybridcache.popularity import AllocationEstimator
 from hybridcache.workload import generate_trace, zipf_pmf
 
 SEEDS = tuple(range(1000, 1010))
@@ -253,9 +253,11 @@ def test_criterion_7_allocation_estimator():
         is_snm = np.isin(trace.ids, catalog.snm_ids)
         n_snm = np.diff(np.append(0, np.cumsum(is_snm))[trace.offsets])
         n_irm = np.diff(trace.offsets) - n_snm
-        counts = list(zip(n_snm.tolist(), n_irm.tolist()))
-        estimate = estimate_allocation(counts, smoothing=0.0)
-        adjusted = target - trace.stats.fallback_count / trace.stats.total_requests
+        estimator = AllocationEstimator(window=600, smoothing=0.0)
+        for counts in zip(n_snm.tolist(), n_irm.tolist()):
+            estimator.observe(*counts)
+        estimate = estimator.estimate()
+        adjusted = target - trace.fallback_count / len(trace.ids)
         observed[target] = (round(estimate, 4), round(adjusted, 4))
         ok &= abs(estimate - adjusted) <= 0.05
     criterion(

@@ -118,10 +118,14 @@ class TestBadValuesExitCode:
 
     def test_setting_rejected_past_validate(self, tmp_path, capsys, monkeypatch):
         # validate takes any pareto_n_min > 0, but a Pareto volume that
-        # overflows to inf is rejected by the catalog the build makes
+        # overflows to inf is rejected by the catalog the build makes;
+        # each command builds before it opens an output file, so a rejected
+        # build leaves no header-only per_slot.csv or sweep.csv
         monkeypatch.setenv("HYBRIDCACHE_PARETO_N_MIN", "1e308")
-        argv = ["generate", "--seed", "1", "--horizon", "50", "--library-size", "20"]
-        self._expect_exit_2(argv, "volume must be positive and finite", tmp_path, capsys)
+        for command in (["generate"], ["run"], ["sweep", "--values", "5"]):
+            argv = [*command, "--seed", "1", "--horizon", "50", "--library-size", "20"]
+            self._expect_exit_2(argv, "volume must be positive and finite",
+                                tmp_path, capsys)
 
     def test_non_finite_capacity(self, tmp_path, capsys):
         for value in ("nan", "inf"):

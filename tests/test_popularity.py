@@ -6,41 +6,66 @@ from hypothesis import strategies as st
 from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.errors import EmptyWindow
 from hybridcache.policy import make_policy
-from hybridcache.popularity import (
-    AllocationEstimator,
-    PopularitySnapshot,
-    estimate_allocation,
-)
+from hybridcache.popularity import AllocationEstimator, PopularitySnapshot
 from hybridcache.workload import generate_trace
 
 
-class TestEstimateAllocation:
-    def test_window_ratio(self):
-        assert estimate_allocation([(80, 20)]) == pytest.approx(0.8)
+def window_share(history, smoothing, prior):
+    """The reference estimate: re-sum the window, then blend with prior.
 
-    def test_boundary_all_irm(self):
-        assert estimate_allocation([(0, 50)]) == 0.0
+    None stands for an empty window.
+    """
+    total_snm = sum(s for s, _ in history)
+    total_irm = sum(i for _, i in history)
+    if total_snm + total_irm == 0:
+        return None
+    raw = total_snm / (total_snm + total_irm)
+    if prior is None:
+        return raw
+    return smoothing * prior + (1.0 - smoothing) * raw
 
-    def test_empty_window(self):
-        with pytest.raises(EmptyWindow):
-            estimate_allocation([(0, 0), (0, 0)])
 
-    def test_smoothing_zero_is_raw_ratio(self):
-        est = estimate_allocation([(30, 70)], smoothing=0.0, prior=0.9)
-        assert est == pytest.approx(0.3)
-
-    def test_smoothing_one_keeps_prior(self):
-        est = estimate_allocation([(30, 70)], smoothing=1.0, prior=0.9)
-        assert est == pytest.approx(0.9)
-
-    def test_rejects_a_share_outside_unit_interval(self):
-        # a prior outside [0, 1] carries the blend outside it
-        for prior in (1.5, -0.2, float("nan")):
-            with pytest.raises(ValueError):
-                estimate_allocation([(1, 1)], smoothing=1.0, prior=prior)
+def estimates(counts, window=1, smoothing=0.0):
+    """Feed each slot's counts to a fresh estimator; its estimate after each."""
+    est = AllocationEstimator(window=window, smoothing=smoothing)
+    out = []
+    for n_snm, n_irm in counts:
+        est.observe(n_snm, n_irm)
+        out.append(est.estimate())
+    return out
 
 
 class TestAllocationEstimator:
+    def test_window_ratio(self):
+        assert estimates([(80, 20)]) == [pytest.approx(0.8)]
+
+    def test_boundary_all_irm(self):
+        assert estimates([(0, 50)]) == [0.0]
+
+    def test_empty_window(self):
+        est = AllocationEstimator(window=2, smoothing=0.0)
+        est.observe(0, 0)
+        est.observe(0, 0)
+        with pytest.raises(EmptyWindow):
+            est.estimate()
+
+    def test_smoothing_zero_is_raw_ratio(self):
+        # the first estimate (0.9) is the second one's prior
+        assert estimates([(90, 10), (30, 70)], smoothing=0.0) == [
+            pytest.approx(0.9), pytest.approx(0.3)]
+
+    def test_smoothing_one_keeps_prior(self):
+        assert estimates([(90, 10), (30, 70)], smoothing=1.0) == [
+            pytest.approx(0.9), pytest.approx(0.9)]
+
+    @pytest.mark.parametrize("counts", [(-1, 3), (3, -1), (float("nan"), 1)])
+    def test_rejects_a_share_outside_unit_interval(self, counts):
+        # a negative or NaN count carries the window's share outside [0, 1]
+        est = AllocationEstimator(window=1, smoothing=0.5)
+        est.observe(*counts)
+        with pytest.raises(ValueError, match=r"w_snm must lie in \[0, 1\]"):
+            est.estimate()
+
     def test_windowing_drops_old_slots(self):
         est = AllocationEstimator(window=2, smoothing=0.0)
         est.observe(100, 0)
@@ -58,10 +83,11 @@ class TestAllocationEstimator:
             is_snm = np.isin(trace.ids, cat.snm_ids)
             n_snm = np.diff(np.append(0, np.cumsum(is_snm))[trace.offsets])
             n_irm = np.diff(trace.offsets) - n_snm
-            counts = list(zip(n_snm.tolist(), n_irm.tolist()))
-            est = estimate_allocation(counts, smoothing=0.0)
-            adjusted = target - trace.stats.fallback_count / trace.stats.total_requests
-            assert est == pytest.approx(adjusted, abs=0.05)
+            est = AllocationEstimator(window=200, smoothing=0.0)
+            for counts in zip(n_snm.tolist(), n_irm.tolist()):
+                est.observe(*counts)
+            adjusted = target - trace.fallback_count / len(trace.ids)
+            assert est.estimate() == pytest.approx(adjusted, abs=0.05)
 
     @given(
         window=st.integers(1, 5),
@@ -80,9 +106,8 @@ class TestAllocationEstimator:
             est.observe(n_snm, n_irm)
             history = list(est._counts)
             assert history == slots[max(0, seen - window):seen]
-            try:
-                want = estimate_allocation(history, smoothing=smoothing, prior=prior)
-            except EmptyWindow:
+            want = window_share(history, smoothing, prior)
+            if want is None:
                 with pytest.raises(EmptyWindow):
                     est.estimate()
                 continue

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from hybridcache.catalog import Catalog
-from hybridcache.workload import RequestTrace, TraceStats, zipf_pmf
+from hybridcache.workload import RequestTrace, zipf_pmf
 
 
 def generate_trace(
@@ -28,7 +28,7 @@ def generate_trace(
     IRM otherwise. IRM requests are i.i.d. Zipf over the IRM items;
     SNM requests are drawn from the currently active SNM items with
     probability proportional to their pulse rates. Slots with no
-    active SNM item fall back to IRM draws (counted in the stats), so
+    active SNM item fall back to IRM draws (counted in fallback_count), so
     every slot carries exactly R events.
     """
     if horizon < 1 or requests_per_slot < 1:
@@ -41,15 +41,12 @@ def generate_trace(
     snm_rates = catalog.snm_volume / (catalog.snm_expiry - catalog.snm_arrival)
 
     drawn = []  # each slot's IRM draws, then its SNM draws
-    snm_intended = 0
-    snm_served = 0
     fallback = 0
     for slot in range(1, horizon + 1):
         active = catalog.snm_active_mask(slot)
         is_snm = rng.random(requests_per_slot) < w_snm
         n_snm = int(is_snm.sum())
         n_irm = requests_per_slot - n_snm
-        snm_intended += n_snm
         if n_snm and not active.any():
             fallback += n_snm
             n_irm += n_snm
@@ -66,18 +63,11 @@ def generate_trace(
             rates = snm_rates[active]
             probs = rates / rates.sum()
             drawn.append(rng.choice(catalog.snm_ids[active], size=n_snm, p=probs))
-            snm_served += n_snm
 
-    stats = TraceStats(
-        total_requests=horizon * requests_per_slot,
-        snm_intended=snm_intended,
-        snm_served=snm_served,
-        fallback_count=fallback,
-    )
     return RequestTrace(
         horizon=horizon,
         ids=np.concatenate(drawn).astype(np.int32),
         # every slot carries exactly R events
         offsets=np.arange(0, (horizon + 1) * requests_per_slot, requests_per_slot),
-        stats=stats,
+        fallback_count=fallback,
     )
