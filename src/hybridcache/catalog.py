@@ -10,6 +10,7 @@ policy folds into its exploration bonus.
 from __future__ import annotations
 
 import csv
+import math
 import re
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -112,6 +113,8 @@ class Catalog:
     snm_expiry: np.ndarray = field(init=False)  # arrival + lifespan
     snm_volume: np.ndarray = field(init=False)
     snm_features: np.ndarray = field(init=False)
+    # ascending, distinct: each slot where an SNM item arrives or expires
+    snm_changes: np.ndarray = field(init=False)
 
     def __post_init__(self):
         for name, dtype in _FIELDS.items():
@@ -140,6 +143,11 @@ class Catalog:
             "snm_volume": self.volume[snm],
             "snm_features": self.features[snm],
         }
+        changes = np.concatenate((derived["snm_arrival"], derived["snm_expiry"]))
+        changes.sort()
+        distinct = np.ones(len(changes), dtype=bool)
+        distinct[1:] = changes[1:] != changes[:-1]
+        derived["snm_changes"] = changes[distinct]
         for name, values in derived.items():
             object.__setattr__(self, name, _frozen(values))
         object.__setattr__(self, "id_space", n + 1)
@@ -162,6 +170,20 @@ class Catalog:
     def active_snm_ids(self, slot: int) -> np.ndarray:
         """Ids of the SNM items live at the slot, ascending."""
         return self.snm_ids[self.snm_active_mask(slot)]
+
+    def live_span(self, slot: int) -> tuple:
+        """(first, stop): the slots first <= t < stop whose live SNM set is slot's.
+
+        first is the last arrival or expiry slot at or before slot, and
+        stop the first one after it; either is an infinity where there is
+        none. A caller keeps the live set of a span and recomputes it only
+        at a slot outside the span.
+        """
+        changes = self.snm_changes
+        i = int(changes.searchsorted(slot, side="right"))
+        first = int(changes[i - 1]) if i else -math.inf
+        stop = int(changes[i]) if i < len(changes) else math.inf
+        return first, stop
 
 
 def normalize_features(raw: np.ndarray, ranges: Sequence[tuple]) -> np.ndarray:

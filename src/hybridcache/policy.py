@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +31,9 @@ CHUNK_IDS = 2**14
 # when their sizes sum to at most C + FIT_SLACK (see Fill)
 FIT_SLACK = 1e-9
 INT64_MAX = np.iinfo(np.int64).max
+# the most slots of bandit updates a BanditState queues before it folds
+# them, which bounds the queue of a long run whose index is never read
+MAX_QUEUED = 1024
 
 
 def check_capacity(capacity) -> None:
@@ -193,12 +196,20 @@ class BanditState:
     ids that are never learned), pulls the number of slots it was cached,
     mean the running mean of its observed rewards, and weight its last
     reward normalized by the slot's best cached content.
+
+    pending holds the slots' (ids, observed) pairs queued by queue and
+    not yet folded into pulls, mean and weight. fold applies them in
+    slot order through hybrid_update, so the arrays end as eager updates
+    would leave them, bit for bit. Nothing may read or write the arrays
+    while pending is not empty: hybrid_ucb_index and hybrid_update fold
+    first, and so must any other reader.
     """
 
     influence: np.ndarray
     pulls: np.ndarray
     mean: np.ndarray
     weight: np.ndarray
+    pending: list = field(default_factory=list)
 
     @classmethod
     def fresh(cls, influence) -> "BanditState":
@@ -212,6 +223,21 @@ class BanditState:
             weight=np.zeros(n),
         )
 
+    def queue(self, ids: np.ndarray, observed: np.ndarray) -> None:
+        """Queue one slot's hybrid_update(ids, observed) until the next fold.
+
+        A queue of MAX_QUEUED slots is folded at once.
+        """
+        self.pending.append((ids, observed))
+        if len(self.pending) >= MAX_QUEUED:
+            self.fold()
+
+    def fold(self) -> None:
+        """Apply the queued slots' updates in slot order and empty the queue."""
+        pending, self.pending = self.pending, []
+        for ids, observed in pending:
+            hybrid_update(self, ids, observed)
+
 
 def hybrid_ucb_index(
     state: BanditState,
@@ -224,10 +250,12 @@ def hybrid_ucb_index(
     index = mean + sqrt(beta * max(B, WEIGHT_FLOOR) * x * ln t / pulls), taken
     element-wise in this operation order, so each entry equals the scalar
     formula evaluated with math. A never-cached content (pulls == 0) has
-    an infinite index, so it ranks before every warmed-up one.
+    an infinite index, so it ranks before every warmed-up one. The
+    state's queued updates are folded first.
     """
     if t < 1:
         raise HybridCacheError("t must be >= 1")
+    state.fold()
     pulls = state.pulls[ids]
     bonus = np.sqrt(
         exploration_beta
@@ -245,8 +273,11 @@ def hybrid_update(state: BanditState, ids: np.ndarray, observed) -> None:
     observed[i] is the reward of ids[i], and ids holds no id twice. Each
     reward weight is the observation normalized by the slot's largest
     one; each running mean is the arithmetic mean of all observations fed
-    so far.
+    so far. The state's queued updates are folded first, so this one
+    comes after them.
     """
+    if state.pending:
+        state.fold()
     observed = np.asarray(observed, dtype=float)
     slot_max = observed.max(initial=0.0)
     # min and max propagate a NaN, which fails both comparisons
@@ -431,6 +462,13 @@ class HybridPolicy:
     request counts (the IRM ranking), the windowed IRM/SNM split (the
     capacity split, even while the window is empty) and its bandit
     state; and, at slot t, the catalog's SNM ids live at t.
+
+    update queues each slot's bandit observations in the state, and
+    hybrid_ucb_index folds them only when a slot ranks its candidates,
+    which at uniform sizes happens only when the SNM share cannot hold
+    them all. The live SNM ids are kept over the span of slots in which
+    no SNM item arrives or expires (Catalog.live_span), as one read-only
+    array.
     """
 
     def __init__(
@@ -453,6 +491,18 @@ class HybridPolicy:
         influence[catalog.snm_ids] = feature_influences(catalog.snm_features)
         self.state = BanditState.fresh(influence)
         self.fill = Fill(catalog.sizes, capacity)
+        # (first, stop, ids): the SNM ids live over the slots first..stop - 1
+        self._live = (0, 0, None)
+
+    def live_snm_ids(self, t: int) -> np.ndarray:
+        """The catalog's SNM ids live at t, recomputed only outside the kept span."""
+        first, stop, ids = self._live
+        if not first <= t < stop:
+            first, stop = self.catalog.live_span(t)
+            ids = self.catalog.active_snm_ids(t)
+            ids.flags.writeable = False
+            self._live = first, stop, ids
+        return ids
 
     def place(self, t: int) -> Placement:
         try:
@@ -461,7 +511,7 @@ class HybridPolicy:
             w_snm = 0.5
         return hybrid_select(
             self.state,
-            self.catalog.active_snm_ids(t),
+            self.live_snm_ids(t),
             self.irm_ids,
             self.irm_counts,
             w_snm,
@@ -471,10 +521,11 @@ class HybridPolicy:
         )
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:
-        """Fold the slot's tally into the counts, the split and the bandit.
+        """Fold the slot's tally into the counts and the split; queue the bandit's.
 
         tally[id] is the slot's request count of an id. Each cached SNM
-        content is fed its share of the slot's SNM requests.
+        content is fed its share of the slot's SNM requests, queued in
+        the bandit state until an index reads it.
         """
         irm_tally = tally[self.irm_ids]
         self.irm_counts += irm_tally
@@ -483,7 +534,7 @@ class HybridPolicy:
         self.estimator.observe(n_snm, n_irm)
         cached = placement.cached[self.catalog.snm_by_id[placement.cached]]
         # with no SNM request every cached SNM content observes 0
-        hybrid_update(self.state, cached, tally[cached] / max(n_snm, 1))
+        self.state.queue(cached, tally[cached] / max(n_snm, 1))
 
 
 POLICY_NAMES = ("hybrid", "popular", "random")

@@ -199,7 +199,9 @@ def generate_trace(
     Each of the R requests in a slot is SNM with probability w_snm,
     IRM otherwise. IRM requests are i.i.d. Zipf over the IRM items;
     SNM requests are drawn from the currently active SNM items with
-    probability proportional to their pulse rates. Slots with no
+    probability proportional to their pulse rates; the live items and
+    their CDF are computed once per span of slots over which they hold
+    (Catalog.live_span), not once per slot. Slots with no
     active SNM item fall back to IRM draws (counted in the trace's
     fallback_count), so every slot carries exactly R events; a slot's
     IRM ids come first.
@@ -236,6 +238,8 @@ def generate_trace(
     rows = max(1, CHUNK_DOUBLES // (2 * r)) if zipf_cdf is not None else 1
     position = np.arange(r)
     fallback = 0
+    # the live SNM ids and their choice CDF over the slots span_first..span_stop - 1
+    span_first = span_stop = 0
     for start in range(0, horizon, rows):
         stop = min(start + rows, horizon)
         block = ids[start:stop]
@@ -259,11 +263,14 @@ def generate_trace(
                 block[0, :n_irm[0]] = rng.choice(catalog.ids, size=n_irm[0])
             u[0, r + n_irm[0]:] = rng.random(n_snm[0])
         for i in np.flatnonzero(n_snm):
-            active = catalog.snm_active_mask(start + i + 1)
-            rates = snm_rates[active]
-            cdf = choice_cdf(rates / rates.sum())
+            t = start + i + 1
+            if not span_first <= t < span_stop:
+                span_first, span_stop = catalog.live_span(t)
+                active = catalog.snm_active_mask(t)
+                live_ids, rates = snm_ids[active], snm_rates[active]
+                cdf = choice_cdf(rates / rates.sum())
             k = n_irm[i]
-            block[i, k:] = snm_ids[active][cdf.searchsorted(u[i, r + k:], side="right")]
+            block[i, k:] = live_ids[cdf.searchsorted(u[i, r + k:], side="right")]
 
     return RequestTrace(
         horizon=horizon,

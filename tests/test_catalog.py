@@ -342,6 +342,16 @@ class TestCatalogType:
         assert cat.active_snm_ids(29).tolist() == [2]
         assert cat.active_snm_ids(30).tolist() == []
 
+    def test_live_span_ends_at_each_arrival_and_expiry(self):
+        # id 2 lives in slots 10..29, id 3 in 30..34: one slot both ends and starts
+        cat = array_catalog([1.0] * 3, {2: (10, 20, 40.0), 3: (30, 5, 1.0)})
+        assert cat.snm_changes.tolist() == [10, 30, 35]
+        assert cat.live_span(-1) == cat.live_span(9) == (-math.inf, 10)
+        assert cat.live_span(10) == cat.live_span(29) == (10, 30)
+        assert cat.live_span(30) == (30, 35)
+        assert cat.live_span(35) == cat.live_span(10**12) == (35, math.inf)
+        assert array_catalog([1.0, 1.0]).live_span(7) == (-math.inf, math.inf)
+
     @given(
         windows=st.lists(
             st.none() | st.tuples(st.integers(1, 60), st.integers(1, 30)),
@@ -365,6 +375,14 @@ class TestCatalogType:
                 if arrival <= slot < arrival + lifespan
             ]
             assert cat.active_snm_ids(slot).tolist() == expected, slot
+            # the span holds slot's live set, and no longer span does
+            first, stop = cat.live_span(slot)
+            for inside in (first, stop - 1):
+                if math.isfinite(inside):
+                    assert cat.active_snm_ids(inside).tolist() == expected, slot
+            for outside in (first - 1, stop):
+                if math.isfinite(outside):
+                    assert cat.active_snm_ids(outside).tolist() != expected, slot
 
 
 class TestCatalogIO:

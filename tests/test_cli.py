@@ -75,6 +75,10 @@ class TestConfig:
         assert a == ExperimentConfig().hash()
         assert a != ExperimentConfig(capacity=30.0).hash()
 
+    def test_default_hash_is_pinned(self):
+        # every sweep.csv digest carries this hash; a new field must not move it
+        assert ExperimentConfig().hash() == "a68d18ae281d"
+
 
 class TestBadValuesExitCode:
     """Each bad value ends in exit 2 naming the field, before any output."""

@@ -1,6 +1,10 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -546,3 +550,26 @@ def test_knapsack_oracle_in_small_chunks(cap):
         want.append(best_by_enumeration(tally[ids], catalog.sizes[ids - 1], 3))
     with mock.patch.object(engine, "CHUNK_CELLS", cap):
         assert oracle_placement(trace, catalog, 3).tolist() == want
+
+
+# make_workload, then every policy at C=10 and C=40 over the reference setup
+NO_MASKED_ARRAYS = """
+import sys
+from hybridcache.cli import ExperimentConfig, make_workload
+from hybridcache.engine import run_simulation
+from hybridcache.policy import POLICY_NAMES
+catalog, trace = make_workload(ExperimentConfig(), 150, 1000)
+for capacity in (10.0, 40.0):
+    for policy in POLICY_NAMES:
+        run_simulation(catalog, trace, policy, capacity, 1000)
+sys.exit("numpy.ma" in sys.modules)
+"""
+
+
+def test_a_run_imports_no_masked_arrays():
+    # numpy.ma costs about 1 MB of memory; np.unique and np.union1d import it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", NO_MASKED_ARRAYS],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +14,8 @@ from hybridcache.errors import HybridCacheError
 from hybridcache.policy import (
     BanditState,
     Fill,
+    HybridPolicy,
+    Placement,
     PopularPolicy,
     WEIGHT_FLOOR,
     RandomPolicy,
@@ -928,3 +931,118 @@ def test_each_policy_reads_only_the_slots_before_t(t):
     unfed = np.zeros(catalog.id_space, dtype=np.int64)
     random_fed, random_unfed = fed("random", tallies), fed("random", [unfed] * (t - 1))
     assert random_fed.place(t).cached.tolist() == random_unfed.place(t).cached.tolist()
+
+
+class TestQueuedFold:
+    """HybridPolicy.update queues its bandit updates; a fold applies them eagerly."""
+
+    @given(
+        slots=st.lists(
+            st.tuples(st.integers(0, 2**16), st.integers(0, 12)), min_size=1, max_size=25
+        ),
+        t=st.integers(1, 10**4),
+        beta=st.floats(0.01, 10.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_eager_updates(self, catalog, slots, t, beta):
+        policy = HybridPolicy(catalog, 6.0, exploration_beta=beta)
+        eager = BanditState.fresh(policy.state.influence.copy())
+        for seed, n_cached in slots:
+            rng = np.random.default_rng(seed)
+            # any ids, IRM ones too, and a tally that may have no SNM request
+            cached = np.sort(rng.choice(catalog.ids, size=n_cached, replace=False))
+            tally = rng.integers(0, 5, catalog.id_space) * (rng.random() < 0.8)
+            tally[0] = 0
+            policy.update(Placement(cached, 0.0, 6.0), tally)
+            snm = cached[catalog.snm_by_id[cached]]
+            n_snm = int(tally[catalog.snm_ids].sum())
+            hybrid_update(eager, snm, tally[snm] / max(n_snm, 1))
+        assert len(policy.state.pending) == len(slots)
+        queued = policy.state
+        index = hybrid_ucb_index(queued, catalog.snm_ids, t, beta)
+        assert queued.pending == []
+        assert index.tobytes() == hybrid_ucb_index(eager, catalog.snm_ids, t, beta).tobytes()
+        for name in ("pulls", "mean", "weight"):
+            assert getattr(queued, name).tobytes() == getattr(eager, name).tobytes(), name
+            assert not getattr(queued, name)[catalog.irm_ids].any(), name
+
+    @pytest.mark.parametrize("bound", [1, 3])
+    def test_a_full_queue_is_folded(self, bound):
+        state = BanditState.fresh([0.0, 0.5, 0.5])
+        with mock.patch("hybridcache.policy.MAX_QUEUED", bound):
+            for slot in range(1, 8):
+                state.queue(np.array([1, 2]), np.array([slot / 8, 1.0]))
+                assert len(state.pending) == slot % bound
+        state.fold()
+        assert state.pulls.tolist() == [0, 7, 7]
+        assert state.mean[1] == sum(range(1, 8)) / 8 / 7
+        assert state.weight.tolist() == [0.0, 0.875, 1.0]
+
+    def test_update_after_queue_comes_last(self):
+        state = BanditState.fresh([0.0, 0.5])
+        state.queue(np.array([1]), np.array([0.25]))
+        hybrid_update(state, np.array([1]), [0.75])
+        assert state.pending == []
+        assert (state.pulls[1], state.mean[1], state.weight[1]) == (2, 0.5, 1.0)
+
+
+def hand_handoff_catalog():
+    """id 2 lives in slots 3..7 and id 3 arrives at 8, the slot id 2 expires."""
+    return array_catalog([1.0] * 4, {2: (3, 5, 4.0), 3: (8, 4, 2.0), 4: (5, 1, 1.0)})
+
+
+LIVE_SET_CATALOGS = {
+    "built": lambda: build_catalog(CatalogConfig(library_size=30, w_snm=0.6, horizon=60), 3),
+    "no-snm": lambda: build_catalog(CatalogConfig(library_size=10, w_snm=0.0, horizon=60), 3),
+    "horizon-1": lambda: build_catalog(CatalogConfig(library_size=10, w_snm=0.5, horizon=1), 3),
+    "handoff": hand_handoff_catalog,
+}
+
+
+class TestLiveSnmIds:
+    """The hybrid's kept candidates equal a fresh scan at every slot."""
+
+    @pytest.mark.parametrize("case", LIVE_SET_CATALOGS)
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_equals_the_scan(self, case, order):
+        catalog = LIVE_SET_CATALOGS[case]()
+        horizon = int(catalog.snm_expiry.max(initial=1))
+        slots = np.arange(-1, horizon + 101)
+        if order == "shuffled":
+            slots = np.random.default_rng(5).permutation(slots)
+        policy = HybridPolicy(catalog, 4.0)
+        for t in slots.tolist():
+            got = policy.live_snm_ids(t)
+            assert got.tolist() == catalog.active_snm_ids(t).tolist(), t
+            assert not got.flags.writeable
+
+    def test_is_recomputed_only_at_a_change(self):
+        catalog = hand_handoff_catalog()
+        policy = HybridPolicy(catalog, 4.0)
+        with mock.patch.object(
+            type(catalog), "active_snm_ids", autospec=True,
+            side_effect=type(catalog).active_snm_ids,
+        ) as scan:
+            for t in range(1, 21):
+                policy.live_snm_ids(t)
+        # the spans 1..2, 3..4, 5, 6..7, 8..11 and 12..20
+        assert [c.args[1] for c in scan.call_args_list] == [1, 3, 5, 6, 8, 12]
+
+    def test_memory_stays_by_the_snm_count_at_a_huge_horizon(self):
+        horizon = 3 * 2**30
+        catalog = build_catalog(CatalogConfig(library_size=40, w_snm=0.5, horizon=horizon), 9)
+        changes = catalog.snm_changes.tolist()
+        assert len(changes) <= 2 * len(catalog.snm_ids)
+        rng = np.random.default_rng(2)
+        slots = {-1, 0, 1, horizon, horizon + 100, *rng.integers(1, horizon, 200).tolist()}
+        slots.update(c + d for c in changes for d in (-1, 0, 1))
+        tracemalloc.start()
+        try:
+            policy = HybridPolicy(catalog, 4.0)
+            for ordered in (sorted(slots), rng.permutation(sorted(slots)).tolist()):
+                for t in ordered:
+                    assert policy.live_snm_ids(t).tolist() == catalog.active_snm_ids(t).tolist()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

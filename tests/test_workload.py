@@ -180,6 +180,11 @@ def pulse_catalog():
     return array_catalog([1.0] * 3, {2: (1, 10, 30.0), 3: (6, 10, 10.0)})
 
 
+def handoff_catalog():
+    """id 3 arrives at slot 11, the slot id 2's window closes."""
+    return array_catalog([1.0] * 3, {2: (1, 10, 30.0), 3: (11, 10, 10.0)})
+
+
 def built(library_size, w_snm, horizon, seed=1):
     return build_catalog(
         CatalogConfig(library_size=library_size, w_snm=w_snm, horizon=horizon),
@@ -214,6 +219,8 @@ class TestBulkDraws:
         "all-snm-full": (lambda: built(12, 1.0, 40), (120, 50, 1.0, 0.8, 4), "fallback"),
         "pulse-catalog": (pulse_catalog, (20, 200, 1.0, 0.8, 12), "fallback"),
         "pulse-catalog-mixed": (pulse_catalog, (20, 7, 0.6, 1.3, 9), "fallback"),
+        # the live set changes at slot 11 with no slot between the two windows
+        "handoff-catalog": (handoff_catalog, (25, 50, 0.9, 0.8, 6), "fallback"),
     }
 
     @pytest.mark.parametrize("case", CASES)
