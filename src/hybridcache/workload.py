@@ -262,7 +262,7 @@ def generate_trace(
             if n_irm[0]:
                 block[0, :n_irm[0]] = rng.choice(catalog.ids, size=n_irm[0])
             u[0, r + n_irm[0]:] = rng.random(n_snm[0])
-        for i in np.flatnonzero(n_snm):
+        for i in np.flatnonzero(n_snm).tolist():
             t = start + i + 1
             if not span_first <= t < span_stop:
                 span_first, span_stop = catalog.live_span(t)
