@@ -987,7 +987,7 @@ class TestQueuedFold:
 
 
 def hand_handoff_catalog():
-    """id 2 lives in slots 3..7 and id 3 arrives at 8, the slot id 2 expires."""
+    """id 2 lives in slots 3..7, id 4 in slot 5 alone, and id 3 from slot 8, where id 2 expires."""
     return array_catalog([1.0] * 4, {2: (3, 5, 4.0), 3: (8, 4, 2.0), 4: (5, 1, 1.0)})
 
 
