@@ -15,6 +15,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -22,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .catalog import CatalogConfig, build_catalog, save_catalog
+from .catalog import CatalogConfig, _float, _int, build_catalog, save_catalog
 from .engine import run_simulation
 from .errors import HybridCacheError, TraceParseError
 from .policy import POLICY_NAMES
@@ -128,28 +129,23 @@ class ExperimentConfig:
         return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _parse_value(name: str, text: str, kind):
-    text = text.strip()
+def _parse_value(name: str, text: str):
+    """A setting's value, of the type of its ExperimentConfig default.
+
+    A tuple setting is a comma-separated list of its first item's type.
+    """
+    default, text = getattr(ExperimentConfig, name), text.strip()
     try:
-        if name == "seeds":
-            return tuple(int(x) for x in text.split(","))
-        if name == "sweep_values":
-            return tuple(float(x) for x in text.split(","))
-        if name == "policies":
-            return tuple(x.strip() for x in text.split(","))
-        if kind is int:
-            return int(text)
-        if kind is float:
-            return float(text)
-        return text
+        if isinstance(default, tuple):
+            return tuple(type(default[0])(x.strip()) for x in text.split(","))
+        return type(default)(text)
     except ValueError as exc:
         raise HybridCacheError(f"{name}: cannot parse {text!r}") from exc
 
 
 def load_config(path=None, env=None, overrides=None) -> ExperimentConfig:
     """Build a config from file, environment, and explicit overrides."""
-    kinds = {f.name: f.type for f in dataclasses.fields(ExperimentConfig)}
-    typemap = {"int": int, "float": float, "str": str, "tuple": tuple}
+    names = [f.name for f in dataclasses.fields(ExperimentConfig)]
     values = {}
     if path is not None:
         with open(path) as fh:
@@ -161,14 +157,14 @@ def load_config(path=None, env=None, overrides=None) -> ExperimentConfig:
                     raise HybridCacheError(f"{path}:{lineno}: expected key = value")
                 key, _, text = line.partition("=")
                 key = key.strip()
-                if key not in kinds:
+                if key not in names:
                     raise HybridCacheError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _parse_value(key, text, typemap.get(kinds[key], str))
+                values[key] = _parse_value(key, text)
     env = os.environ if env is None else env
-    for key, kind in kinds.items():
+    for key in names:
         raw = env.get(ENV_PREFIX + key.upper())
         if raw is not None:
-            values[key] = _parse_value(key, raw, typemap.get(kind, str))
+            values[key] = _parse_value(key, raw)
     for key, val in (overrides or {}).items():
         if val is not None:
             values[key] = val
@@ -209,18 +205,25 @@ def cmd_generate(config: ExperimentConfig) -> int:
     return 0
 
 
-def _run_one(config, config_hash, catalog, trace, policy, capacity, seed):
-    return run_simulation(
-        catalog,
-        trace,
-        policy,
-        capacity,
-        seed=seed,
-        exploration_beta=config.exploration_beta,
-        alloc_window=config.alloc_window,
-        alloc_smoothing=config.alloc_smoothing,
-        config_hash=config_hash,
-    )
+def _runs(config: ExperimentConfig, points):
+    """Run every policy at each (value, seed, (catalog, trace), capacity) point.
+
+    Yields (value, seed, policy, metrics) in run order.
+    """
+    config_hash = config.hash()
+    for value, seed, (catalog, trace), capacity in points:
+        for policy in config.policies:
+            yield value, seed, policy, run_simulation(
+                catalog,
+                trace,
+                policy,
+                capacity,
+                seed=seed,
+                exploration_beta=config.exploration_beta,
+                alloc_window=config.alloc_window,
+                alloc_smoothing=config.alloc_smoothing,
+                config_hash=config_hash,
+            )
 
 
 def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int:
@@ -244,32 +247,30 @@ def cmd_run(config: ExperimentConfig, catalog_path=None, trace_path=None) -> int
                 file=sys.stderr,
             )
         fixed = (catalog, trace)
-    # build before any output file opens, so a rejected build leaves none
-    workload = fixed or make_workload(config, config.library_size, config.seeds[0])
+    points = (
+        (None, seed, fixed or make_workload(config, config.library_size, seed), config.capacity)
+        for seed in config.seeds
+    )
+    runs = _runs(config, points)
+    # the first build runs before any output file opens, so a rejected
+    # build leaves none
+    first = next(runs)
     outdir = Path(config.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    config_hash = config.hash()
     summaries = []
     with open(outdir / "per_slot.csv", "w", newline="") as fh:
         fh.write("seed,policy,slot,hit_ratio,oracle_hit_ratio,"
                  "regret_increment,cumulative_regret\n")
-        for i, seed in enumerate(config.seeds):
-            if i and not fixed:
-                workload = make_workload(config, config.library_size, seed)
-            catalog, trace = workload
-            for policy in config.policies:
-                metrics = _run_one(
-                    config, config_hash, catalog, trace, policy,
-                    config.capacity, seed,
+        for _, seed, policy, metrics in itertools.chain([first], runs):
+            summaries.append(metrics.summary)
+            for t, rec in enumerate(metrics.per_slot, start=1):
+                fh.write(
+                    f"{seed},{policy},{t},{rec.hit_ratio!r},"
+                    f"{rec.oracle_hit_ratio!r},{rec.regret_increment!r},"
+                    f"{metrics.cumulative_regret[t - 1]!r}\n"
                 )
-                summaries.append(metrics.summary)
-                for t, rec in enumerate(metrics.per_slot, start=1):
-                    fh.write(
-                        f"{seed},{policy},{t},{rec.hit_ratio!r},"
-                        f"{rec.oracle_hit_ratio!r},{rec.regret_increment!r},"
-                        f"{metrics.cumulative_regret[t - 1]!r}\n"
-                    )
+    config_hash = summaries[0]["config_hash"]
     with open(outdir / "metrics.json", "w") as fh:
         json.dump(
             {"config_hash": config_hash, "runs": summaries}, fh, indent=2
@@ -304,21 +305,16 @@ def sweep_results(config: ExperimentConfig):
     A library-size sweep regenerates the workload per point; a
     capacity sweep holds each seed's workload fixed and varies C.
     """
-    config_hash = config.hash()
-    for value, seed, (catalog, trace), capacity in _sweep_points(config):
-        for policy in config.policies:
-            m = _run_one(
-                config, config_hash, catalog, trace, policy, capacity, seed
-            )
-            yield {
-                "axis": config.sweep_axis,
-                "value": value,
-                "policy": policy,
-                "seed": seed,
-                "mean_hit_ratio": m.summary["mean_hit_ratio"],
-                "final_regret": m.summary["final_regret"],
-                "config_hash": config_hash,
-            }
+    for value, seed, policy, m in _runs(config, _sweep_points(config)):
+        yield {
+            "axis": config.sweep_axis,
+            "value": value,
+            "policy": policy,
+            "seed": seed,
+            "mean_hit_ratio": m.summary["mean_hit_ratio"],
+            "final_regret": m.summary["final_regret"],
+            "config_hash": m.summary["config_hash"],
+        }
 
 
 def cmd_sweep(config: ExperimentConfig) -> int:
@@ -372,12 +368,13 @@ def _sweep_row_problem(row: dict, first: dict, seen: set) -> str:
 def read_sweep_csv(path) -> list:
     """The rows of a sweep.csv; TraceParseError names the first bad line.
 
-    A row must have the header's fields, an axis of SWEEP_AXES and a
-    policy of POLICY_NAMES, a finite value, a finite hit ratio in
-    [0, 1], a finite regret >= 0 and a seed >= 0. The rows must be one
-    sweep: the first row's axis and config_hash, each (value, policy,
-    seed) once, and values the axis takes (a capacity >= 0, a whole
-    library size >= 2).
+    No line may be blank. A row must have the header's fields, an axis
+    of SWEEP_AXES and a policy of POLICY_NAMES, a finite value, a finite
+    hit ratio in [0, 1], a finite regret >= 0 and a seed >= 0, each
+    number written as cmd_sweep writes it (a float as repr writes it, the
+    seed in decimal digits). The rows must be one sweep: the first row's
+    axis and config_hash, each (value, policy, seed) once, and values the
+    axis takes (a capacity >= 0, a whole library size >= 2).
     """
     rows, seen = [], set()
     with open(path, newline="") as fh:
@@ -389,7 +386,7 @@ def read_sweep_csv(path) -> list:
             raise TraceParseError("bad results header", line=1)
         for lineno, parts in enumerate(reader, start=2):
             if not parts:
-                continue
+                raise TraceParseError("blank line", line=lineno)
             if len(parts) != len(SWEEP_HEADER):
                 raise TraceParseError(
                     f"expected {len(SWEEP_HEADER)} fields, got {len(parts)}",
@@ -398,11 +395,11 @@ def read_sweep_csv(path) -> list:
             try:
                 row = {
                     "axis": parts[0],
-                    "value": float(parts[1]),
+                    "value": _float(parts[1]),
                     "policy": parts[2],
-                    "seed": int(parts[3]),
-                    "mean_hit_ratio": float(parts[4]),
-                    "final_regret": float(parts[5]),
+                    "seed": _int(parts[3]),
+                    "mean_hit_ratio": _float(parts[4]),
+                    "final_regret": _float(parts[5]),
                     "config_hash": parts[6],
                 }
             except ValueError as exc:
@@ -537,7 +534,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if getattr(args, "policy", None) is not None:
         overrides["policies"] = (args.policy,)
     if getattr(args, "values", None) is not None:
-        overrides["sweep_values"] = _parse_value("sweep_values", args.values, tuple)
+        overrides["sweep_values"] = _parse_value("sweep_values", args.values)
     return load_config(path=args.config, overrides=overrides)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ CHUNK_IDS = 2**14
 # when their sizes sum to at most C + FIT_SLACK (see Fill)
 FIT_SLACK = 1e-9
 INT64_MAX = np.iinfo(np.int64).max
-# the most slots of bandit updates a BanditState queues before it folds
+# the most slots of bandit updates a HybridPolicy queues before it folds
 # them, which bounds the queue of a long run whose index is never read
 MAX_QUEUED = 1024
 
@@ -196,20 +196,12 @@ class BanditState:
     ids that are never learned), pulls the number of slots it was cached,
     mean the running mean of its observed rewards, and weight its last
     reward normalized by the slot's best cached content.
-
-    pending holds the slots' (ids, observed) pairs queued by queue and
-    not yet folded into pulls, mean and weight. fold applies them in
-    slot order through hybrid_update, so the arrays end as eager updates
-    would leave them, bit for bit. Nothing may read or write the arrays
-    while pending is not empty: hybrid_ucb_index and hybrid_update fold
-    first, and so must any other reader.
     """
 
     influence: np.ndarray
     pulls: np.ndarray
     mean: np.ndarray
     weight: np.ndarray
-    pending: list = field(default_factory=list)
 
     @classmethod
     def fresh(cls, influence) -> "BanditState":
@@ -223,21 +215,6 @@ class BanditState:
             weight=np.zeros(n),
         )
 
-    def queue(self, ids: np.ndarray, observed: np.ndarray) -> None:
-        """Queue one slot's hybrid_update(ids, observed) until the next fold.
-
-        A queue of MAX_QUEUED slots is folded at once.
-        """
-        self.pending.append((ids, observed))
-        if len(self.pending) >= MAX_QUEUED:
-            self.fold()
-
-    def fold(self) -> None:
-        """Apply the queued slots' updates in slot order and empty the queue."""
-        pending, self.pending = self.pending, []
-        for ids, observed in pending:
-            hybrid_update(self, ids, observed)
-
 
 def hybrid_ucb_index(
     state: BanditState,
@@ -250,12 +227,10 @@ def hybrid_ucb_index(
     index = mean + sqrt(beta * max(B, WEIGHT_FLOOR) * x * ln t / pulls), taken
     element-wise in this operation order, so each entry equals the scalar
     formula evaluated with math. A never-cached content (pulls == 0) has
-    an infinite index, so it ranks before every warmed-up one. The
-    state's queued updates are folded first.
+    an infinite index, so it ranks before every warmed-up one.
     """
     if t < 1:
         raise HybridCacheError("t must be >= 1")
-    state.fold()
     pulls = state.pulls[ids]
     bonus = np.sqrt(
         exploration_beta
@@ -273,11 +248,8 @@ def hybrid_update(state: BanditState, ids: np.ndarray, observed) -> None:
     observed[i] is the reward of ids[i], and ids holds no id twice. Each
     reward weight is the observation normalized by the slot's largest
     one; each running mean is the arithmetic mean of all observations fed
-    so far. The state's queued updates are folded first, so this one
-    comes after them.
+    so far.
     """
-    if state.pending:
-        state.fold()
     observed = np.asarray(observed, dtype=float)
     slot_max = observed.max(initial=0.0)
     # min and max propagate a NaN, which fails both comparisons
@@ -291,36 +263,29 @@ def hybrid_update(state: BanditState, ids: np.ndarray, observed) -> None:
 
 
 def hybrid_select(
-    state: BanditState,
+    index,
     candidates: np.ndarray,
     irm_ids: np.ndarray,
     irm_counts: np.ndarray,
     w_snm: float,
     fill: Fill,
-    t: int,
-    exploration_beta: float = 2.0,
 ) -> Placement:
     """One slot's placement for the hybrid policy.
 
     candidates is the live SNM ids and irm_ids the IRM ids, each
     ascending; irm_counts[i] is the request count of irm_ids[i]; w_snm is
-    the SNM share of fill.capacity. IRM ids are admitted by descending
-    count and SNM candidates by descending UCB index, ties by lower id on
-    both sides, so never-cached candidates (infinite index) go first.
+    the SNM share of fill.capacity; index(ids) is one key per id. IRM ids
+    are admitted by descending count and SNM candidates by descending
+    index, ties by lower id on both sides, so never-cached candidates
+    (infinite UCB index) go first.
 
-    Each fill is one Fill.top, so at uniform sizes the candidates' index
-    is computed only when a share cannot hold them all.
+    Each fill is one Fill.top, so at uniform sizes index is called only
+    when a share cannot hold all of its candidates.
     """
-    if t < 1:
-        raise HybridCacheError("t must be >= 1")
     capacity = fill.capacity
     irm_share = math.floor((1.0 - w_snm) * capacity)
     snm_share = capacity - irm_share
-
-    def ucb(ids):
-        return lambda: hybrid_ucb_index(state, ids, t, exploration_beta)
-
-    snm_chosen, snm_used = fill.top(candidates, ucb(candidates), snm_share)
+    snm_chosen, snm_used = fill.top(candidates, lambda: index(candidates), snm_share)
 
     # unused SNM share rolls over to the IRM fill, and any capacity the
     # IRM side cannot use rolls back to the remaining SNM candidates,
@@ -329,7 +294,7 @@ def hybrid_select(
     spare = capacity - snm_used - irm_used
     if spare > 0 and len(snm_chosen) < len(candidates):
         rest = candidates[~np.isin(candidates, snm_chosen)]
-        extra, extra_used = fill.top(rest, ucb(rest), spare)
+        extra, extra_used = fill.top(rest, lambda: index(rest), spare)
         snm_chosen = np.concatenate((snm_chosen, extra))
         snm_used += extra_used
 
@@ -463,12 +428,14 @@ class HybridPolicy:
     capacity split, even while the window is empty) and its bandit
     state; and, at slot t, the catalog's SNM ids live at t.
 
-    update queues each slot's bandit observations in the state, and
-    hybrid_ucb_index folds them only when a slot ranks its candidates,
-    which at uniform sizes happens only when the SNM share cannot hold
-    them all. The live SNM ids are kept over the span of slots in which
-    no SNM item arrives or expires (Catalog.live_span), as one read-only
-    array.
+    update queues each slot's bandit observations; fold applies them to
+    state in slot order through hybrid_update, bit for bit as eager
+    updates, so state is current only after a fold. place's index folds
+    before it reads state, which at uniform sizes happens only when the
+    SNM share cannot hold every candidate, and update folds a queue of
+    MAX_QUEUED slots. The live SNM ids are kept over the span of slots in
+    which no SNM item arrives or expires (Catalog.live_span), as one
+    read-only array.
     """
 
     def __init__(
@@ -490,6 +457,7 @@ class HybridPolicy:
         influence = np.zeros(catalog.id_space)
         influence[catalog.snm_ids] = feature_influences(catalog.snm_features)
         self.state = BanditState.fresh(influence)
+        self._pending = []  # the queued slots' (ids, observed), oldest first
         self.fill = Fill(catalog.sizes, capacity)
         # (first, stop, ids): the SNM ids live over the slots first..stop - 1
         self._live = (0, 0, None)
@@ -504,28 +472,34 @@ class HybridPolicy:
             self._live = first, stop, ids
         return ids
 
+    def fold(self) -> None:
+        """Apply the queued bandit updates in slot order and empty the queue."""
+        pending, self._pending = self._pending, []
+        for ids, observed in pending:
+            hybrid_update(self.state, ids, observed)
+
     def place(self, t: int) -> Placement:
+        if t < 1:
+            raise HybridCacheError("t must be >= 1")
         try:
             w_snm = self.estimator.estimate()
         except EmptyWindow:
             w_snm = 0.5
+
+        def index(ids):
+            self.fold()
+            return hybrid_ucb_index(self.state, ids, t, self.exploration_beta)
+
         return hybrid_select(
-            self.state,
-            self.live_snm_ids(t),
-            self.irm_ids,
-            self.irm_counts,
-            w_snm,
-            self.fill,
-            t,
-            self.exploration_beta,
+            index, self.live_snm_ids(t), self.irm_ids, self.irm_counts, w_snm, self.fill
         )
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:
         """Fold the slot's tally into the counts and the split; queue the bandit's.
 
         tally[id] is the slot's request count of an id. Each cached SNM
-        content is fed its share of the slot's SNM requests, queued in
-        the bandit state until an index reads it.
+        content is fed its share of the slot's SNM requests, queued until
+        the next fold.
         """
         irm_tally = tally[self.irm_ids]
         self.irm_counts += irm_tally
@@ -534,7 +508,9 @@ class HybridPolicy:
         self.estimator.observe(n_snm, n_irm)
         cached = placement.cached[self.catalog.snm_by_id[placement.cached]]
         # with no SNM request every cached SNM content observes 0
-        self.state.queue(cached, tally[cached] / max(n_snm, 1))
+        self._pending.append((cached, tally[cached] / max(n_snm, 1)))
+        if len(self._pending) >= MAX_QUEUED:
+            self.fold()
 
 
 POLICY_NAMES = ("hybrid", "popular", "random")

@@ -6,6 +6,7 @@ import pytest
 
 from hybridcache.catalog import CatalogConfig, build_catalog
 from hybridcache.cli import (
+    SWEEP_HEADER,
     ExperimentConfig,
     aggregate_results,
     load_config,
@@ -449,7 +450,7 @@ class TestReport:
         ):
             path.write_text(
                 "axis,value,policy,seed,mean_hit_ratio,final_regret,config_hash\n"
-                "capacity,10,hybrid,1,0.5,1.0,x\n" + bad_row
+                "capacity,10.0,hybrid,1,0.5,1.0,x\n" + bad_row
             )
             with pytest.raises(TraceParseError) as exc:
                 read_sweep_csv(path)
@@ -472,6 +473,12 @@ class TestReport:
             pytest.param(0, "library_size", "axis", id="other-axis"),
             pytest.param(2, "hybrid", "repeat", id="repeated-value-policy-seed"),
             pytest.param(1, "-5.0", "capacity", id="negative-capacity"),
+            # numbers that cmd_sweep never writes
+            pytest.param(1, "1_0.0", "1_0.0", id="underscored-value"),
+            pytest.param(1, "10", "to float", id="int-value"),
+            pytest.param(3, " +1_000 ", "to int", id="signed-spaced-seed"),
+            pytest.param(4, "2.5e-1", "to float", id="hit-ratio-exponent"),
+            pytest.param(5, "3", "to float", id="int-regret"),
         ],
     )
     def test_bad_value_reports_line(self, tmp_path, field, value, message):
@@ -487,6 +494,34 @@ class TestReport:
         assert exc.value.line == 3
         assert main(["report", str(path), "--out", str(tmp_path / "rep")]) == 2
         assert not (tmp_path / "rep").exists()
+
+    def test_blank_line_reports_line(self, tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(
+            "axis,value,policy,seed,mean_hit_ratio,final_regret,config_hash\n"
+            "capacity,10.0,hybrid,1,0.5,1.0,x\n"
+            "\n"
+            "capacity,10.0,random,1,0.25,3.0,x\n"
+        )
+        with pytest.raises(TraceParseError, match="blank line") as exc:
+            read_sweep_csv(path)
+        assert exc.value.line == 3
+
+    @pytest.mark.parametrize(
+        "axis, values", [("capacity", "0,2.5,7"), ("library_size", "10,20")]
+    )
+    def test_every_row_of_a_real_sweep_parses(self, tmp_path, axis, values):
+        out = tmp_path / "sweep"
+        rc = main(["sweep", *SMALL, "--seed", "3", "--axis", axis,
+                   "--values", values, "--out", str(out)])
+        assert rc == 0
+        rows = read_sweep_csv(out / "sweep.csv")
+        assert len(rows) == 3 * len(values.split(","))
+        # each parsed row is written back as cmd_sweep wrote it
+        written = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [
+            ",".join(str(row[key]) for key in SWEEP_HEADER) for row in rows
+        ] == written
 
     @pytest.mark.parametrize("value", ["20.7", "1.0", "-4.0"])
     def test_library_size_value_must_be_whole_and_at_least_two(self, tmp_path, value):

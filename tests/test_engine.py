@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import engine_reference
 import hybridcache.engine as engine
+import hybridcache.policy as policy_mod
 from catalog_helpers import array_catalog
 from hybridcache.cli import ExperimentConfig, make_workload
 from hybridcache.catalog import (
@@ -414,6 +415,47 @@ def test_pinned_hybrid_runs_at_uniform_sizes(capacity):
     catalog, trace = make_workload(ExperimentConfig(horizon=200), 150, seed=1000)
     metrics = run_simulation(catalog, trace, "hybrid", capacity, seed=1000)
     assert run_digest(metrics) == UNIFORM_HYBRID_DIGESTS[capacity]
+
+
+def fold_workload(kind):
+    """(catalog, trace, capacity) of a hybrid run that ranks its candidates."""
+    if kind == "long":
+        # id 19 is live and cached from slot 1 and id 20 arrives at slot
+        # 1050, the first slot that ranks: the default bound has folded
+        # slots 1..1024 by then
+        catalog = array_catalog([1.0] * 20, {19: (1, 1100, 50.0), 20: (1050, 51, 50.0)})
+        return catalog, generate_trace(catalog, 1100, 30, 0.3, 0.8, seed=5), 2.0
+    catalog = build_catalog(CatalogConfig(library_size=24, w_snm=0.5, horizon=40), seed=61)
+    if kind == "unequal":
+        sizes = np.random.default_rng(63).integers(1, 4, size=24).astype(float)
+        catalog = dataclasses.replace(catalog, sizes=sizes)
+    return catalog, generate_trace(catalog, 40, 30, 0.5, 0.8, seed=62), 7.5
+
+
+@pytest.mark.parametrize("kind", ["uniform", "unequal", "long"])
+def test_queued_fold_changes_no_run(kind):
+    """A hybrid run, and every index it reads, is the same whether its
+    bandit queue folds at every update (MAX_QUEUED = 1), every third or
+    at the default bound."""
+    catalog, trace, capacity = fold_workload(kind)
+    index = policy_mod.hybrid_ucb_index
+    runs = []
+    for bound in (1, 3, policy_mod.MAX_QUEUED):
+        reads = []  # (slot, ids, index) of each index read
+
+        def spy(state, ids, t, beta):
+            got = index(state, ids, t, beta)
+            reads.append((t, ids.tobytes(), got.tobytes()))
+            return got
+
+        with mock.patch.object(policy_mod, "MAX_QUEUED", bound), \
+                mock.patch.object(policy_mod, "hybrid_ucb_index", spy):
+            metrics = run_simulation(catalog, trace, "hybrid", capacity, seed=64)
+        runs.append((run_digest(metrics), reads))
+    assert runs[0][1], "no slot ranks its candidates"
+    assert runs[0] == runs[1] == runs[2]
+    if kind == "long":
+        assert runs[0][1][0][0] == 1050
 
 
 RUN_SEED = 7

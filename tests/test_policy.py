@@ -365,10 +365,10 @@ class TestLeanPaths:
         state.mean[1:] = rng.integers(0, distinct, n_ids) / 2
         state.weight[1:] = 1.0
         state.influence[1:] = 0.5
-        args = (state, candidates, irm_ids, irm_counts, w_snm)
-        uniform = hybrid_select(*args, Fill(unit_sizes(n_ids), capacity), t=7)
+        args = (ucb(state, 7), candidates, irm_ids, irm_counts, w_snm)
+        uniform = hybrid_select(*args, Fill(unit_sizes(n_ids), capacity))
         scan = Fill(np.append(unit_sizes(n_ids), 2.0), capacity)
-        general = hybrid_select(*args, scan, t=7)
+        general = hybrid_select(*args, scan)
         assert uniform.cached.tolist() == general.cached.tolist()
         assert uniform.used_capacity == general.used_capacity
 
@@ -412,9 +412,9 @@ class TestLeanPaths:
         # one more id, in no order, of another size: the general scan
         scan = Fill(np.append(np.full(n_ids, size), size + 1.0), capacity)
         assert scan.count is None
-        general = hybrid_select(state, candidates, irm_ids, counts, w_snm, scan, t)
+        general = hybrid_select(ucb(state, t), candidates, irm_ids, counts, w_snm, scan)
         fill = Fill(np.full(n_ids, size), capacity)
-        uniform = hybrid_select(state, candidates, irm_ids, counts, w_snm, fill, t)
+        uniform = hybrid_select(ucb(state, t), candidates, irm_ids, counts, w_snm, fill)
         assert uniform.cached.tolist() == general.cached.tolist()
         assert uniform.used_capacity == general.used_capacity
         assert uniform.cached.dtype == np.int64
@@ -505,6 +505,11 @@ def bandit(entries):
 
 def index_of(state, f, t, **kwargs):
     return float(hybrid_ucb_index(state, np.array([f]), t, **kwargs)[0])
+
+
+def ucb(state, t):
+    """The index hybrid_select ranks by: the UCB index over state at slot t."""
+    return lambda ids: hybrid_ucb_index(state, ids, t)
 
 
 class TestUcbIndex:
@@ -640,8 +645,8 @@ class TestHybridSelect:
     def test_cold_start_priority_and_tie(self):
         state = bandit({10: (0, 0, 0, 0.5), 11: (0, 0, 0, 0.5)})
         p = hybrid_select(
-            state, ids(10, 11), *ranked(), w_snm=1.0,
-            fill=Fill(unit_sizes(11), 1), t=3,
+            ucb(state, 3), ids(10, 11), *ranked(), w_snm=1.0,
+            fill=Fill(unit_sizes(11), 1),
         )
         assert p.cached.tolist() == [10]
 
@@ -652,8 +657,8 @@ class TestHybridSelect:
             12: (5, 0.5, 0.9, 0.5),
         })
         p = hybrid_select(
-            state, ids(10, 11, 12), *ranked(), w_snm=1.0,
-            fill=Fill(unit_sizes(12), 2), t=10,
+            ucb(state, 10), ids(10, 11, 12), *ranked(), w_snm=1.0,
+            fill=Fill(unit_sizes(12), 2),
         )
         indices = {f: index_of(state, f, 10) for f in (10, 11, 12)}
         expected = set(sorted(indices, key=lambda f: -indices[f])[:2])
@@ -662,16 +667,16 @@ class TestHybridSelect:
     def test_zero_snm_share_pure_irm(self):
         state = bandit({10: (3, 0.9, 0.9, 0.5)})
         p = hybrid_select(
-            state, ids(10), *ranked(1, 2, 3), w_snm=0.0,
-            fill=Fill(unit_sizes(10), 2), t=5,
+            ucb(state, 5), ids(10), *ranked(1, 2, 3), w_snm=0.0,
+            fill=Fill(unit_sizes(10), 2),
         )
         assert p.cached.tolist() == [1, 2]
 
     def test_leftover_snm_share_rolls_to_irm(self):
         state = bandit({10: (0, 0, 0, 0.5)})
         p = hybrid_select(
-            state, ids(10), *ranked(1, 2), w_snm=0.75,
-            fill=Fill(unit_sizes(10), 4), t=5,
+            ucb(state, 5), ids(10), *ranked(1, 2), w_snm=0.75,
+            fill=Fill(unit_sizes(10), 4),
         )
         assert p.cached.tolist() == [1, 2, 10]
 
@@ -697,8 +702,8 @@ class TestHybridSelect:
         sizes = rng.integers(1, 4, size=snm_ids[-1]).astype(float)
         ranking = rng.permutation(irm_ids)
         p = hybrid_select(
-            state, snm_ids, *ranked(*ranking), w_snm, Fill(sizes, capacity),
-            t=int(rng.integers(1, 50)),
+            ucb(state, int(rng.integers(1, 50))), snm_ids, *ranked(*ranking), w_snm,
+            Fill(sizes, capacity),
         )
         assert p.used_capacity <= capacity + 1e-9
         assert sum(sizes[f - 1] for f in p.cached) == pytest.approx(p.used_capacity)
@@ -717,9 +722,9 @@ def select_both_ways(candidates, irm_ranking, w_snm, capacity, t=5):
     state.pulls[1:] = rng.integers(0, 3, n_ids)
     state.mean[1:] = rng.integers(0, 3, n_ids) / 2
     state.weight[1:] = rng.uniform(0.0, 1.0, n_ids)
-    args = (state, candidates, *ranked(*irm_ranking), w_snm)
-    uniform = hybrid_select(*args, Fill(unit_sizes(n_ids), capacity), t)
-    general = hybrid_select(*args, Fill(np.append(unit_sizes(n_ids), 2.0), capacity), t)
+    args = (ucb(state, t), candidates, *ranked(*irm_ranking), w_snm)
+    uniform = hybrid_select(*args, Fill(unit_sizes(n_ids), capacity))
+    general = hybrid_select(*args, Fill(np.append(unit_sizes(n_ids), 2.0), capacity))
     assert uniform.cached.tolist() == general.cached.tolist()
     assert uniform.used_capacity == general.used_capacity
     return uniform
@@ -748,21 +753,22 @@ class TestHybridRankOnlyWhenShort:
 
     @pytest.mark.parametrize("n_candidates, n_irm", [(5, 9), (0, 9)])
     def test_no_index_when_every_candidate_fits(self, n_candidates, n_irm):
-        state = BanditState.fresh(np.ones(120))
-        with mock.patch(
-            "hybridcache.policy.hybrid_ucb_index", side_effect=AssertionError("ranked")
-        ):
-            p = hybrid_select(
-                state, np.arange(100, 100 + n_candidates), *ranked(*range(1, n_irm + 1)),
-                0.5, Fill(unit_sizes(119), 10), t=5,
-            )
+        index = mock.Mock(side_effect=AssertionError("ranked"))
+        p = hybrid_select(
+            index, np.arange(100, 100 + n_candidates), *ranked(*range(1, n_irm + 1)),
+            0.5, Fill(unit_sizes(119), 10),
+        )
+        assert index.call_count == 0
         assert np.isin(np.arange(100, 100 + n_candidates), p.cached).all()
 
-    @pytest.mark.parametrize("sizes", [unit_sizes(12), np.append(unit_sizes(11), 2.0)])
-    def test_t_below_one_even_when_every_candidate_fits(self, sizes):
-        state = bandit({10: (0, 0, 0, 0.5), 11: (2, 0.5, 0.5, 0.5)})
-        with pytest.raises(ValueError, match="t must be >= 1"):
-            hybrid_select(state, ids(10, 11), *ranked(1), 0.5, Fill(sizes, 10), t=0)
+    @pytest.mark.parametrize("sizes", [[1.0] * 12, [1.0] * 11 + [2.0]])
+    def test_place_below_slot_one_even_when_every_candidate_fits(self, sizes):
+        # ids 10 and 11 are the live SNM candidates from slot 1; C=10 holds both
+        catalog = array_catalog(sizes, {10: (1, 50, 4.0), 11: (1, 50, 4.0)})
+        policy = HybridPolicy(catalog, 10.0)
+        assert policy.live_snm_ids(1).tolist() == [10, 11]
+        with pytest.raises(HybridCacheError, match="t must be >= 1"):
+            policy.place(0)
 
 
 def fill_item_by_item(ordered_ids, sizes, capacity):
@@ -934,7 +940,7 @@ def test_each_policy_reads_only_the_slots_before_t(t):
 
 
 class TestQueuedFold:
-    """HybridPolicy.update queues its bandit updates; a fold applies them eagerly."""
+    """HybridPolicy.update queues its bandit updates; fold applies them eagerly."""
 
     @given(
         slots=st.lists(
@@ -957,10 +963,12 @@ class TestQueuedFold:
             snm = cached[catalog.snm_by_id[cached]]
             n_snm = int(tally[catalog.snm_ids].sum())
             hybrid_update(eager, snm, tally[snm] / max(n_snm, 1))
-        assert len(policy.state.pending) == len(slots)
+        assert len(policy._pending) == len(slots)
+        assert not policy.state.pulls.any()
+        policy.fold()
+        assert policy._pending == []
         queued = policy.state
         index = hybrid_ucb_index(queued, catalog.snm_ids, t, beta)
-        assert queued.pending == []
         assert index.tobytes() == hybrid_ucb_index(eager, catalog.snm_ids, t, beta).tobytes()
         for name in ("pulls", "mean", "weight"):
             assert getattr(queued, name).tobytes() == getattr(eager, name).tobytes(), name
@@ -968,22 +976,21 @@ class TestQueuedFold:
 
     @pytest.mark.parametrize("bound", [1, 3])
     def test_a_full_queue_is_folded(self, bound):
-        state = BanditState.fresh([0.0, 0.5, 0.5])
+        # ids 1 and 2 are SNM and cached in every slot; slot s requests id 1
+        # s times and id 2 8 - s times
+        catalog = array_catalog([1.0] * 3, {1: (1, 9, 4.0), 2: (1, 9, 4.0)})
+        policy = HybridPolicy(catalog, 2.0)
+        cached = ids(1, 2)
         with mock.patch("hybridcache.policy.MAX_QUEUED", bound):
             for slot in range(1, 8):
-                state.queue(np.array([1, 2]), np.array([slot / 8, 1.0]))
-                assert len(state.pending) == slot % bound
-        state.fold()
-        assert state.pulls.tolist() == [0, 7, 7]
+                policy.update(Placement(cached, 2.0, 2.0), np.array([0, slot, 8 - slot, 0]))
+                assert len(policy._pending) == slot % bound
+                assert policy.state.pulls[1] == slot - slot % bound
+        policy.fold()
+        state = policy.state
+        assert state.pulls.tolist() == [0, 7, 7, 0]
         assert state.mean[1] == sum(range(1, 8)) / 8 / 7
-        assert state.weight.tolist() == [0.0, 0.875, 1.0]
-
-    def test_update_after_queue_comes_last(self):
-        state = BanditState.fresh([0.0, 0.5])
-        state.queue(np.array([1]), np.array([0.25]))
-        hybrid_update(state, np.array([1]), [0.75])
-        assert state.pending == []
-        assert (state.pulls[1], state.mean[1], state.weight[1]) == (2, 0.5, 1.0)
+        assert state.weight.tolist() == [0.0, 1.0, 1 / 7, 0.0]
 
 
 def hand_handoff_catalog():
