@@ -366,7 +366,8 @@ def _sweep_row_problem(row: dict, first: dict, seen: set) -> str:
 
 
 def read_sweep_csv(path) -> list:
-    """The rows of a sweep.csv; TraceParseError names the first bad line.
+    """The rows of a sweep.csv; TraceParseError names the file line where
+    the first bad row starts.
 
     No line may be blank. A row must have the header's fields, an axis
     of SWEEP_AXES and a policy of POLICY_NAMES, a finite value, a finite
@@ -384,7 +385,11 @@ def read_sweep_csv(path) -> list:
             raise TraceParseError("empty results file", line=1)
         if header != SWEEP_HEADER:
             raise TraceParseError("bad results header", line=1)
-        for lineno, parts in enumerate(reader, start=2):
+        # a row starts on the file line after the last one read, since a
+        # quoted field may hold a line end
+        start = 2
+        for parts in reader:
+            lineno, start = start, reader.line_num + 1
             if not parts:
                 raise TraceParseError("blank line", line=lineno)
             if len(parts) != len(SWEEP_HEADER):

@@ -11,9 +11,11 @@ Each slot is scored against a clairvoyant oracle that knows the slot's
 true request counts; the oracle's hits depend only on the trace, the
 catalog and C, so they are computed for every slot before the loop.
 
-The loop walks the trace a chunk of slots at a time: one np.bincount
-tallies the whole chunk, and its hits are read once the chunk's slots
-are placed and fed back.
+The trace is counted once (RequestTrace.slot_counts) and the count is
+shared by the oracle and every run. The loop walks the trace a chunk of
+slots at a time: one scatter of the chunk's counts builds its dense
+tallies, and its hits are read once the chunk's slots are placed and
+fed back.
 """
 
 from __future__ import annotations
@@ -48,15 +50,22 @@ def _tally_chunks(trace: RequestTrace, id_space: int):
     """Yield (t0, tallies) for successive chunks of the trace's slots.
 
     tallies[r, id] is the request count of an id in slot t0 + r; the
-    array is read-only, so each row is a read-only tally. One bincount
-    of the chunk's keys (RequestTrace.key_chunks, at most CHUNK_CELLS
-    cells and events) builds a chunk.
+    array is read-only, so each row is a read-only tally. A chunk
+    (RequestTrace.chunk_bounds, at most CHUNK_CELLS cells and events) is
+    built by scattering its slots' (id, count) pairs from the trace's
+    shared RequestTrace.slot_counts into zeros.
     """
-    for t0, rows, keys in trace.key_chunks(id_space, CHUNK_CELLS):
-        tallies = np.bincount(keys, minlength=rows * id_space)
-        tallies = tallies.reshape(rows, id_space)
+    starts, ids, counts = trace.slot_counts
+    edges = starts.tolist()
+    # each pair's cell in a flat table of every slot's tally
+    cells = np.arange(0, trace.horizon * id_space, id_space).repeat(np.diff(starts))
+    cells += ids
+    for start, stop in trace.chunk_bounds(id_space, CHUNK_CELLS):
+        lo, hi = edges[start], edges[stop]
+        tallies = np.zeros((stop - start, id_space), dtype=np.int64)
+        tallies.reshape(-1)[cells[lo:hi] - start * id_space] = counts[lo:hi]
         tallies.flags.writeable = False
-        yield t0, tallies
+        yield start + 1, tallies
 
 
 def slot_step(placements: Sequence[Placement], tallies: np.ndarray) -> np.ndarray:
@@ -91,7 +100,7 @@ def oracle_placement(
     requested ids of a slot, so its hits are read from the trace's
     running sums of descending counts; otherwise a slot's hits are the
     optimal value of a 0/1 knapsack (integer sizes only) over its
-    requested ids.
+    requested ids and their counts (RequestTrace.slot_counts).
     """
     fill = Fill(catalog.sizes, capacity)
     if fill.count is not None:
@@ -103,11 +112,12 @@ def oracle_placement(
         some = take > 0
         hits[some] = sums[starts[:-1][some] + take[some] - 1]
         return hits
-    hits = []
-    for _, tallies in _tally_chunks(trace, catalog.id_space):
-        for tally in tallies:
-            ids = np.flatnonzero(tally)
-            hits.append(exact_knapsack(tally[ids], catalog.sizes[ids - 1], capacity))
+    starts, ids, counts = trace.slot_counts
+    edges = starts.tolist()
+    hits = [
+        exact_knapsack(counts[lo:hi], catalog.sizes[ids[lo:hi] - 1], capacity)
+        for lo, hi in zip(edges[:-1], edges[1:])
+    ]
     # the knapsack's sums of whole counts are exact in float64
     return np.array(hits, dtype=np.int64)
 

@@ -124,8 +124,10 @@ class Fill:
         capacity. At uniform sizes the fill's length n does not depend on
         the ranking, so the ids of the n largest keys are taken (_top_n)
         and keys is called only when not every id fits. At unequal sizes
-        the ids are ranked, then admitted.
+        the ids are ranked, then admitted. keys is never called for no ids.
         """
+        if not len(ids):
+            return ids, 0.0
         if self.unit_sums is not None:
             n, used = self._prefix(len(ids), share)
             if n < len(ids):

@@ -95,13 +95,12 @@ class RequestTrace:
         """Per-slot id arrays (views into ids), index t-1 for slot t."""
         return np.split(self.ids, self.offsets[1:-1])
 
-    def key_chunks(self, id_space: int, cap: int):
-        """Yield (t0, rows, keys) for successive chunks of the slots.
+    def chunk_bounds(self, id_space: int, cap: int):
+        """Yield (start, stop) for successive chunks of the slots.
 
-        A chunk is the slots t0 .. t0 + rows - 1; it spans at most cap
-        cells (rows * id_space) and holds at most cap events, and one
-        slot at least. keys is a new int32 array holding each event's id
-        plus its row in the chunk times id_space, in event order.
+        A chunk is the slots start + 1 .. stop; it spans at most cap cells
+        ((stop - start) * id_space) and holds at most cap events, and one
+        slot at least.
         """
         bounds = self.offsets.tolist()
         most_rows = max(1, cap // id_space)
@@ -110,12 +109,45 @@ class RequestTrace:
             # the last slot index whose events end within cap events
             by_events = bisect.bisect_right(bounds, bounds[start] + cap) - 1
             stop = max(start + 1, min(start + most_rows, by_events))
+            yield start, stop
+            start = stop
+
+    @cached_property
+    def slot_counts(self) -> tuple:
+        """Each slot's distinct requested ids and their request counts.
+
+        Returns (starts, ids, counts): slot t requests the ascending ids
+        ids[starts[t - 1]:starts[t]], counts[i] times the id ids[i].
+        starts is int64 with horizon + 1 entries; ids and counts are
+        int32. The arrays are read-only; built on first use and shared
+        by every run over the trace.
+
+        The trace is counted a chunk of slots at a time (chunk_bounds,
+        at most CHUNK_CELLS cells and events): an event's key is its id
+        plus its row in the chunk times the id space, and _key_counts
+        counts a chunk's keys by whichever costs by its events.
+        """
+        id_space = int(self.ids.max(initial=0)) + 1
+        offsets = self.offsets.tolist()
+        none = np.zeros(0, dtype=np.int64)  # a trace may have no slot
+        cells, counts = [none], [none]
+        for start, stop in self.chunk_bounds(id_space, CHUNK_CELLS):
             rows = np.arange(0, (stop - start) * id_space, id_space, dtype=np.int32)
             # added in place: one chunk-sized array less at the memory peak
             keys = rows.repeat(np.diff(self.offsets[start:stop + 1]))
-            keys += self.ids[bounds[start]:bounds[stop]]
-            yield start + 1, stop - start, keys
-            start = stop
+            keys += self.ids[offsets[start]:offsets[stop]]
+            found, n = _key_counts(keys, len(rows) * id_space <= len(keys))
+            cells.append(found + start * id_space)
+            counts.append(n)
+        # a cell is t - 1 times the id space plus the id, ascending
+        cells = np.concatenate(cells)
+        firsts = np.arange(0, (self.horizon + 1) * id_space, id_space)
+        starts = cells.searchsorted(firsts)
+        ids = cells - firsts[:-1].repeat(np.diff(starts))
+        table = starts, ids.astype(np.int32), np.concatenate(counts).astype(np.int32)
+        for array in table:
+            array.flags.writeable = False
+        return table
 
     @cached_property
     def ranked_count_sums(self) -> tuple:
@@ -124,42 +156,45 @@ class RequestTrace:
         Returns (starts, sums). Slot t has one sum per distinct id it
         requests, sums[starts[t - 1]:starts[t]], so the requests to its k
         most requested ids are sums[starts[t - 1] + k - 1]. Built on first
-        use and shared by every run over the trace.
-
-        A chunk's keys (key_chunks) are sorted, so each run of one key is
-        one (slot, id) and its length the id's count in the slot; then all
-        the (slot, count) pairs are sorted by slot, then count descending.
-        The sorts cost by the number of events, where a tally of every id
-        in every slot would cost by the library size.
+        use from slot_counts, whose starts it shares, and shared by every
+        run over the trace: one sort of all the (slot, count) pairs, by
+        slot, then count descending.
         """
-        id_space = int(self.ids.max(initial=0)) + 1
-        none = np.zeros(0, dtype=np.int64)  # a trace may have no slot
-        slots, counts = [none], [none]
-        for t0, _, keys in self.key_chunks(id_space, CHUNK_CELLS):
-            keys.sort()
-            # where a run of one key starts, and where the last one ends
-            edges = np.empty(len(keys) + 1, dtype=bool)
-            edges[0] = edges[-1] = True
-            np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
-            edges = edges.nonzero()[0]
-            counts.append(np.diff(edges))
-            rows = (keys[edges[:-1]] // id_space).astype(np.int64)
-            slots.append(rows + (t0 - 1))  # t - 1 of each (slot, id)
-        slots, counts = np.concatenate(slots), np.concatenate(counts)
+        starts, _, counts = self.slot_counts
+        per_slot = np.diff(starts)
         top = int(counts.max(initial=0)) + 1
-        order = slots * top + (top - 1 - counts)
+        order = np.arange(self.horizon).repeat(per_slot) * top
+        order += top - 1 - counts
         order.sort()
         sums = (top - 1 - order % top).cumsum()
-        per_slot = np.bincount(slots, minlength=self.horizon)
-        starts = np.zeros(self.horizon + 1, dtype=np.int64)
-        np.cumsum(per_slot, out=starts[1:])
         # restart the running sum at each slot's first id
         sums -= np.append(0, sums)[starts[:-1]].repeat(per_slot)
         return starts, sums
 
 
+def _key_counts(keys: np.ndarray, binned: bool) -> tuple:
+    """(distinct keys ascending, their counts) of non-negative int keys.
+
+    If binned, one bincount tallies every value up to the largest key and
+    its nonzero cells are read: the choice for keys that outnumber those
+    values. Else the keys are sorted in place, so each run of one key is
+    a distinct key and its length the count. Both return int64 arrays.
+    """
+    if binned:
+        tally = np.bincount(keys)
+        found = tally.nonzero()[0]
+        return found, tally[found]
+    keys.sort()
+    # where a run of one key starts, and where the last one ends
+    edges = np.empty(len(keys) + 1, dtype=bool)
+    edges[0] = edges[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    edges = edges.nonzero()[0]
+    return keys[edges[:-1]].astype(np.int64), np.diff(edges)
+
+
 # the most tally cells, and the most events, of one chunk of slots (see
-# RequestTrace.key_chunks)
+# RequestTrace.chunk_bounds)
 CHUNK_CELLS = 2**16
 # the most doubles one rng.random call draws (1 MiB); a chunk is as many
 # whole slots as fit, and at least one
@@ -317,14 +352,18 @@ def _read_rows(path, body: bytes):
     quoted field is malformed. Rows are parsed by loadtxt; the row-by-row
     scan below runs only when loadtxt declines, to find the bad line.
     """
-    n_lines = body.count(b"\n") + (not body.endswith(b"\n"))
+    # the scans run a MiB at a time, so no body-sized mask is built
+    octets = np.frombuffer(body, dtype=np.uint8)
+    n_lines = int(sum(
+        np.count_nonzero(octets[i:i + 2**20] == ord("\n"))
+        for i in range(0, len(octets), 2**20)
+    )) + (not body.endswith(b"\n"))
     # loadtxt skips blank lines, allows spaces and signs and ends a line
     # at a lone CR, so it parses only a body made of the characters of
     # well-formed rows whose every CR ends a line (a final one may end
     # the file), and its rows are checked against the line count
-    octets = np.frombuffer(body, dtype=np.uint8)
     before, after = octets[:-1], octets[1:]
-    lone_cr = any(  # a MiB at a time, so no body-sized mask is built
+    lone_cr = any(
         ((before[i:i + 2**20] == ord("\r")) & (after[i:i + 2**20] != ord("\n"))).any()
         for i in range(0, len(before), 2**20)
     )

@@ -507,6 +507,19 @@ class TestReport:
             read_sweep_csv(path)
         assert exc.value.line == 3
 
+    def test_line_after_a_quoted_line_end(self, tmp_path):
+        # the first row's config hash spans lines 2 and 3, so the next row,
+        # under another hash, starts on line 4
+        path = tmp_path / "sweep.csv"
+        path.write_text(
+            "axis,value,policy,seed,mean_hit_ratio,final_regret,config_hash\n"
+            'capacity,10.0,hybrid,1,0.5,1.0,"x\ny"\n'
+            "capacity,10.0,random,1,0.25,3.0,z\n"
+        )
+        with pytest.raises(TraceParseError, match="config_hash") as exc:
+            read_sweep_csv(path)
+        assert exc.value.line == 4
+
     @pytest.mark.parametrize(
         "axis, values", [("capacity", "0,2.5,7"), ("library_size", "10,20")]
     )

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import engine_reference
 import hybridcache.engine as engine
 import hybridcache.policy as policy_mod
+import hybridcache.workload as workload_mod
 from catalog_helpers import array_catalog
 from hybridcache.cli import ExperimentConfig, make_workload
 from hybridcache.catalog import (
@@ -458,6 +459,24 @@ def test_queued_fold_changes_no_run(kind):
         assert runs[0][1][0][0] == 1050
 
 
+def test_no_index_read_for_no_candidates():
+    """At unequal sizes the hybrid reads no index in a slot with no live
+    SNM item, so it neither folds nor ranks there."""
+    catalog, trace, capacity = fold_workload("unequal")
+    empty = [t for t in range(1, trace.horizon + 1) if not len(catalog.active_snm_ids(t))]
+    assert empty, "every slot has a live SNM item"
+    index = policy_mod.hybrid_ucb_index
+    sizes = []
+
+    def spy(state, ids, t, beta):
+        sizes.append(len(ids))
+        return index(state, ids, t, beta)
+
+    with mock.patch.object(policy_mod, "hybrid_ucb_index", spy):
+        run_simulation(catalog, trace, "hybrid", capacity, seed=64)
+    assert sizes and min(sizes) > 0
+
+
 RUN_SEED = 7
 
 
@@ -580,6 +599,40 @@ def test_small_chunks_serve_as_slot_by_slot(workload, policy, cap):
     with mock.patch.object(engine, "CHUNK_CELLS", cap):
         chunks = assert_served_as_slot_by_slot(catalog, trace, policy, 8, cap)
     assert max(chunks) == {1: 1, 31: 1, 100: 2, 1000: 25}[cap]
+
+
+@given(
+    data=st.data(),
+    n_ids=st.sampled_from([1, 3, 40, 70_000]),
+    # a chunk of one slot or event, of a few, and the default
+    cap=st.sampled_from([1, 7, 64, engine.CHUNK_CELLS]),
+    per_slot=st.lists(st.integers(0, 12), min_size=1, max_size=20),
+)
+@settings(max_examples=200, deadline=None)
+def test_each_tally_row_counts_its_slot(data, n_ids, cap, per_slot):
+    ids = st.integers(1, n_ids) | st.sampled_from([1, n_ids])
+    trace = trace_of(*([data.draw(ids) for _ in range(n)] for n in per_slot))
+    slots = iter(trace.events_by_slot())
+    with mock.patch.object(engine, "CHUNK_CELLS", cap), \
+            mock.patch.object(workload_mod, "CHUNK_CELLS", cap):
+        for t0, tallies in engine._tally_chunks(trace, n_ids + 1):
+            assert tallies.dtype == np.int64 and not tallies.flags.writeable
+            assert len(tallies) == 1 or tallies.size <= cap
+            for t, tally in enumerate(tallies, start=t0):
+                counted = np.bincount(next(slots), minlength=n_ids + 1)
+                assert tally.tolist() == counted.tolist(), t
+    assert t == trace.horizon
+
+
+@pytest.mark.parametrize("sizes", [1.0, [1, 1, 1, 2, 1, 1]], ids=["uniform", "knapsack"])
+def test_runs_over_one_trace_count_it_once(sizes):
+    catalog, trace = generated_at(sizes, library_size=6)
+    run_simulation(catalog, trace, "hybrid", 3, seed=7)
+    table = trace.slot_counts
+    with mock.patch.object(workload_mod, "_key_counts", side_effect=AssertionError):
+        for policy in POLICY_NAMES:
+            run_simulation(catalog, trace, policy, 3, seed=8)
+    assert trace.slot_counts is table
 
 
 @pytest.mark.parametrize("cap", [1, 50])

@@ -392,6 +392,14 @@ class TestTraceIO:
             load_trace(path, small_catalog, self.HORIZON)
         assert exc.value.line == line
 
+    def test_blank_line_past_the_first_mib(self, small_catalog, tmp_path):
+        # the line count spans every MiB of the body, the last one too
+        path = tmp_path / "bad.csv"
+        path.write_text("slot,content_id\n" + "1,2\n" * 300_000 + "\n")
+        with pytest.raises(TraceParseError) as exc:
+            load_trace(path, small_catalog, self.HORIZON)
+        assert exc.value.line == 300_002
+
     @pytest.mark.parametrize("text", ["", "slot,id\n1,2\n", "slot,content_id,x\n"])
     def test_bad_header(self, small_catalog, tmp_path, text):
         path = tmp_path / "bad.csv"
@@ -549,20 +557,97 @@ def ranked_count_sums_by_slot(trace):
     return starts, np.concatenate(per_slot)
 
 
-class TestRankedCountSums:
-    @given(
-        data=st.data(),
-        n_ids=st.sampled_from([1, 3, 40, 70_000]),
-        # a chunk of one slot or event, of a few, and the default
-        cells=st.sampled_from([1, 7, 64, workload.CHUNK_CELLS]),
-        per_slot=st.lists(st.integers(0, 12), max_size=20),
+def drawn_trace(data, n_ids, per_slot):
+    """A trace of per_slot[t - 1] ids in 1..n_ids at slot t; 1 and n_ids come often."""
+    ids = st.integers(1, n_ids) | st.sampled_from([1, n_ids])
+    return RequestTrace.from_events(len(per_slot), [
+        (t, data.draw(ids)) for t, n in enumerate(per_slot, start=1) for _ in range(n)
+    ])
+
+
+# traces of empty, trailing-empty and single slots over libraries whose
+# chunks are counted both ways; a chunk of one slot or event, of a few,
+# and the default
+DRAWN_TRACES = dict(
+    data=st.data(),
+    n_ids=st.sampled_from([1, 3, 40, 70_000]),
+    cells=st.sampled_from([1, 7, 64, workload.CHUNK_CELLS]),
+    per_slot=st.lists(st.integers(0, 12), max_size=20),
+)
+
+
+def slot_counts_by_slot(trace):
+    """Reference: each slot's tally and its nonzero cells, one slot at a time."""
+    ids, counts = [], []
+    for slot_ids in trace.events_by_slot()[:trace.horizon]:
+        tally = np.bincount(slot_ids)
+        found = np.flatnonzero(tally)
+        ids.append(found)
+        counts.append(tally[found])
+    starts = np.zeros(trace.horizon + 1, dtype=np.int64)
+    np.cumsum([len(found) for found in ids], out=starts[1:])
+    none = [np.zeros(0, dtype=np.int64)]
+    return starts, np.concatenate(none + ids), np.concatenate(none + counts)
+
+
+class TestSlotCounts:
+    @given(**DRAWN_TRACES, binned=st.sampled_from([None, True, False]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_a_tally_of_each_slot(self, data, n_ids, cells, per_slot, binned):
+        """The same table whichever way each chunk is counted: by its
+        own choice (None), all by bincount (True) or all by sort."""
+        trace = drawn_trace(data, n_ids, per_slot)
+        key_counts = workload._key_counts
+
+        def counted(keys, chosen):
+            return key_counts(keys, chosen if binned is None else binned)
+
+        with mock.patch.object(workload, "CHUNK_CELLS", cells), \
+                mock.patch.object(workload, "_key_counts", counted):
+            table = trace.slot_counts
+        assert [a.dtype for a in table] == [np.int64, np.int32, np.int32]
+        assert not any(a.flags.writeable for a in table)
+        for got, want in zip(table, slot_counts_by_slot(trace)):
+            assert got.tolist() == want.tolist()
+
+    def test_hand_trace(self):
+        # slot 2 and the last slot are empty; slot 3 requests id 7 twice
+        trace = RequestTrace.from_events(4, ((1, 5), (3, 7), (3, 4), (3, 1), (3, 7)))
+        starts, ids, counts = trace.slot_counts
+        assert starts.tolist() == [0, 1, 1, 4, 4]
+        assert ids.tolist() == [5, 1, 4, 7]
+        assert counts.tolist() == [1, 1, 1, 2]
+
+    @pytest.mark.parametrize(
+        "events, binned",
+        [
+            # one chunk, 12 events over 8 cells (2 slots, ids 0..3): a bincount
+            ([(1, 3)] * 6 + [(2, 1)] * 6, [True]),
+            # a chunk a slot, each 1 event over 70,001 cells: a sort
+            ([(1, 70_000), (2, 1)], [False, False]),
+        ],
+        ids=["dense", "sparse"],
     )
+    def test_a_chunk_is_counted_by_its_events(self, events, binned):
+        trace = RequestTrace.from_events(2, events)
+        with mock.patch.object(
+            workload, "_key_counts", side_effect=workload._key_counts
+        ) as spy:
+            trace.slot_counts
+        assert [c.args[1] for c in spy.call_args_list] == binned
+
+    def test_is_built_on_first_use(self):
+        catalog = build_catalog(CatalogConfig(library_size=12, w_snm=0.5, horizon=10), 4)
+        trace = generate_trace(catalog, 10, 5, 0.5, 0.8, seed=4)
+        assert "slot_counts" not in vars(trace)
+        assert trace.slot_counts is trace.slot_counts
+
+
+class TestRankedCountSums:
+    @given(**DRAWN_TRACES)
     @settings(max_examples=200, deadline=None)
     def test_equals_a_sort_of_each_slot(self, data, n_ids, cells, per_slot):
-        ids = st.integers(1, n_ids) | st.sampled_from([1, n_ids])
-        trace = RequestTrace.from_events(len(per_slot), [
-            (t, data.draw(ids)) for t, n in enumerate(per_slot, start=1) for _ in range(n)
-        ])
+        trace = drawn_trace(data, n_ids, per_slot)
         with mock.patch.object(workload, "CHUNK_CELLS", cells):
             starts, sums = trace.ranked_count_sums
         want_starts, want_sums = ranked_count_sums_by_slot(trace)
