@@ -636,10 +636,12 @@ class TestSlotCounts:
             trace.slot_counts
         assert [c.args[1] for c in spy.call_args_list] == binned
 
-    def test_is_built_on_first_use(self):
+    def test_is_built_on_first_use(self, tmp_path):
         catalog = build_catalog(CatalogConfig(library_size=12, w_snm=0.5, horizon=10), 4)
         trace = generate_trace(catalog, 10, 5, 0.5, 0.8, seed=4)
-        assert "slot_counts" not in vars(trace)
+        save_trace(trace, tmp_path / "trace.csv")
+        loaded = load_trace(tmp_path / "trace.csv", catalog, 10)
+        assert "slot_counts" not in vars(trace) and "slot_counts" not in vars(loaded)
         assert trace.slot_counts is trace.slot_counts
 
 
