@@ -124,8 +124,10 @@ class RequestTrace:
 
         The trace is counted a chunk of slots at a time (chunk_bounds,
         at most CHUNK_CELLS cells and events): an event's key is its id
-        plus its row in the chunk times the id space, and _key_counts
-        counts a chunk's keys by whichever costs by its events.
+        plus its row in the chunk times the id space. _key_counts counts
+        a chunk's keys by a bincount when the chunk has no more cells
+        than events, else by a sort, so the cost goes by the events, not
+        by the library size.
         """
         id_space = int(self.ids.max(initial=0)) + 1
         offsets = self.offsets.tolist()
