@@ -9,6 +9,7 @@ policy folds into its exploration bonus.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import re
@@ -114,7 +115,9 @@ class Catalog:
     snm_volume: np.ndarray = field(init=False)
     snm_features: np.ndarray = field(init=False)
     # ascending, distinct: each slot where an SNM item arrives or expires
-    snm_changes: np.ndarray = field(init=False)
+    snm_changes: tuple = field(init=False)
+    # (first, stop, ids): active_snm_ids' result over the slots first..stop - 1
+    _live: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         for name, dtype in _FIELDS.items():
@@ -147,9 +150,10 @@ class Catalog:
         changes.sort()
         distinct = np.ones(len(changes), dtype=bool)
         distinct[1:] = changes[1:] != changes[:-1]
-        derived["snm_changes"] = changes[distinct]
         for name, values in derived.items():
             object.__setattr__(self, name, _frozen(values))
+        object.__setattr__(self, "snm_changes", tuple(changes[distinct].tolist()))
+        object.__setattr__(self, "_live", (0, 0, None))
         object.__setattr__(self, "id_space", n + 1)
 
     @property
@@ -160,30 +164,24 @@ class Catalog:
         """
         return tuple(map(CatalogRow, self.ids.tolist(), self.sizes.tolist()))
 
-    def snm_active_mask(self, slot: int) -> np.ndarray:
-        """Which SNM items (in snm_ids order) are live at the slot.
+    def active_snm_ids(self, slot: int) -> np.ndarray:
+        """Ids of the SNM items live at the slot: a read-only array, ascending.
 
         An item is live inside the half-open window [arrival, arrival + lifespan).
+        The live set changes only at a slot in snm_changes, so every slot of
+        the span between two of them gets the same array, and the set is
+        recomputed only when slot leaves the span last served.
         """
-        return (self.snm_arrival <= slot) & (slot < self.snm_expiry)
-
-    def active_snm_ids(self, slot: int) -> np.ndarray:
-        """Ids of the SNM items live at the slot, ascending."""
-        return self.snm_ids[self.snm_active_mask(slot)]
-
-    def live_span(self, slot: int) -> tuple:
-        """(first, stop): the slots first <= t < stop whose live SNM set is slot's.
-
-        first is the last arrival or expiry slot at or before slot, and
-        stop the first one after it; either is an infinity where there is
-        none. A caller keeps the live set of a span and recomputes it only
-        at a slot outside the span.
-        """
-        changes = self.snm_changes
-        i = int(changes.searchsorted(slot, side="right"))
-        first = int(changes[i - 1]) if i else -math.inf
-        stop = int(changes[i]) if i < len(changes) else math.inf
-        return first, stop
+        first, stop, ids = self._live
+        if not first <= slot < stop:
+            changes = self.snm_changes
+            i = bisect.bisect_right(changes, slot)
+            first = changes[i - 1] if i else -math.inf
+            stop = changes[i] if i < len(changes) else math.inf
+            ids = self.snm_ids[(self.snm_arrival <= slot) & (slot < self.snm_expiry)]
+            ids.flags.writeable = False
+            object.__setattr__(self, "_live", (first, stop, ids))
+        return ids
 
 
 def normalize_features(raw: np.ndarray, ranges: Sequence[tuple]) -> np.ndarray:

@@ -435,9 +435,7 @@ class HybridPolicy:
     updates, so state is current only after a fold. place's index folds
     before it reads state, which at uniform sizes happens only when the
     SNM share cannot hold every candidate, and update folds a queue of
-    MAX_QUEUED slots. The live SNM ids are kept over the span of slots in
-    which no SNM item arrives or expires (Catalog.live_span), as one
-    read-only array.
+    MAX_QUEUED slots.
     """
 
     def __init__(
@@ -461,18 +459,6 @@ class HybridPolicy:
         self.state = BanditState.fresh(influence)
         self._pending = []  # the queued slots' (ids, observed), oldest first
         self.fill = Fill(catalog.sizes, capacity)
-        # (first, stop, ids): the SNM ids live over the slots first..stop - 1
-        self._live = (0, 0, None)
-
-    def live_snm_ids(self, t: int) -> np.ndarray:
-        """The catalog's SNM ids live at t, recomputed only outside the kept span."""
-        first, stop, ids = self._live
-        if not first <= t < stop:
-            first, stop = self.catalog.live_span(t)
-            ids = self.catalog.active_snm_ids(t)
-            ids.flags.writeable = False
-            self._live = first, stop, ids
-        return ids
 
     def fold(self) -> None:
         """Apply the queued bandit updates in slot order and empty the queue."""
@@ -493,7 +479,8 @@ class HybridPolicy:
             return hybrid_ucb_index(self.state, ids, t, self.exploration_beta)
 
         return hybrid_select(
-            index, self.live_snm_ids(t), self.irm_ids, self.irm_counts, w_snm, self.fill
+            index, self.catalog.active_snm_ids(t), self.irm_ids, self.irm_counts,
+            w_snm, self.fill,
         )
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:

@@ -236,12 +236,11 @@ def generate_trace(
     Each of the R requests in a slot is SNM with probability w_snm,
     IRM otherwise. IRM requests are i.i.d. Zipf over the IRM items;
     SNM requests are drawn from the currently active SNM items with
-    probability proportional to their pulse rates; the live items and
-    their CDF are computed once per span of slots over which they hold
-    (Catalog.live_span), not once per slot. Slots with no
-    active SNM item fall back to IRM draws (counted in the trace's
-    fallback_count), so every slot carries exactly R events; a slot's
-    IRM ids come first.
+    probability proportional to their pulse rates; their CDF is rebuilt
+    only when Catalog.active_snm_ids hands out a new live set, not once
+    per slot. Slots with no active SNM item fall back to IRM draws
+    (counted in the trace's fallback_count), so every slot carries
+    exactly R events; a slot's IRM ids come first.
 
     The trace is the one that per-slot rng calls give: rng.random(R)
     for the classes, then rng.choice(ids, n, p) for the IRM and for the
@@ -262,10 +261,13 @@ def generate_trace(
 
     rng = np.random.default_rng(seed)
     r = requests_per_slot
-    irm_ids, snm_ids = catalog.irm_ids, catalog.snm_ids
+    irm_ids = catalog.irm_ids
     zipf_cdf = choice_cdf(zipf_pmf(len(irm_ids), delta)) if len(irm_ids) else None
-    # an SNM item's pulse rate is volume / lifespan inside its window
-    snm_rates = catalog.snm_volume / (catalog.snm_expiry - catalog.snm_arrival)
+    # an SNM item's pulse rate is volume / lifespan inside its window, by id
+    rates_by_id = np.zeros(catalog.id_space)
+    rates_by_id[catalog.snm_ids] = catalog.snm_volume / (
+        catalog.snm_expiry - catalog.snm_arrival
+    )
     # live SNM items per slot: those arrived by t less those expired by t
     slots = np.arange(1, horizon + 1)
     live = np.searchsorted(np.sort(catalog.snm_arrival), slots, side="right")
@@ -275,8 +277,7 @@ def generate_trace(
     rows = max(1, CHUNK_DOUBLES // (2 * r)) if zipf_cdf is not None else 1
     position = np.arange(r)
     fallback = 0
-    # the live SNM ids and their choice CDF over the slots span_first..span_stop - 1
-    span_first = span_stop = 0
+    live_ids = None  # the live SNM ids that cdf was built for
     for start in range(0, horizon, rows):
         stop = min(start + rows, horizon)
         block = ids[start:stop]
@@ -300,11 +301,9 @@ def generate_trace(
                 block[0, :n_irm[0]] = rng.choice(catalog.ids, size=n_irm[0])
             u[0, r + n_irm[0]:] = rng.random(n_snm[0])
         for i in np.flatnonzero(n_snm).tolist():
-            t = start + i + 1
-            if not span_first <= t < span_stop:
-                span_first, span_stop = catalog.live_span(t)
-                active = catalog.snm_active_mask(t)
-                live_ids, rates = snm_ids[active], snm_rates[active]
+            active = catalog.active_snm_ids(start + i + 1)
+            if active is not live_ids:
+                live_ids, rates = active, rates_by_id[active]
                 cdf = choice_cdf(rates / rates.sum())
             k = n_irm[i]
             block[i, k:] = live_ids[cdf.searchsorted(u[i, r + k:], side="right")]

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,15 +343,24 @@ class TestCatalogType:
         assert cat.active_snm_ids(29).tolist() == [2]
         assert cat.active_snm_ids(30).tolist() == []
 
-    def test_live_span_ends_at_each_arrival_and_expiry(self):
+    def test_one_array_per_span_between_changes(self):
         # id 2 lives in slots 10..29, id 3 in 30..34: one slot both ends and starts
         cat = array_catalog([1.0] * 3, {2: (10, 20, 40.0), 3: (30, 5, 1.0)})
-        assert cat.snm_changes.tolist() == [10, 30, 35]
-        assert cat.live_span(-1) == cat.live_span(9) == (-math.inf, 10)
-        assert cat.live_span(10) == cat.live_span(29) == (10, 30)
-        assert cat.live_span(30) == (30, 35)
-        assert cat.live_span(35) == cat.live_span(10**12) == (35, math.inf)
-        assert array_catalog([1.0, 1.0]).live_span(7) == (-math.inf, math.inf)
+        assert cat.snm_changes == (10, 30, 35)
+        # (slot, its live ids, whether the previous call's array is returned)
+        calls = [(-1, [], False), (9, [], True), (10, [2], False), (29, [2], True),
+                 (30, [3], False), (34, [3], True), (35, [], False), (10**12, [], True)]
+        previous = None
+        for slot, expected, same in calls:
+            got = cat.active_snm_ids(slot)
+            assert got.tolist() == expected, slot
+            assert (got is previous) == same, slot
+            previous = got
+        no_snm = array_catalog([1.0, 1.0])
+        assert no_snm.snm_changes == ()
+        first = no_snm.active_snm_ids(7)
+        assert no_snm.active_snm_ids(-(10**12)) is first
+        assert no_snm.active_snm_ids(10**12) is first
 
     @given(
         windows=st.lists(
@@ -366,23 +376,93 @@ class TestCatalogType:
             if window is not None
         }
         cat = array_catalog([1.0] * len(windows), pulses)
-        edges = {0, 1, 200}  # 200 lies past every window
-        for a, n in filter(None, windows):
-            edges |= {a - 1, a, a + n - 1, a + n}
-        for slot in sorted(edges):
-            expected = [
+
+        def expected(slot):
+            return [
                 cid for cid, (arrival, lifespan, _) in sorted(pulses.items())
                 if arrival <= slot < arrival + lifespan
             ]
-            assert cat.active_snm_ids(slot).tolist() == expected, slot
-            # the span holds slot's live set, and no longer span does
-            first, stop = cat.live_span(slot)
-            for inside in (first, stop - 1):
-                if math.isfinite(inside):
-                    assert cat.active_snm_ids(inside).tolist() == expected, slot
-            for outside in (first - 1, stop):
-                if math.isfinite(outside):
-                    assert cat.active_snm_ids(outside).tolist() != expected, slot
+
+        edges = {0, 1, 200}  # 200 lies past every window
+        for a, n in filter(None, windows):
+            edges |= {a - 1, a, a + n - 1, a + n}
+        assert cat.snm_changes == tuple(sorted(
+            {a for a, _ in filter(None, windows)} | {a + n for a, n in filter(None, windows)}
+        ))
+        for slot in sorted(edges):
+            assert cat.active_snm_ids(slot).tolist() == expected(slot), slot
+        # slot by slot, a new array appears exactly where the live set changes
+        previous = cat.active_snm_ids(-1)
+        for slot in range(201):
+            got = cat.active_snm_ids(slot)
+            assert got.tolist() == expected(slot), slot
+            assert (got is not previous) == (slot in cat.snm_changes), slot
+            previous = got
+
+
+def live_scan(catalog, t):
+    """The SNM ids live at t, by an explicit scan of every window."""
+    return catalog.snm_ids[(catalog.snm_arrival <= t) & (t < catalog.snm_expiry)]
+
+
+def hand_handoff_catalog():
+    """id 2 lives in slots 3..7, id 4 in slot 5 alone, and id 3 from slot 8, where id 2 expires."""
+    return array_catalog([1.0] * 4, {2: (3, 5, 4.0), 3: (8, 4, 2.0), 4: (5, 1, 1.0)})
+
+
+LIVE_SET_CATALOGS = {
+    "built": lambda: build_catalog(CatalogConfig(library_size=30, w_snm=0.6, horizon=60), 3),
+    "no-snm": lambda: build_catalog(CatalogConfig(library_size=10, w_snm=0.0, horizon=60), 3),
+    "horizon-1": lambda: build_catalog(CatalogConfig(library_size=10, w_snm=0.5, horizon=1), 3),
+    "handoff": hand_handoff_catalog,
+}
+
+
+class TestActiveSnmIds:
+    """The catalog's kept live set equals a fresh scan at every slot."""
+
+    @pytest.mark.parametrize("case", LIVE_SET_CATALOGS)
+    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
+    def test_equals_the_scan(self, case, order):
+        catalog = LIVE_SET_CATALOGS[case]()
+        horizon = int(catalog.snm_expiry.max(initial=1))
+        slots = np.arange(-1, horizon + 101)
+        if order == "shuffled":
+            slots = np.random.default_rng(5).permutation(slots)
+        for t in slots.tolist():
+            got = catalog.active_snm_ids(t)
+            assert got.tolist() == live_scan(catalog, t).tolist(), t
+            assert not got.flags.writeable
+
+    def test_a_new_array_only_at_a_change(self):
+        catalog = hand_handoff_catalog()
+        previous, fresh = None, []
+        for t in range(1, 21):
+            got = catalog.active_snm_ids(t)
+            assert not got.flags.writeable
+            if got is not previous:
+                fresh.append(t)
+            previous = got
+        # the spans 1..2, 3..4, 5, 6..7, 8..11 and 12..20
+        assert fresh == [1, 3, 5, 6, 8, 12]
+
+    def test_memory_stays_by_the_snm_count_at_a_huge_horizon(self):
+        horizon = 3 * 2**30
+        catalog = build_catalog(CatalogConfig(library_size=40, w_snm=0.5, horizon=horizon), 9)
+        changes = catalog.snm_changes
+        assert len(changes) <= 2 * len(catalog.snm_ids)
+        rng = np.random.default_rng(2)
+        slots = {-1, 0, 1, horizon, horizon + 100, *rng.integers(1, horizon, 200).tolist()}
+        slots.update(c + d for c in changes for d in (-1, 0, 1))
+        tracemalloc.start()
+        try:
+            for ordered in (sorted(slots), rng.permutation(sorted(slots)).tolist()):
+                for t in ordered:
+                    assert catalog.active_snm_ids(t).tolist() == live_scan(catalog, t).tolist()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestCatalogIO:

@@ -635,6 +635,45 @@ def test_runs_over_one_trace_count_it_once(sizes):
     assert trace.slot_counts is table
 
 
+def test_runs_sharing_a_catalog_place_as_each_alone():
+    # both hybrids read the catalog's one kept live set; the second runs
+    # 300 slots behind, so each call leaves the span the last one served
+    config = ExperimentConfig()
+    catalog, trace = make_workload(config, 150, 1000)
+    tallies = np.concatenate([t for _, t in engine._tally_chunks(trace, catalog.id_space)])
+    capacities, lag = (10.0, 40.0), 300
+
+    def placed(catalog, order):
+        policies = [policy_mod.HybridPolicy(catalog, c) for c in capacities]
+        cached = [[] for _ in capacities]
+        for k, t in order:
+            placement = policies[k].place(t)
+            policies[k].update(placement, tallies[t - 1])
+            cached[k].append(placement.cached.tolist())
+        return cached
+
+    slots = range(1, trace.horizon + 1)
+    together = placed(catalog, [
+        (k, t - k * lag) for t in range(1, trace.horizon + lag + 1) for k in (0, 1)
+        if t - k * lag in slots
+    ])
+    for k in (0, 1):
+        alone = placed(make_workload(config, 150, 1000)[0], [(k, t) for t in slots])
+        assert together[k] == alone[k], capacities[k]
+
+
+def test_trace_after_a_run_equals_the_trace_before():
+    # the run leaves the catalog's kept live set at its last slot's span
+    catalog = make_workload(ExperimentConfig(), 150, 1000)[0]
+    args = (600, 100, 0.8, 0.8, 7)
+    before = generate_trace(catalog, *args)
+    run_simulation(catalog, before, "hybrid", 10.0, seed=1000)
+    after = generate_trace(catalog, *args)
+    assert after.ids.tolist() == before.ids.tolist()
+    assert after.offsets.tolist() == before.offsets.tolist()
+    assert after.fallback_count == before.fallback_count
+
+
 @pytest.mark.parametrize("cap", [1, 50])
 def test_knapsack_oracle_in_small_chunks(cap):
     catalog, trace = generated_at([1, 1, 1, 2, 1, 1], library_size=6)

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -766,7 +765,7 @@ class TestHybridRankOnlyWhenShort:
         # ids 10 and 11 are the live SNM candidates from slot 1; C=10 holds both
         catalog = array_catalog(sizes, {10: (1, 50, 4.0), 11: (1, 50, 4.0)})
         policy = HybridPolicy(catalog, 10.0)
-        assert policy.live_snm_ids(1).tolist() == [10, 11]
+        assert catalog.active_snm_ids(1).tolist() == [10, 11]
         with pytest.raises(HybridCacheError, match="t must be >= 1"):
             policy.place(0)
 
@@ -991,65 +990,3 @@ class TestQueuedFold:
         assert state.pulls.tolist() == [0, 7, 7, 0]
         assert state.mean[1] == sum(range(1, 8)) / 8 / 7
         assert state.weight.tolist() == [0.0, 1.0, 1 / 7, 0.0]
-
-
-def hand_handoff_catalog():
-    """id 2 lives in slots 3..7, id 4 in slot 5 alone, and id 3 from slot 8, where id 2 expires."""
-    return array_catalog([1.0] * 4, {2: (3, 5, 4.0), 3: (8, 4, 2.0), 4: (5, 1, 1.0)})
-
-
-LIVE_SET_CATALOGS = {
-    "built": lambda: build_catalog(CatalogConfig(library_size=30, w_snm=0.6, horizon=60), 3),
-    "no-snm": lambda: build_catalog(CatalogConfig(library_size=10, w_snm=0.0, horizon=60), 3),
-    "horizon-1": lambda: build_catalog(CatalogConfig(library_size=10, w_snm=0.5, horizon=1), 3),
-    "handoff": hand_handoff_catalog,
-}
-
-
-class TestLiveSnmIds:
-    """The hybrid's kept candidates equal a fresh scan at every slot."""
-
-    @pytest.mark.parametrize("case", LIVE_SET_CATALOGS)
-    @pytest.mark.parametrize("order", ["ascending", "shuffled"])
-    def test_equals_the_scan(self, case, order):
-        catalog = LIVE_SET_CATALOGS[case]()
-        horizon = int(catalog.snm_expiry.max(initial=1))
-        slots = np.arange(-1, horizon + 101)
-        if order == "shuffled":
-            slots = np.random.default_rng(5).permutation(slots)
-        policy = HybridPolicy(catalog, 4.0)
-        for t in slots.tolist():
-            got = policy.live_snm_ids(t)
-            assert got.tolist() == catalog.active_snm_ids(t).tolist(), t
-            assert not got.flags.writeable
-
-    def test_is_recomputed_only_at_a_change(self):
-        catalog = hand_handoff_catalog()
-        policy = HybridPolicy(catalog, 4.0)
-        with mock.patch.object(
-            type(catalog), "active_snm_ids", autospec=True,
-            side_effect=type(catalog).active_snm_ids,
-        ) as scan:
-            for t in range(1, 21):
-                policy.live_snm_ids(t)
-        # the spans 1..2, 3..4, 5, 6..7, 8..11 and 12..20
-        assert [c.args[1] for c in scan.call_args_list] == [1, 3, 5, 6, 8, 12]
-
-    def test_memory_stays_by_the_snm_count_at_a_huge_horizon(self):
-        horizon = 3 * 2**30
-        catalog = build_catalog(CatalogConfig(library_size=40, w_snm=0.5, horizon=horizon), 9)
-        changes = catalog.snm_changes.tolist()
-        assert len(changes) <= 2 * len(catalog.snm_ids)
-        rng = np.random.default_rng(2)
-        slots = {-1, 0, 1, horizon, horizon + 100, *rng.integers(1, horizon, 200).tolist()}
-        slots.update(c + d for c in changes for d in (-1, 0, 1))
-        tracemalloc.start()
-        try:
-            policy = HybridPolicy(catalog, 4.0)
-            for ordered in (sorted(slots), rng.permutation(sorted(slots)).tolist()):
-                for t in ordered:
-                    assert policy.live_snm_ids(t).tolist() == catalog.active_snm_ids(t).tolist()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2**20

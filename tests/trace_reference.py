@@ -43,7 +43,8 @@ def generate_trace(
     drawn = []  # each slot's IRM draws, then its SNM draws
     fallback = 0
     for slot in range(1, horizon + 1):
-        active = catalog.snm_active_mask(slot)
+        # live inside the half-open window [arrival, arrival + lifespan)
+        active = (catalog.snm_arrival <= slot) & (slot < catalog.snm_expiry)
         is_snm = rng.random(requests_per_slot) < w_snm
         n_snm = int(is_snm.sum())
         n_irm = requests_per_slot - n_snm
