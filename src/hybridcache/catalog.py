@@ -67,6 +67,9 @@ def _whole(name: str, values) -> np.ndarray:
     return values
 
 
+_INT64_MAX = np.iinfo(np.int64).max
+
+
 def _row_checks(sizes, features, snm, arrival, lifespan, volume) -> tuple:
     """(bad-row mask, message) for each check a content must pass."""
     return (
@@ -75,6 +78,9 @@ def _row_checks(sizes, features, snm, arrival, lifespan, volume) -> tuple:
          "features must lie in [0, 1]"),
         (snm & (arrival < 1), "arrival must be >= 1"),
         (snm & (lifespan < 1), "lifespan must be >= 1"),
+        # the window end arrival + lifespan is an int64, which would wrap
+        (snm & (lifespan > _INT64_MAX - np.maximum(arrival, 0)),
+         "arrival + lifespan must not exceed 2**63 - 1"),
         (snm & ~(np.isfinite(volume) & (volume > 0)),
          "volume must be positive and finite"),
         (~snm & ((arrival != 0) | (lifespan != 0) | (volume != 0)),
@@ -116,7 +122,14 @@ class Catalog:
     snm_features: np.ndarray = field(init=False)
     # ascending, distinct: each slot where an SNM item arrives or expires
     snm_changes: tuple = field(init=False)
-    # (first, stop, ids): active_snm_ids' result over the slots first..stop - 1
+    # positions in the snm_* arrays by arrival and by expiry, both stable sorts
+    snm_arrival_order: np.ndarray = field(init=False)
+    snm_expiry_order: np.ndarray = field(init=False)
+    # [k]: the arrivals and the expiries at or before the first slot of span k,
+    # where span k starts at snm_changes[k - 1] and span 0 comes before them all
+    _edges: tuple = field(init=False, repr=False)
+    # (first, stop, ids, span, mask): active_snm_ids' result over the slots
+    # first..stop - 1, the index of that span and its live set as an id mask
     _live: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -150,10 +163,17 @@ class Catalog:
         changes.sort()
         distinct = np.ones(len(changes), dtype=bool)
         distinct[1:] = changes[1:] != changes[:-1]
+        changes = changes[distinct]
+        edges = []
+        for name in ("arrival", "expiry"):
+            slots = derived[f"snm_{name}"]
+            order = derived[f"snm_{name}_order"] = np.argsort(slots, kind="stable")
+            edges.append(_frozen(np.append(0, slots[order].searchsorted(changes, "right"))))
         for name, values in derived.items():
             object.__setattr__(self, name, _frozen(values))
-        object.__setattr__(self, "snm_changes", tuple(changes[distinct].tolist()))
-        object.__setattr__(self, "_live", (0, 0, None))
+        object.__setattr__(self, "snm_changes", tuple(changes.tolist()))
+        object.__setattr__(self, "_edges", tuple(edges))
+        object.__setattr__(self, "_live", (0, 0, None, None, None))
         object.__setattr__(self, "id_space", n + 1)
 
     @property
@@ -170,17 +190,29 @@ class Catalog:
         An item is live inside the half-open window [arrival, arrival + lifespan).
         The live set changes only at a slot in snm_changes, so every slot of
         the span between two of them gets the same array, and the set is
-        recomputed only when slot leaves the span last served.
+        recomputed only when slot leaves the span last served. A move to a
+        later span applies the arrivals, then the expiries, between the two
+        spans to the kept id mask, so an item that both arrives and expires
+        in between ends up not live; the first call and a move to an
+        earlier span rebuild the mask by a scan of every window.
         """
-        first, stop, ids = self._live
+        first, stop, ids, span, mask = self._live
         if not first <= slot < stop:
             changes = self.snm_changes
             i = bisect.bisect_right(changes, slot)
             first = changes[i - 1] if i else -math.inf
             stop = changes[i] if i < len(changes) else math.inf
-            ids = self.snm_ids[(self.snm_arrival <= slot) & (slot < self.snm_expiry)]
+            if span is None or i < span:
+                mask = np.zeros(self.id_space, dtype=bool)
+                mask[self.snm_ids[(self.snm_arrival <= slot) & (slot < self.snm_expiry)]] = True
+            else:
+                arrived, expired = self._edges
+                snm_ids = self.snm_ids
+                mask[snm_ids[self.snm_arrival_order[arrived[span]:arrived[i]]]] = True
+                mask[snm_ids[self.snm_expiry_order[expired[span]:expired[i]]]] = False
+            ids = mask.nonzero()[0]
             ids.flags.writeable = False
-            object.__setattr__(self, "_live", (first, stop, ids))
+            object.__setattr__(self, "_live", (first, stop, ids, i, mask))
         return ids
 
 

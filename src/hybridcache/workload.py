@@ -270,8 +270,9 @@ def generate_trace(
     )
     # live SNM items per slot: those arrived by t less those expired by t
     slots = np.arange(1, horizon + 1)
-    live = np.searchsorted(np.sort(catalog.snm_arrival), slots, side="right")
-    live -= np.searchsorted(np.sort(catalog.snm_expiry), slots, side="right")
+    arrival = catalog.snm_arrival[catalog.snm_arrival_order]
+    expiry = catalog.snm_expiry[catalog.snm_expiry_order]
+    live = arrival.searchsorted(slots, side="right") - expiry.searchsorted(slots, side="right")
 
     ids = np.empty((horizon, r), dtype=np.int32)
     rows = max(1, CHUNK_DOUBLES // (2 * r)) if zipf_cdf is not None else 1

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import functools
 import hashlib
@@ -8,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import catalog_reference
@@ -336,6 +337,17 @@ class TestCatalogType:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cat.sizes = sizes
 
+    def test_rejects_a_window_end_past_int64(self):
+        top = 2**63 - 1
+        cat = Catalog(**snm_fields(arrival=top - 10, lifespan=10))
+        assert cat.snm_changes == (top - 10, top)
+        assert cat.active_snm_ids(top - 1).tolist() == [2]
+        assert cat.active_snm_ids(top).tolist() == []
+        # arrival + lifespan would wrap to a negative window end
+        for arrival, lifespan in ((top, 1), (top - 9, 10), (1, top)):
+            with pytest.raises(HybridCacheError, match=r"content 2: arrival \+ lifespan"):
+                Catalog(**snm_fields(arrival=arrival, lifespan=lifespan))
+
     def test_active_window_half_open(self):
         cat = array_catalog([1.0, 1.0], {2: (10, 20, 40.0)})
         assert cat.active_snm_ids(9).tolist() == []
@@ -465,6 +477,51 @@ class TestActiveSnmIds:
         assert peak < 2**20
 
 
+# a move from one slot to the next call's: the next slot, a jump forward
+# across several spans, the same slot again, or a move back
+SLOT_MOVES = st.one_of(st.just(1), st.integers(2, 40), st.just(0), st.integers(-60, -1))
+
+
+class TestLiveSetWalk:
+    """The live set stepped by arrivals and expiries equals the scan."""
+
+    @given(
+        windows=st.lists(
+            st.none() | st.tuples(st.integers(1, 40), st.integers(1, 12)),
+            min_size=1,
+            max_size=25,
+        ),
+        start=st.integers(-2, 50),
+        moves=st.lists(SLOT_MOVES, max_size=60),
+    )
+    # id 2 ends at slot 5 where id 3 starts, id 4 lives in slot 5 alone,
+    # and the jump from 1 to 12 passes both of their windows
+    @example(windows=[None, (3, 2), (5, 4), (5, 1)], start=1, moves=[11, 0, -7, 1, 1, 30])
+    def test_walk_equals_the_scan_at_every_call(self, windows, start, moves):
+        pulses = {
+            cid: (*window, 1.0)
+            for cid, window in enumerate(windows, start=1)
+            if window is not None
+        }
+        catalog = array_catalog([1.0] * len(windows), pulses)
+        slots = itertools.accumulate(moves, initial=start)
+        previous, previous_span = None, None
+        for t in slots:
+            got = catalog.active_snm_ids(t)
+            assert got.tolist() == live_scan(catalog, t).tolist(), t
+            assert not got.flags.writeable
+            span = bisect.bisect_right(catalog.snm_changes, t)
+            assert (got is not previous) == (span != previous_span), t
+            previous, previous_span = got, span
+
+    def test_walk_of_a_built_5000_catalog_equals_the_scan(self):
+        catalog = build_catalog(CatalogConfig(library_size=5000, w_snm=0.8), 1000)
+        for t in range(1, 701):
+            got = catalog.active_snm_ids(t)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, live_scan(catalog, t)), t
+
+
 class TestCatalogIO:
     def test_round_trip(self, tmp_path):
         cat = build_catalog(CatalogConfig(library_size=30, w_snm=0.6), seed=5)
@@ -541,6 +598,9 @@ def test_saved_catalog_bytes_are_pinned(tmp_path, point, laws, digest):
         ({7: (8, "1e3")}, 7, "'1e3' to int"),
         ({6: (9, "1_0")}, 6, "'1_0' to float"),
         ({2: (2, " 1.0 ")}, 2, "' 1.0 ' to float"),
+        # an SNM window end past int64, by its arrival or by its lifespan
+        ({6: (7, str(2**63 - 1))}, 6, "arrival + lifespan must not exceed"),
+        ({8: (8, str(2**63 - 1)), 9: (2, "nan")}, 8, "arrival + lifespan must not exceed"),
     ],
 )
 def test_first_bad_catalog_row_wins(tmp_path, edits, line, reason):

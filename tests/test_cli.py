@@ -327,6 +327,10 @@ class TestRun:
         "size-underscore": (
             lambda rows: edit(rows, 11, 2, "1_0"), 11, "'1_0' to float"
         ),
+        # arrival + lifespan past int64 would wrap to a negative window end
+        "window-end-past-int64": (
+            lambda rows: edit(rows, 13, 7, str(2**63 - 1)), 13, "must not exceed 2**63 - 1"
+        ),
     }
 
     @pytest.mark.parametrize("name", BAD_CATALOGS)
