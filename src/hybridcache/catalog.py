@@ -193,8 +193,8 @@ class Catalog:
         recomputed only when slot leaves the span last served. A move to a
         later span applies the arrivals, then the expiries, between the two
         spans to the kept id mask, so an item that both arrives and expires
-        in between ends up not live; the first call and a move to an
-        earlier span rebuild the mask by a scan of every window.
+        in between ends up not live. The first call and a move to an earlier
+        span restart from span 0, before every change, where nothing is live.
         """
         first, stop, ids, span, mask = self._live
         if not first <= slot < stop:
@@ -203,13 +203,11 @@ class Catalog:
             first = changes[i - 1] if i else -math.inf
             stop = changes[i] if i < len(changes) else math.inf
             if span is None or i < span:
-                mask = np.zeros(self.id_space, dtype=bool)
-                mask[self.snm_ids[(self.snm_arrival <= slot) & (slot < self.snm_expiry)]] = True
-            else:
-                arrived, expired = self._edges
-                snm_ids = self.snm_ids
-                mask[snm_ids[self.snm_arrival_order[arrived[span]:arrived[i]]]] = True
-                mask[snm_ids[self.snm_expiry_order[expired[span]:expired[i]]]] = False
+                mask, span = np.zeros(self.id_space, dtype=bool), 0
+            arrived, expired = self._edges
+            snm_ids = self.snm_ids
+            mask[snm_ids[self.snm_arrival_order[arrived[span]:arrived[i]]]] = True
+            mask[snm_ids[self.snm_expiry_order[expired[span]:expired[i]]]] = False
             ids = mask.nonzero()[0]
             ids.flags.writeable = False
             object.__setattr__(self, "_live", (first, stop, ids, i, mask))

@@ -427,6 +427,7 @@ LIVE_SET_CATALOGS = {
     "no-snm": lambda: build_catalog(CatalogConfig(library_size=10, w_snm=0.0, horizon=60), 3),
     "horizon-1": lambda: build_catalog(CatalogConfig(library_size=10, w_snm=0.5, horizon=1), 3),
     "handoff": hand_handoff_catalog,
+    "built-5000": lambda: build_catalog(CatalogConfig(library_size=5000, w_snm=0.8), 1000),
 }
 
 
@@ -513,13 +514,6 @@ class TestLiveSetWalk:
             span = bisect.bisect_right(catalog.snm_changes, t)
             assert (got is not previous) == (span != previous_span), t
             previous, previous_span = got, span
-
-    def test_walk_of_a_built_5000_catalog_equals_the_scan(self):
-        catalog = build_catalog(CatalogConfig(library_size=5000, w_snm=0.8), 1000)
-        for t in range(1, 701):
-            got = catalog.active_snm_ids(t)
-            assert got.dtype == np.int64
-            assert np.array_equal(got, live_scan(catalog, t)), t
 
 
 class TestCatalogIO:
