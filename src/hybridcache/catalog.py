@@ -50,24 +50,34 @@ def _frozen(values, dtype=None) -> np.ndarray:
     return out
 
 
-def _whole(name: str, values) -> np.ndarray:
-    """values as an array, each checked to be a whole finite number.
+_INT64_MAX = np.iinfo(np.int64).max
 
-    The int64 cast would truncate a fraction and turn a NaN or an
-    infinity into an arbitrary number.
+
+def _whole(name: str, values) -> np.ndarray:
+    """values as an array, each checked to be a whole number in the int64 range.
+
+    The int64 cast would truncate a fraction, turn a NaN or an infinity
+    into an arbitrary number and wrap a number outside its range.
     """
     values = np.asarray(values)
-    if values.dtype.kind not in "iu":
+    if values.dtype.kind == "i":
+        return values
+    if values.dtype.kind == "u":
+        outside = values > _INT64_MAX
+    else:
         as_float = values.astype(float)
         bad = ~np.isfinite(as_float) | (as_float != np.trunc(as_float))
         if bad.any():
             raise HybridCacheError(
                 f"content {int(bad.argmax()) + 1}: {name} must be a whole number"
             )
+        # -2**63 and 2**63 are exact in float64; the int64 range is [-2**63, 2**63)
+        outside = (as_float < -(2.0**63)) | (as_float >= 2.0**63)
+    if outside.any():
+        raise HybridCacheError(
+            f"content {int(outside.argmax()) + 1}: {name} must lie in the int64 range"
+        )
     return values
-
-
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _row_checks(sizes, features, snm, arrival, lifespan, volume) -> tuple:

@@ -21,7 +21,7 @@ fed back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,8 +32,7 @@ from .popularity import PopularitySnapshot  # noqa: F401  perfbench/probe.py pat
 from .workload import CHUNK_CELLS, RequestTrace
 
 
-@dataclass(frozen=True)
-class SlotRecord:
+class SlotRecord(NamedTuple):
     hit_ratio: float
     oracle_hit_ratio: float
     regret_increment: float
@@ -150,8 +149,9 @@ def run_simulation(
     """
     if trace.horizon < 1:
         raise HybridCacheError("trace horizon must be >= 1")
-    ids, n_ids = trace.ids, len(catalog.ids)
-    if len(ids) and not 1 <= ids.min() <= ids.max() <= n_ids:
+    low, high = trace.id_range
+    n_ids = len(catalog.ids)
+    if low < 1 or high > n_ids:
         raise HybridCacheError(f"trace requests an id outside the catalog's 1..{n_ids}")
     policy = make_policy(
         policy_name,
@@ -163,12 +163,13 @@ def run_simulation(
         alloc_smoothing=alloc_smoothing,
     )
     oracle_hits = oracle_placement(trace, catalog, capacity)
+    place, update = policy.place, policy.update
     hits = []
     for t0, tallies in _tally_chunks(trace, catalog.id_space):
         placements = []
         for t, tally in enumerate(tallies, start=t0):
-            placement = policy.place(t)
-            policy.update(placement, tally)
+            placement = place(t)
+            update(placement, tally)
             placements.append(placement)
         hits.append(slot_step(placements, tallies))
     hits = np.concatenate(hits)

@@ -142,15 +142,18 @@ def _top_n(values: np.ndarray, n: int) -> np.ndarray:
     """Positions of the n largest values, ties to the lower position, ascending.
 
     The same set as the first n of a stable descending sort, found with
-    one np.partition instead of a full sort: every position at or above
-    the n-th largest value, less the last ones tied at it when more than
-    n pass.
+    one partition of a copy instead of a full sort: every position at or
+    above the n-th largest value, less the last ones tied at it when more
+    than n pass.
     """
     if n >= len(values):
         return np.arange(len(values))
     if n == 0:
         return np.arange(0)
-    kth = np.partition(values, len(values) - n)[len(values) - n]
+    pivot = len(values) - n
+    ordered = values.copy()
+    ordered.partition(pivot)
+    kth = ordered[pivot]
     passed = values >= kth
     chosen = passed.nonzero()[0]
     surplus = len(chosen) - n
@@ -228,20 +231,25 @@ def hybrid_ucb_index(
 
     index = mean + sqrt(beta * max(B, WEIGHT_FLOOR) * x * ln t / pulls), taken
     element-wise in this operation order, so each entry equals the scalar
-    formula evaluated with math. A never-cached content (pulls == 0) has
-    an infinite index, so it ranks before every warmed-up one.
+    formula evaluated with math; it is built in place in one array, and
+    since IEEE products and sums commute, max(B, WEIGHT_FLOOR) * beta is
+    beta * max(B, WEIGHT_FLOOR) bit for bit. A never-cached content
+    (pulls == 0) has an infinite index, so it ranks before every
+    warmed-up one.
     """
     if t < 1:
         raise HybridCacheError("t must be >= 1")
     pulls = state.pulls[ids]
-    bonus = np.sqrt(
-        exploration_beta
-        * np.maximum(state.weight[ids], WEIGHT_FLOOR)
-        * state.influence[ids]
-        * math.log(t)
-        / np.maximum(pulls, 1)
-    )
-    return np.where(pulls > 0, state.mean[ids] + bonus, np.inf)
+    index = state.weight[ids]
+    np.maximum(index, WEIGHT_FLOOR, out=index)
+    index *= exploration_beta
+    index *= state.influence[ids]
+    index *= math.log(t)
+    index /= np.maximum(pulls, 1)
+    np.sqrt(index, out=index)
+    index += state.mean[ids]
+    index[pulls == 0] = np.inf
+    return index
 
 
 def hybrid_update(state: BanditState, ids: np.ndarray, observed) -> None:
@@ -377,14 +385,19 @@ class PopularPolicy:
         self.fallback = RandomPolicy(catalog, capacity, rng)
         self.fill = self.fallback.fill
         self.counts = np.zeros(catalog.id_space, dtype=np.int64)  # position = id
-        self.total = 0
+        self._requested = False  # whether any tally fed so far had a request
         # the last ranked placement and the ids outside it, read only at
         # equal sizes
         self._kept = None
         self._outside = np.append(False, np.ones(len(catalog.ids), dtype=bool))
 
+    @property
+    def total(self) -> int:
+        """The number of requests fed so far."""
+        return int(self.counts.sum())
+
     def place(self, t: int) -> Placement:
-        if self.total == 0:
+        if not self._requested:
             logger.warning("popular policy: empty history at slot %d, "
                            "falling back to random", t)
             return self.fallback.place(t)
@@ -419,7 +432,8 @@ class PopularPolicy:
 
     def update(self, placement: Placement, tally: np.ndarray) -> None:
         self.counts += tally
-        self.total += int(tally.sum())
+        if not self._requested:
+            self._requested = bool(tally.any())
 
 
 class HybridPolicy:
@@ -430,12 +444,15 @@ class HybridPolicy:
     capacity split, even while the window is empty) and its bandit
     state; and, at slot t, the catalog's SNM ids live at t.
 
-    update queues each slot's bandit observations; fold applies them to
-    state in slot order through hybrid_update, bit for bit as eager
+    update queues each slot's raw bandit observations: the cached ids,
+    their request counts and the slot's SNM request count. fold picks the
+    SNM ids among them, turns their counts into rewards and applies them
+    to state in slot order through hybrid_update, bit for bit as eager
     updates, so state is current only after a fold. place's index folds
     before it reads state, which at uniform sizes happens only when the
     SNM share cannot hold every candidate, and update folds a queue of
-    MAX_QUEUED slots.
+    MAX_QUEUED slots; a run whose index is never read never pays for the
+    rewards.
     """
 
     def __init__(
@@ -457,14 +474,17 @@ class HybridPolicy:
         influence = np.zeros(catalog.id_space)
         influence[catalog.snm_ids] = feature_influences(catalog.snm_features)
         self.state = BanditState.fresh(influence)
-        self._pending = []  # the queued slots' (ids, observed), oldest first
+        self._pending = []  # the queued slots' (cached, counts, n_snm), oldest first
         self.fill = Fill(catalog.sizes, capacity)
 
     def fold(self) -> None:
         """Apply the queued bandit updates in slot order and empty the queue."""
         pending, self._pending = self._pending, []
-        for ids, observed in pending:
-            hybrid_update(self.state, ids, observed)
+        snm_by_id = self.catalog.snm_by_id
+        for cached, counts, n_snm in pending:
+            snm = snm_by_id[cached]
+            # with no SNM request every cached SNM content observes 0
+            hybrid_update(self.state, cached[snm], counts[snm] / max(n_snm, 1))
 
     def place(self, t: int) -> Placement:
         if t < 1:
@@ -487,17 +507,15 @@ class HybridPolicy:
         """Fold the slot's tally into the counts and the split; queue the bandit's.
 
         tally[id] is the slot's request count of an id. Each cached SNM
-        content is fed its share of the slot's SNM requests, queued until
-        the next fold.
+        content is fed its share of the slot's SNM requests at the next
+        fold; until then the cached ids' counts are queued as they are.
         """
         irm_tally = tally[self.irm_ids]
         self.irm_counts += irm_tally
         n_irm = int(irm_tally.sum())
         n_snm = int(tally.sum()) - n_irm
         self.estimator.observe(n_snm, n_irm)
-        cached = placement.cached[self.catalog.snm_by_id[placement.cached]]
-        # with no SNM request every cached SNM content observes 0
-        self._pending.append((cached, tally[cached] / max(n_snm, 1)))
+        self._pending.append((placement.cached, tally[placement.cached], n_snm))
         if len(self._pending) >= MAX_QUEUED:
             self.fold()
 

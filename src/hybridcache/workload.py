@@ -113,6 +113,13 @@ class RequestTrace:
             start = stop
 
     @cached_property
+    def id_range(self) -> tuple:
+        """(least id, greatest id) of the trace as ints; (1, 0) if it has no event."""
+        if not len(self.ids):
+            return 1, 0
+        return int(self.ids.min()), int(self.ids.max())
+
+    @cached_property
     def slot_counts(self) -> tuple:
         """Each slot's distinct requested ids and their request counts.
 
@@ -129,7 +136,7 @@ class RequestTrace:
         than events, else by a sort, so the cost goes by the events, not
         by the library size.
         """
-        id_space = int(self.ids.max(initial=0)) + 1
+        id_space = self.id_range[1] + 1
         offsets = self.offsets.tolist()
         none = np.zeros(0, dtype=np.int64)  # a trace may have no slot
         cells, counts = [none], [none]
@@ -330,7 +337,7 @@ def save_trace(trace: RequestTrace, path) -> None:
     These are the bytes csv.writer writes; each slot's rows are joined
     from a per-id table of row tails.
     """
-    top = int(trace.ids.max(initial=0))
+    top = trace.id_range[1]
     cells = np.array([f",{cid}\r\n" for cid in range(top + 1)], dtype=object)
     rows = cells[trace.ids].tolist()
     offsets = trace.offsets.tolist()

@@ -128,3 +128,15 @@ def test_popular_fallback_record_is_counted_by_the_probe(caplog):
     with probes.Probe(False).installed() as probe:
         engine.run_simulation(catalog, trace, "popular", 4.0, seed=3)
     assert probe.counts["policy.popular.random_fallbacks"] == 1
+
+
+def test_per_slot_csv_equals_the_pinned_digest(tmp_path):
+    # cli.cmd_run writes per_slot.csv from the run's per-slot records by
+    # field name; golden.json pins its bytes for the smoke pass
+    workloads = load_perfbench("workloads")
+    checks = load_perfbench("checks")
+    workload = workloads.WORKLOADS["request-heavy"]
+    files = workload.run(workload, 1000, 20, tmp_path)
+    pinned = checks.load_golden()[workload.name][checks.golden_key(1000, 20)]["files"]
+    for name in ("per_slot.csv", "metrics.json"):
+        assert checks.sha256_file(files[name]) == pinned[name], name

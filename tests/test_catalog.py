@@ -6,6 +6,7 @@ import itertools
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -347,6 +348,37 @@ class TestCatalogType:
         for arrival, lifespan in ((top, 1), (top - 9, 10), (1, top)):
             with pytest.raises(HybridCacheError, match=r"content 2: arrival \+ lifespan"):
                 Catalog(**snm_fields(arrival=arrival, lifespan=lifespan))
+
+    @pytest.mark.parametrize("name, value", [
+        ("arrival", 1e19), ("lifespan", 2.0**63), ("arrival", -(2.0**64)),
+        # numpy holds a Python int past int64 among small ones as a float64
+        ("lifespan", 2**63),
+    ])
+    def test_rejects_a_whole_number_outside_int64(self, name, value):
+        # the int64 cast would turn each into -2**63 (a float with a
+        # RuntimeWarning), which then fails a check for another reason
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                HybridCacheError, match=f"content 2: {name} must lie in the int64 range"
+            ):
+                Catalog(**snm_fields(**{name: value}))
+
+    def test_rejects_an_unsigned_number_past_int64(self):
+        # the int64 cast would wrap it to -2**63 without a warning
+        fields = snm_fields()
+        fields["lifespan"] = np.array([0, 2**63, 0], dtype=np.uint64)
+        with pytest.raises(
+            HybridCacheError, match="content 2: lifespan must lie in the int64 range"
+        ):
+            Catalog(**fields)
+
+    def test_accepts_the_greatest_whole_float_in_int64(self):
+        arrival = 2**63 - 1024  # the float64 just below 2**63
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cat = Catalog(**snm_fields(arrival=float(arrival), lifespan=10.0))
+        assert cat.snm_changes == (arrival, arrival + 10)
 
     def test_active_window_half_open(self):
         cat = array_catalog([1.0, 1.0], {2: (10, 20, 40.0)})

@@ -250,6 +250,42 @@ class TestRunSimulation:
             assert hits == pytest.approx(round(hits))
 
 
+class TestSlotRecords:
+    """RunMetrics.per_slot holds one record per slot, read by field name
+    (cli.cmd_run's per_slot.csv, the benchmark's run digest)."""
+
+    @pytest.mark.parametrize("policy", POLICY_NAMES)
+    def test_named_float_fields(self, workload, policy):
+        catalog, trace = workload
+        metrics = run_simulation(catalog, trace, policy, 10, seed=2)
+        regret = np.diff(metrics.cumulative_regret, prepend=0.0)
+        assert len(metrics.per_slot) == trace.horizon
+        for rec, increment in zip(metrics.per_slot, regret):
+            values = (rec.hit_ratio, rec.oracle_hit_ratio, rec.regret_increment)
+            assert [type(v) for v in values] == [float] * 3
+            assert rec.regret_increment == max(0.0, rec.oracle_hit_ratio - rec.hit_ratio)
+            assert rec.regret_increment == pytest.approx(increment)
+
+    @pytest.mark.parametrize(
+        "field", ["hit_ratio", "oracle_hit_ratio", "regret_increment", "other"]
+    )
+    def test_immutable(self, workload, field):
+        catalog, trace = workload
+        rec = run_simulation(catalog, trace, "popular", 10, seed=2).per_slot[0]
+        with pytest.raises(AttributeError):
+            setattr(rec, field, 0.5)
+
+
+def test_a_trace_with_no_event_runs():
+    catalog = build_catalog(CatalogConfig(library_size=6, w_snm=0.5, horizon=3), seed=3)
+    trace = RequestTrace.from_events(3, [])
+    for policy in POLICY_NAMES:
+        metrics = run_simulation(catalog, trace, policy, 2, seed=1)
+        assert [(r.hit_ratio, r.oracle_hit_ratio, r.regret_increment)
+                for r in metrics.per_slot] == [(0.0, 0.0, 0.0)] * 3
+        assert metrics.summary["mean_hit_ratio"] == 0.0
+
+
 def generated_at(sizes, library_size=12):
     """A generated catalog with its sizes replaced, and a 40-slot trace.
 
@@ -285,7 +321,7 @@ def test_no_slot_beats_the_oracle(policy, case):
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-@pytest.mark.parametrize("stray", [9, 0])
+@pytest.mark.parametrize("stray", [7, 9, 0])
 def test_unknown_content_rejected_before_any_policy_runs(policy, stray):
     catalog = build_catalog(CatalogConfig(library_size=6, w_snm=0.5, horizon=2), seed=3)
     trace = RequestTrace(

@@ -25,7 +25,8 @@ from hybridcache.policy import (
     hybrid_update,
     make_policy,
 )
-from hybridcache.workload import generate_trace
+from hybridcache.engine import run_simulation
+from hybridcache.workload import RequestTrace, generate_trace
 
 
 def brute_force_best(values, sizes, capacity):
@@ -167,6 +168,33 @@ class TestBaselines:
             p = policy.place(1)
         assert len(p.cached) == 3
         assert "empty history" in caplog.text
+
+    def test_popular_total_is_the_requests_fed(self, catalog):
+        policy = PopularPolicy(catalog, 3, np.random.default_rng(4))
+        rng = np.random.default_rng(5)
+        fed = 0
+        for _ in range(6):
+            tally = rng.integers(0, 4, catalog.id_space) * (rng.random() < 0.6)
+            tally[0] = 0
+            policy.update(None, tally)
+            fed += int(tally.sum())
+            assert policy.total == fed
+            assert type(policy.total) is int
+
+    def test_popular_ranks_from_the_first_slot_after_a_request(self, catalog, caplog):
+        # slots 1 and 2 are empty, so popular has no history until slot 4
+        trace = RequestTrace.from_events(6, [(3, 5), (3, 5), (3, 2), (4, 9), (6, 1)])
+        with caplog.at_level("WARNING", logger="hybridcache.policy"):
+            metrics = run_simulation(catalog, trace, "popular", 2, seed=4)
+        fallbacks = [r.args[0] for r in caplog.records if "empty history" in r.getMessage()]
+        assert fallbacks == [1, 2, 3]
+        # slot 4 caches ids 5 and 2 of slot 3 and misses its one request to 9
+        assert metrics.per_slot[3].hit_ratio == 0.0
+        policy = PopularPolicy(catalog, 2, np.random.default_rng(4))
+        for t, tally in enumerate(np.bincount(ids, minlength=catalog.id_space)
+                                  for ids in trace.events_by_slot()[:3]):
+            policy.update(policy.place(t + 1), tally)
+        assert policy.place(4).cached.tolist() == [2, 5]
 
     def test_popular_all_fit(self, catalog):
         p = popular_place(catalog, {1: 1}, 100)
@@ -340,6 +368,15 @@ class TestLeanPaths:
         want = np.sort(np.argsort(-values, kind="stable")[:n])
         got = _top_n(values, n)
         assert got.tolist() == want.tolist()
+
+    @given(values=st.lists(st.integers(0, 3), min_size=1, max_size=60), data=st.data())
+    @settings(deadline=None)
+    def test_top_n_leaves_its_values_unchanged(self, values, data):
+        # popular hands _top_n a view of its counts
+        values = np.array(values, dtype=np.int64)
+        before = values.tobytes()
+        _top_n(values, data.draw(st.integers(0, len(values))))
+        assert values.tobytes() == before
 
     @given(
         m=st.integers(0, 1100),
@@ -571,6 +608,35 @@ class TestUcbIndex:
                 beta * max(weight, WEIGHT_FLOOR) * influence * math.log(t) / pulls
             )
             assert float(got[f - 1]) == want
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.floats(0.0, 1.0),
+                st.floats(0.0, 1.0),
+                st.floats(0.01, 1.0),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        t=st.integers(1, 10**6),
+        beta=st.floats(0.01, 10.0),
+    )
+    def test_never_cached_ids_are_infinite_among_warm_ones(self, rows, t, beta):
+        state = bandit(dict(enumerate(rows, start=1)))
+        ids = np.arange(len(rows), 0, -1)  # descending: read through a gather
+        got = hybrid_ucb_index(state, ids, t, beta)
+        for f, value in zip(ids.tolist(), got.tolist()):
+            pulls, mean, weight, influence = rows[f - 1]
+            if pulls == 0:
+                assert value == math.inf
+            else:
+                assert value == mean + math.sqrt(
+                    beta * max(weight, WEIGHT_FLOOR) * influence * math.log(t) / pulls
+                )
+        # the index is a new array; the state is only read
+        assert not np.shares_memory(got, state.mean)
 
 
 class TestHybridUpdate:

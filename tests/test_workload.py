@@ -590,6 +590,38 @@ def slot_counts_by_slot(trace):
     return starts, np.concatenate(none + ids), np.concatenate(none + counts)
 
 
+class TestIdRange:
+    def test_equals_the_least_and_greatest_id(self, small_catalog, tmp_path):
+        generated = generate_trace(small_catalog, 20, 5, 0.5, 0.8, seed=8)
+        save_trace(generated, tmp_path / "trace.csv")
+        loaded = load_trace(tmp_path / "trace.csv", small_catalog, 20)
+        events = RequestTrace.from_events(3, ((1, 4), (1, 9), (3, 2)))
+        for trace in (generated, loaded, events):
+            low, high = trace.id_range
+            assert (type(low), type(high)) == (int, int)
+            assert (low, high) == (trace.ids.min(), trace.ids.max())
+        assert events.id_range == (2, 9)
+
+    @pytest.mark.parametrize("horizon", [0, 3])
+    def test_is_one_and_zero_with_no_event(self, horizon):
+        trace = RequestTrace.from_events(horizon, [])
+        assert trace.id_range == (1, 0)
+
+    @given(**DRAWN_TRACES)
+    @settings(deadline=None)
+    def test_equals_a_scan_of_drawn_traces(self, data, n_ids, cells, per_slot):
+        trace = drawn_trace(data, n_ids, per_slot)
+        want = (int(trace.ids.min()), int(trace.ids.max())) if len(trace.ids) else (1, 0)
+        assert trace.id_range == want
+
+    def test_is_built_on_first_use_and_shared_with_slot_counts(self):
+        trace = RequestTrace.from_events(2, ((1, 5), (2, 3)))
+        assert "id_range" not in vars(trace)
+        trace.slot_counts
+        assert vars(trace)["id_range"] == (3, 5)
+        assert trace.id_range is trace.id_range
+
+
 class TestSlotCounts:
     @given(**DRAWN_TRACES, binned=st.sampled_from([None, True, False]))
     @settings(max_examples=300, deadline=None)
@@ -635,6 +667,14 @@ class TestSlotCounts:
         ) as spy:
             trace.slot_counts
         assert [c.args[1] for c in spy.call_args_list] == binned
+
+    @pytest.mark.parametrize("horizon", [0, 1, 4])
+    def test_no_event(self, horizon):
+        trace = RequestTrace.from_events(horizon, [])
+        starts, ids, counts = trace.slot_counts
+        assert starts.tolist() == [0] * (horizon + 1)
+        assert ids.tolist() == counts.tolist() == []
+        assert [a.dtype for a in (starts, ids, counts)] == [np.int64, np.int32, np.int32]
 
     def test_is_built_on_first_use(self, tmp_path):
         catalog = build_catalog(CatalogConfig(library_size=12, w_snm=0.5, horizon=10), 4)
