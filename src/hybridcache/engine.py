@@ -21,7 +21,7 @@ fed back.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,7 +32,8 @@ from .popularity import PopularitySnapshot  # noqa: F401  perfbench/probe.py pat
 from .workload import CHUNK_CELLS, RequestTrace
 
 
-class SlotRecord(NamedTuple):
+@dataclass(frozen=True)
+class SlotRecord:
     hit_ratio: float
     oracle_hit_ratio: float
     regret_increment: float
@@ -163,13 +164,12 @@ def run_simulation(
         alloc_smoothing=alloc_smoothing,
     )
     oracle_hits = oracle_placement(trace, catalog, capacity)
-    place, update = policy.place, policy.update
     hits = []
     for t0, tallies in _tally_chunks(trace, catalog.id_space):
         placements = []
         for t, tally in enumerate(tallies, start=t0):
-            placement = place(t)
-            update(placement, tally)
+            placement = policy.place(t)
+            policy.update(placement, tally)
             placements.append(placement)
         hits.append(slot_step(placements, tallies))
     hits = np.concatenate(hits)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -444,10 +445,12 @@ class HybridPolicy:
     capacity split, even while the window is empty) and its bandit
     state; and, at slot t, the catalog's SNM ids live at t.
 
-    update queues each slot's raw bandit observations: the cached ids,
-    their request counts and the slot's SNM request count. fold picks the
-    SNM ids among them, turns their counts into rewards and applies them
-    to state in slot order through hybrid_update, bit for bit as eager
+    update queues each slot's bandit observations: the cached SNM ids,
+    their request counts as int32 (a slot's count of one id is int32 in
+    RequestTrace.slot_counts) and, in a flat int64 array beside them, the
+    slot's SNM request count, so a queued slot holds no more than its
+    rewards would. fold turns the counts into rewards and applies them to
+    state in slot order through hybrid_update, bit for bit as eager
     updates, so state is current only after a fold. place's index folds
     before it reads state, which at uniform sizes happens only when the
     SNM share cannot hold every candidate, and update folds a queue of
@@ -474,17 +477,17 @@ class HybridPolicy:
         influence = np.zeros(catalog.id_space)
         influence[catalog.snm_ids] = feature_influences(catalog.snm_features)
         self.state = BanditState.fresh(influence)
-        self._pending = []  # the queued slots' (cached, counts, n_snm), oldest first
+        self._pending = []  # the queued slots' (ids, counts), oldest first
+        self._n_snm = array("q")  # and each one's SNM request count
         self.fill = Fill(catalog.sizes, capacity)
 
     def fold(self) -> None:
         """Apply the queued bandit updates in slot order and empty the queue."""
         pending, self._pending = self._pending, []
-        snm_by_id = self.catalog.snm_by_id
-        for cached, counts, n_snm in pending:
-            snm = snm_by_id[cached]
+        n_snms, self._n_snm = self._n_snm, array("q")
+        for (ids, counts), n_snm in zip(pending, n_snms):
             # with no SNM request every cached SNM content observes 0
-            hybrid_update(self.state, cached[snm], counts[snm] / max(n_snm, 1))
+            hybrid_update(self.state, ids, counts / max(n_snm, 1))
 
     def place(self, t: int) -> Placement:
         if t < 1:
@@ -508,14 +511,16 @@ class HybridPolicy:
 
         tally[id] is the slot's request count of an id. Each cached SNM
         content is fed its share of the slot's SNM requests at the next
-        fold; until then the cached ids' counts are queued as they are.
+        fold; until then its request count is queued as it is.
         """
         irm_tally = tally[self.irm_ids]
         self.irm_counts += irm_tally
         n_irm = int(irm_tally.sum())
         n_snm = int(tally.sum()) - n_irm
         self.estimator.observe(n_snm, n_irm)
-        self._pending.append((placement.cached, tally[placement.cached], n_snm))
+        cached = placement.cached[self.catalog.snm_by_id[placement.cached]]
+        self._pending.append((cached, tally[cached].astype(np.int32)))
+        self._n_snm.append(n_snm)
         if len(self._pending) >= MAX_QUEUED:
             self.fold()
 

@@ -9,6 +9,7 @@ perfbench/checks.py checks.
 """
 
 import dataclasses
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -140,3 +141,39 @@ def test_per_slot_csv_equals_the_pinned_digest(tmp_path):
     pinned = checks.load_golden()[workload.name][checks.golden_key(1000, 20)]["files"]
     for name in ("per_slot.csv", "metrics.json"):
         assert checks.sha256_file(files[name]) == pinned[name], name
+
+
+@pytest.fixture
+def perfbench_scripts(monkeypatch, tmp_path):
+    """perfbench's modules imported as perfbench/run.py imports them, from
+    its own directory, and dropped again afterwards; work files go to
+    tmp_path."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    before = set(sys.modules)
+    try:
+        measure = importlib.import_module("measure")
+        monkeypatch.setattr(measure, "OUT_DIR", tmp_path)
+        yield importlib.import_module
+    finally:
+        for name in set(sys.modules) - before:
+            if str(PERFBENCH) in str(getattr(sys.modules[name], "__file__", "")):
+                del sys.modules[name]
+
+
+def test_self_test_fails_a_perturbed_record_by_its_output_check(perfbench_scripts):
+    # the self-test's "a perturbed output is counted in failed_runs" step
+    # copies the first slot record with dataclasses.replace; the output
+    # check must fail it, not an exception raised while perturbing it
+    selftest = perfbench_scripts("selftest")
+    measure = perfbench_scripts("measure")
+    checks = perfbench_scripts("checks")
+    workload = perfbench_scripts("workloads").WORKLOADS["paper-sweep"]
+    with selftest.perturbed_first_run(False):
+        line, record, _ = measure.measure(
+            workload, measure.DEFAULT_SEED, 0, False,
+            horizon=measure.SMOKE_HORIZON, golden=checks.load_golden(),
+        )
+    assert line["failed"] >= 1 and not line["correct"]
+    messages = record["messages"]
+    assert any("a slot's hit ratio exceeds its oracle ratio" in m for m in messages)
+    assert not any("raised" in m or "Traceback" in m for m in messages), messages
