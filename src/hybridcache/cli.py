@@ -59,7 +59,7 @@ class ExperimentConfig:
     alloc_window: int = 10
     alloc_smoothing: float = 0.3
     seeds: tuple = tuple(range(1000, 1010))
-    policies: tuple = ("hybrid", "popular", "random")
+    policies: tuple = POLICY_NAMES
     sweep_axis: str = "capacity"
     sweep_values: tuple = (10.0, 20.0, 30.0, 40.0)
     out: str = "results"

@@ -31,7 +31,6 @@ CHUNK_IDS = 2**14
 # the only slack of the capacity rule: a set of ids fits in a capacity C
 # when their sizes sum to at most C + FIT_SLACK (see Fill)
 FIT_SLACK = 1e-9
-INT64_MAX = np.iinfo(np.int64).max
 # the most slots of bandit updates a HybridPolicy queues before it folds
 # them, which bounds the queue of a long run whose index is never read
 MAX_QUEUED = 1024
@@ -392,18 +391,13 @@ class PopularPolicy:
         self._kept = None
         self._outside = np.append(False, np.ones(len(catalog.ids), dtype=bool))
 
-    @property
-    def total(self) -> int:
-        """The number of requests fed so far."""
-        return int(self.counts.sum())
-
     def place(self, t: int) -> Placement:
         if not self._requested:
             logger.warning("popular policy: empty history at slot %d, "
                            "falling back to random", t)
             return self.fallback.place(t)
         if self.fill.count is None:
-            keys = self.counts[1:] / self.total / self.catalog.sizes  # position = id - 1
+            keys = self.counts[1:] / self.catalog.sizes  # position = id - 1
         elif self._kept is None or not self._kept_is_top():
             keys = self.counts[1:]
         else:
@@ -420,8 +414,8 @@ class PopularPolicy:
         counts, cached = self.counts, self._kept.cached
         in_counts = counts[cached]
         # an empty cache, and one of the whole library, are always kept
-        low = in_counts.min(initial=INT64_MAX)
         high = counts.max(where=self._outside, initial=-1)
+        low = in_counts.min(initial=high + 1)
         if high < low:
             return True
         if high > low:
@@ -466,6 +460,10 @@ class HybridPolicy:
         alloc_window: int = 10,
         alloc_smoothing: float = 0.3,
     ):
+        if not 0 < exploration_beta < math.inf:
+            raise HybridCacheError(
+                f"exploration_beta must be finite and > 0, not {exploration_beta!r}"
+            )
         self.catalog = catalog
         self.capacity = capacity
         self.exploration_beta = exploration_beta

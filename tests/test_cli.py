@@ -9,6 +9,7 @@ from hybridcache.cli import (
     SWEEP_HEADER,
     ExperimentConfig,
     aggregate_results,
+    cmd_run,
     load_config,
     main,
     make_workload,
@@ -152,6 +153,75 @@ class TestBadValuesExitCode:
         for value in (str(2**32 + 1), "5000000000"):
             argv = ["run", *SMALL, "--horizon", value]
             self._expect_exit_2(argv, "horizon", tmp_path, capsys)
+
+
+def config_file(text):
+    """Inputs that load a config file of text, directly and by `run`."""
+
+    def inputs(tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(text)
+        return lambda: load_config(path, env={}), ["run", "--config", str(path)]
+
+    return inputs
+
+
+def sweep_file(text):
+    """Inputs that read a sweep.csv of text, directly and by `report`."""
+
+    def inputs(tmp_path):
+        path = tmp_path / "sweep.csv"
+        path.write_text(text)
+        return lambda: read_sweep_csv(path), ["report", str(path)]
+
+    return inputs
+
+
+def catalog_without_trace(tmp_path):
+    catalog = str(tmp_path / "catalog.csv")
+    config = ExperimentConfig(out=str(tmp_path / "out"))
+    return lambda: cmd_run(config, catalog_path=catalog), ["run", "--catalog", catalog]
+
+
+@pytest.mark.parametrize(
+    "inputs, error, message",
+    [
+        (config_file("horizon = 0\n"), HybridCacheError, "horizon must be >= 1"),
+        (config_file("library_size = 1\n"), HybridCacheError, "library_size must be >= 2"),
+        (config_file("capacity = -1\n"), HybridCacheError, "capacity must be >= 0"),
+        (config_file("zipf_delta = -0.5\n"), HybridCacheError, "zipf_delta must be >= 0"),
+        (config_file("pareto_beta = 1\n"), HybridCacheError, "pareto_beta must exceed 1"),
+        (config_file("pareto_n_min = 0\n"), HybridCacheError,
+         "pareto_n_min must be positive"),
+        (config_file("requests_per_slot = 0\n"), HybridCacheError,
+         "requests_per_slot must be >= 1"),
+        (config_file("exploration_beta = 0\n"), HybridCacheError,
+         "exploration_beta must be positive"),
+        # no file, variable or flag spells an empty seed list
+        (lambda tmp_path: (lambda: ExperimentConfig(seeds=()).validate(), None),
+         HybridCacheError, "seeds must be non-empty"),
+        (config_file("horizon 50\n"), HybridCacheError,
+         "{tmp_path}/exp.cfg:1: expected key = value"),
+        (catalog_without_trace, HybridCacheError,
+         "trace: --trace is required with --catalog"),
+        (sweep_file("axis,value\n"), TraceParseError, "line 1: bad results header"),
+        (sweep_file(",".join(SWEEP_HEADER) + "\n"), TraceParseError,
+         "line 2: results file has no data rows"),
+    ],
+)
+def test_each_rejection_raises_and_exits_2(tmp_path, capsys, inputs, error, message):
+    """The raise names its error; by the CLI it exits 2 and writes no file."""
+    message = message.format(tmp_path=tmp_path)
+    call, argv = inputs(tmp_path)
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+    if argv is not None:
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 class TestGenerate:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -169,17 +170,11 @@ class TestBaselines:
         assert len(p.cached) == 3
         assert "empty history" in caplog.text
 
-    def test_popular_total_is_the_requests_fed(self, catalog):
-        policy = PopularPolicy(catalog, 3, np.random.default_rng(4))
-        rng = np.random.default_rng(5)
-        fed = 0
-        for _ in range(6):
-            tally = rng.integers(0, 4, catalog.id_space) * (rng.random() < 0.6)
-            tally[0] = 0
-            policy.update(None, tally)
-            fed += int(tally.sum())
-            assert policy.total == fed
-            assert type(policy.total) is int
+    def test_popular_ties_go_to_the_lower_id_at_unequal_sizes(self):
+        # every density is exactly 1 request per unit of size, so id 1
+        # ranks first and fills the capacity alone
+        p = popular_place(array_catalog([3.0, 1.0, 1.0]), {1: 3, 2: 1, 3: 1}, 3)
+        assert p.cached.tolist() == [1]
 
     def test_popular_ranks_from_the_first_slot_after_a_request(self, catalog, caplog):
         # slots 1 and 2 are empty, so popular has no history until slot 4
@@ -932,6 +927,18 @@ class TestCapacityRule:
         chosen, used = fill.admit(ids(2, 1, 3), 2.0)
         assert (chosen.tolist(), used) == ([2], 2.0)
 
+    @pytest.mark.parametrize(
+        "used, capacity, message",
+        [(4.0, 3.0, "used 4.0 exceeds capacity 3.0"),
+         (1e-8, 0.0, "used 1e-08 exceeds capacity 0.0")],
+    )
+    def test_placement_rejects_more_than_its_capacity(self, used, capacity, message):
+        # a policy bug, so a plain ValueError rather than rejected input
+        with pytest.raises(ValueError) as exc:
+            Placement(ids(1), used, capacity)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == message
+
 
 def test_make_policy_unknown():
     catalog = build_catalog(
@@ -941,13 +948,32 @@ def test_make_policy_unknown():
         make_policy("lru", catalog, 3, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+def test_hybrid_rejects_a_beta_that_is_not_finite_and_positive(beta):
+    """validate's rule holds for library callers too, before any slot runs."""
+    catalog = build_catalog(
+        CatalogConfig(library_size=6, w_snm=0.5, horizon=20), seed=42
+    )
+    trace = generate_trace(catalog, 20, 10, 0.5, 0.8, seed=43)
+    message = f"exploration_beta must be finite and > 0, not {beta!r}"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(HybridCacheError) as made:
+            make_policy("hybrid", catalog, 3, np.random.default_rng(0),
+                        exploration_beta=beta)
+        with pytest.raises(HybridCacheError) as ran:
+            run_simulation(catalog, trace, "hybrid", 3, seed=0, exploration_beta=beta)
+    assert str(made.value) == str(ran.value) == message
+    assert caught == []
+
+
 @pytest.mark.parametrize("t", [1, 2, 9, 40])
 def test_each_policy_reads_only_the_slots_before_t(t):
     """Fed slots 1..t-1 through update, a policy keeps exactly their counts.
 
     The hybrid keeps the IRM ids' request counts and the (SNM, IRM) split
     of the last alloc_window slots, popular the request count of every
-    id and their total; random keeps nothing it was fed, so it places as
+    id; random keeps nothing it was fed, so it places as
     one that was fed no tally.
     """
     catalog = build_catalog(
@@ -974,7 +1000,6 @@ def test_each_policy_reads_only_the_slots_before_t(t):
     assert list(hybrid.estimator._counts) == split[-5:]
     popular = fed("popular", tallies)
     assert popular.counts.tolist() == counts.tolist()
-    assert popular.total == int(trace.offsets[t - 1])
     unfed = np.zeros(catalog.id_space, dtype=np.int64)
     random_fed, random_unfed = fed("random", tallies), fed("random", [unfed] * (t - 1))
     assert random_fed.place(t).cached.tolist() == random_unfed.place(t).cached.tolist()

@@ -289,6 +289,13 @@ class TestChoiceCdf:
 
 
 class TestGenerateTraceInputs:
+    @pytest.mark.parametrize("horizon, requests_per_slot", [(0, 5), (10, 0)])
+    def test_rejects_a_count_below_one(self, small_catalog, horizon, requests_per_slot):
+        with pytest.raises(HybridCacheError) as exc:
+            generate_trace(small_catalog, horizon, requests_per_slot, 0.5, 0.8, seed=1)
+        assert type(exc.value) is HybridCacheError
+        assert str(exc.value) == "horizon and requests_per_slot must be >= 1"
+
     @pytest.mark.parametrize("w_snm", [1.5, math.nan, -0.2, math.inf])
     def test_rejects_w_snm(self, small_catalog, w_snm):
         with pytest.raises(ValueError, match="w_snm"):
