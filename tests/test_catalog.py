@@ -627,6 +627,9 @@ def test_saved_catalog_bytes_are_pinned(tmp_path, point, laws, digest):
         # an SNM window end past int64, by its arrival or by its lifespan
         ({6: (7, str(2**63 - 1))}, 6, "arrival + lifespan must not exceed"),
         ({8: (8, str(2**63 - 1)), 9: (2, "nan")}, 8, "arrival + lifespan must not exceed"),
+        # a bad header, and a regime written in another case
+        ({1: (0, "ID")}, 1, "bad catalog header"),
+        ({2: (1, "irm")}, 2, "regime 'irm' is neither IRM nor SNM"),
     ],
 )
 def test_first_bad_catalog_row_wins(tmp_path, edits, line, reason):
@@ -639,26 +642,6 @@ def test_first_bad_catalog_row_wins(tmp_path, edits, line, reason):
     path.write_text("".join(",".join(row) + "\n" for row in rows))
     with pytest.raises(TraceParseError, match=f"line {line}: .*{re.escape(reason)}"):
         load_catalog(path)
-
-
-@pytest.mark.parametrize(
-    "edit, message",
-    [
-        (lambda rows: [["ID", *rows[0][1:]], *rows[1:]], "line 1: bad catalog header"),
-        (lambda rows: [*rows[:1], [rows[1][0], "irm", *rows[1][2:]], *rows[2:]],
-         "line 2: regime 'irm' is neither IRM nor SNM"),
-    ],
-    ids=["header", "regime"],
-)
-def test_load_catalog_rejects(tmp_path, edit, message):
-    path = tmp_path / "catalog.csv"
-    save_catalog(build_catalog(CatalogConfig(library_size=8, w_snm=0.5), seed=2), path)
-    rows = [row.split(",") for row in path.read_text().splitlines()]
-    path.write_text("".join(",".join(row) + "\n" for row in edit(rows)))
-    with pytest.raises(TraceParseError) as exc:
-        load_catalog(path)
-    assert type(exc.value) is TraceParseError
-    assert str(exc.value) == message
 
 
 @given(st.floats())

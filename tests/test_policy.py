@@ -170,12 +170,6 @@ class TestBaselines:
         assert len(p.cached) == 3
         assert "empty history" in caplog.text
 
-    def test_popular_ties_go_to_the_lower_id_at_unequal_sizes(self):
-        # every density is exactly 1 request per unit of size, so id 1
-        # ranks first and fills the capacity alone
-        p = popular_place(array_catalog([3.0, 1.0, 1.0]), {1: 3, 2: 1, 3: 1}, 3)
-        assert p.cached.tolist() == [1]
-
     def test_popular_ranks_from_the_first_slot_after_a_request(self, catalog, caplog):
         # slots 1 and 2 are empty, so popular has no history until slot 4
         trace = RequestTrace.from_events(6, [(3, 5), (3, 5), (3, 2), (4, 9), (6, 1)])
@@ -478,7 +472,7 @@ class TestUnequalSizes:
 
     @given(data=st.data(), sizes=UNEQUAL_SIZES, capacity=CAPACITIES)
     @settings(max_examples=200, deadline=None)
-    def test_popular_equals_greedy_of_frequencies(self, data, sizes, capacity):
+    def test_popular_equals_greedy_of_counts(self, data, sizes, capacity):
         catalog = array_catalog(sizes)
         counts = data.draw(st.lists(st.integers(0, 3), min_size=len(sizes),
                                     max_size=len(sizes)))
@@ -488,8 +482,9 @@ class TestUnequalSizes:
         policy = PopularPolicy(catalog, capacity, np.random.default_rng(0))
         policy.update(None, tally)
         got = policy.place(2)
-        freq = tally[catalog.ids] / tally.sum()
-        chosen, used = greedy_item_by_item(freq.tolist(), catalog.sizes.tolist(), capacity)
+        chosen, used = greedy_item_by_item(
+            tally[catalog.ids].tolist(), catalog.sizes.tolist(), capacity
+        )
         assert got.cached.tolist() == sorted(chosen)
         assert got.used_capacity == used
 
@@ -499,10 +494,13 @@ class TestUnequalSizes:
             # density first: id 2 leaves no room for the more requested id 1
             ([3.0, 1.0], {1: 6, 2: 5}, 3, [2], 1.0),
             ([3.0, 1.0], {1: 6, 2: 5}, 0, [], 0.0),
-            # densities tie at 1/3: id 1 goes first, id 2 no longer fits
+            # densities tie at 1: id 1 goes first, id 2 no longer fits
             ([1.0, 2.0], {1: 1, 2: 2}, 2, [1], 1.0),
             # id 2 does not fit after id 1, id 3 still does
             ([3.0, 5.0, 1.0], {1: 6, 2: 5, 3: 1}, 4, [1, 3], 4.0),
+            # every density is exactly 1 request per unit of size, so id 1
+            # ranks first and fills the capacity alone
+            ([3.0, 1.0, 1.0], {1: 3, 2: 1, 3: 1}, 3, [1], 3.0),
         ],
     )
     def test_popular_hand_cases(self, sizes, counts, capacity, cached, used):
