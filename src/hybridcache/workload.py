@@ -210,6 +210,8 @@ CHUNK_CELLS = 2**16
 CHUNK_DOUBLES = 2**17
 # Generator.choice's tolerance on the sum of its probabilities
 _SUM_ATOL = np.sqrt(np.finfo(np.float64).eps)
+# the buckets of a bucket table per CDF value, rounded up to a power of two
+BUCKETS = 16
 
 
 def choice_cdf(p: np.ndarray) -> np.ndarray:
@@ -228,6 +230,42 @@ def choice_cdf(p: np.ndarray) -> np.ndarray:
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return cdf
+
+
+def bucket_table(cdf: np.ndarray) -> np.ndarray:
+    """The guide table that search_cdf reads to answer most keys at once.
+
+    [0, 1) is cut into m = BUCKETS * 2**ceil(log2 len(cdf)) equal
+    buckets. Entry b is the number of CDF values <= b/m when no CDF value
+    lies in [b/m, (b + 1)/m), which is then searchsorted's answer for
+    every key in the bucket, and -1 otherwise (at most len(cdf) entries).
+    Since m is a power of two, every edge b/m is exact.
+    """
+    m = BUCKETS << (len(cdf) - 1).bit_length()
+    below = cdf.searchsorted(np.arange(m + 1) / m)
+    return np.where(below[1:] == below[:-1], below[:-1], -1)
+
+
+def search_cdf(cdf: np.ndarray, u: np.ndarray,
+               table: Optional[np.ndarray] = None) -> np.ndarray:
+    """cdf.searchsorted(u, side="right") for a 1-D array of keys in [0, 1).
+
+    With cdf's bucket_table, a key's bucket is int(u * m), which is exact
+    since m is a power of two, and only the keys in a -1 bucket are
+    searched.
+    """
+    if table is None:
+        return cdf.searchsorted(u, side="right")
+    found = table[(u * len(table)).astype(np.intp)]
+    missed = found < 0
+    found[missed] = cdf.searchsorted(u[missed], side="right")
+    return found
+
+
+def _table_if_worth_it(cdf: np.ndarray, keys: int) -> Optional[np.ndarray]:
+    """cdf's bucket_table if keys, the most keys it serves, are at least
+    2 * BUCKETS per CDF value (about twice its buckets), else None."""
+    return bucket_table(cdf) if keys >= 2 * BUCKETS * len(cdf) else None
 
 
 def generate_trace(
@@ -254,7 +292,11 @@ def generate_trace(
     SNM requests. choice searches rng.random(n) in p's CDF with
     side="right", so every slot reads exactly 2R uniforms, and a chunk
     of slots draws its uniforms in one rng.random call and searches
-    them itself. A catalog with no IRM content draws a slot's IRM
+    them itself (search_cdf). The Zipf CDF gets a bucket_table when
+    horizon * R, the most keys it serves, is at least 2 * BUCKETS per
+    CDF value, and a live set's CDF when R, the most keys of one slot,
+    is; a table that serves fewer keys costs more to build than its
+    lookups save. A catalog with no IRM content draws a slot's IRM
     requests uniformly over the library with rng.choice(ids, n), which
     reads bounded integers between the slot's class and SNM uniforms,
     so such a catalog draws one slot at a time in that order.
@@ -270,6 +312,8 @@ def generate_trace(
     r = requests_per_slot
     irm_ids = catalog.irm_ids
     zipf_cdf = choice_cdf(zipf_pmf(len(irm_ids), delta)) if len(irm_ids) else None
+    if zipf_cdf is not None:
+        zipf_table = _table_if_worth_it(zipf_cdf, horizon * r)
     # an SNM item's pulse rate is volume / lifespan inside its window, by id
     rates_by_id = np.zeros(catalog.id_space)
     rates_by_id[catalog.snm_ids] = catalog.snm_volume / (
@@ -303,7 +347,7 @@ def generate_trace(
         n_irm = r - n_snm
         if zipf_cdf is not None:
             irm = position < n_irm[:, None]
-            block[irm] = irm_ids[zipf_cdf.searchsorted(u[:, r:][irm], side="right")]
+            block[irm] = irm_ids[search_cdf(zipf_cdf, u[:, r:][irm], zipf_table)]
         else:
             if n_irm[0]:
                 block[0, :n_irm[0]] = rng.choice(catalog.ids, size=n_irm[0])
@@ -313,8 +357,9 @@ def generate_trace(
             if active is not live_ids:
                 live_ids, rates = active, rates_by_id[active]
                 cdf = choice_cdf(rates / rates.sum())
+                table = _table_if_worth_it(cdf, r)
             k = n_irm[i]
-            block[i, k:] = live_ids[cdf.searchsorted(u[i, r + k:], side="right")]
+            block[i, k:] = live_ids[search_cdf(cdf, u[i, r + k:], table)]
 
     return RequestTrace(
         horizon=horizon,

@@ -19,14 +19,18 @@ from hybridcache.catalog import (
     build_catalog,
     sample_pareto_volume,
 )
+from hybridcache.cli import ExperimentConfig, make_workload
 from hybridcache.errors import HybridCacheError, TraceParseError
 from hybridcache.workload import (
+    BUCKETS,
     CHUNK_DOUBLES,
     RequestTrace,
+    bucket_table,
     choice_cdf,
     generate_trace,
     load_trace,
     save_trace,
+    search_cdf,
     zipf_pmf,
 )
 
@@ -185,6 +189,12 @@ def handoff_catalog():
     return array_catalog([1.0] * 3, {2: (1, 10, 30.0), 3: (11, 10, 10.0)})
 
 
+def edge_catalog():
+    """ids 2, 3 and 4 live in slots 1..10 at rates 1:1:2: their CDF is
+    0.25, 0.5, 1.0, whose first two values are bucket edges."""
+    return array_catalog([1.0] * 4, {2: (1, 10, 10.0), 3: (1, 10, 10.0), 4: (1, 10, 20.0)})
+
+
 def built(library_size, w_snm, horizon, seed=1):
     return build_catalog(
         CatalogConfig(library_size=library_size, w_snm=w_snm, horizon=horizon),
@@ -221,29 +231,52 @@ class TestBulkDraws:
         "pulse-catalog-mixed": (pulse_catalog, (20, 7, 0.6, 1.3, 9), "fallback"),
         # the live set changes at slot 11 with no slot between the two windows
         "handoff-catalog": (handoff_catalog, (25, 50, 0.9, 0.8, 6), "fallback"),
+        # R = 200 builds the live set's bucket table (200 >= 2 * 16 * 3)
+        "bucket-edges": (edge_catalog, (12, 200, 0.9, 0.8, 13), "edges"),
     }
 
     @pytest.mark.parametrize("case", CASES)
     def test_matches_per_slot_draws(self, case):
         make_catalog, args, covers = self.CASES[case]
-        trace = assert_same_trace(make_catalog(), *args)
+        with mock.patch.object(workload, "bucket_table", wraps=bucket_table) as built_for:
+            trace = assert_same_trace(make_catalog(), *args)
         horizon, r = args[:2]
         if covers == "fallback":
             assert trace.fallback_count > 0
         if covers == "chunks":
             assert horizon * 2 * r > 3 * CHUNK_DOUBLES
+        if covers == "edges":
+            cdfs = [call.args[0].tolist() for call in built_for.call_args_list]
+            assert [0.25, 0.5, 1.0] in cdfs
+
+    @pytest.mark.parametrize(
+        "library_size, r, tables",
+        [
+            (150, 2000, 178),  # request-heavy: the Zipf CDF and all 177 live sets
+            (5000, 100, 1),  # library-heavy: the Zipf CDF only
+            (150, 100, 3),  # paper-sweep: the Zipf CDF and the live sets of 1 and 3 ids
+        ],
+    )
+    def test_tables_built_at_the_benchmark_shapes(self, library_size, r, tables):
+        # a rule that gave the many short-lived sets of a large library
+        # tables would cost more to build than their lookups save
+        config = ExperimentConfig(library_size=library_size, requests_per_slot=r)
+        with mock.patch.object(workload, "bucket_table", wraps=bucket_table) as built_for:
+            make_workload(config, library_size, seed=1000)
+        assert built_for.call_count == tables
 
     @given(
         library_size=st.integers(2, 40),
         catalog_w_snm=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
         catalog_horizon=st.integers(1, 30),
         horizon=st.integers(1, 40),
-        r=st.integers(1, 60),
+        # a live set's CDF gets a bucket table at R >= 32 per live id
+        r=st.integers(1, 60) | st.integers(60, 400),
         w_snm=st.sampled_from([0.0, 0.3, 0.8, 1.0]),
         delta=st.floats(0.0, 3.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(deadline=None)
     def test_matches_per_slot_draws_anywhere(
         self, library_size, catalog_w_snm, catalog_horizon, horizon, r, w_snm,
         delta, seed,
@@ -261,6 +294,74 @@ class TestBulkDraws:
         finally:
             tracemalloc.stop()
         assert peak < trace.ids.nbytes + 4 * 2**20
+
+
+def table_cdfs():
+    """CDFs from choice_cdf, with the shapes that test a bucket table.
+
+    Zero weights repeat a CDF value, and all of the mass can fall on one
+    item. Integer weights padded to a power-of-two total put every value
+    on a bucket edge once the total is at most the bucket count. A weight
+    far above the rest puts many values in one bucket.
+    """
+    weight = st.sampled_from([0.0, 1e-12, 1.0]) | st.floats(0.0, 1.0)
+    real = st.lists(weight, min_size=1, max_size=70).filter(lambda w: sum(w) > 0)
+
+    def padded(weights):
+        total = sum(weights)
+        return weights + [2 ** (total - 1).bit_length() - total]
+
+    integer = st.lists(st.integers(0, 5), min_size=1, max_size=40).map(padded)
+    weights = real | integer.map(lambda w: [float(x) for x in w])
+    return weights.map(lambda w: choice_cdf(np.array(w) / sum(w)))
+
+
+class TestBucketSearch:
+    """search_cdf with a bucket table gives searchsorted's answer, key for key."""
+
+    @staticmethod
+    def assert_exact(cdf, drawn):
+        """Search 0, 1 - 2**-53, every bucket edge, each CDF value below 1
+        and its neighbours, and the drawn keys."""
+        table = bucket_table(cdf)
+        m = BUCKETS << (len(cdf) - 1).bit_length()
+        assert len(table) == m
+        assert (table < 0).sum() <= len(cdf)
+        near = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1)])
+        near = near[(near >= 0) & (near < 1)]
+        u = np.concatenate([[0.0, 1 - 2**-53], np.arange(m) / m, near, drawn])
+        expected = cdf.searchsorted(u, side="right")
+        assert search_cdf(cdf, u, table).tolist() == expected.tolist()
+        assert search_cdf(cdf, u).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            [0.25, 0.25, 0.5],  # CDF values on bucket edges
+            [0.0, 0.5, 0.0, 0.0, 0.5, 0.0],  # zero probabilities repeat values
+            [0.0, 0.0, 1.0, 0.0],  # all of the mass on one item
+            [1e-9] * 50 + [1 - 5e-8],  # 50 values inside bucket 0
+            [1.0],  # one item
+        ],
+    )
+    def test_hand_cdfs(self, p):
+        self.assert_exact(choice_cdf(np.array(p)), np.random.default_rng(0).random(1000))
+
+    def test_table_of_quarter_edges(self):
+        # m = 64: values 0.25 and 0.5 start buckets 16 and 32; 1.0 is in none
+        table = bucket_table(np.array([0.25, 0.5, 1.0]))
+        assert table.tolist() == [0] * 16 + [-1] + [1] * 15 + [-1] + [2] * 31
+
+    @given(
+        cdf=table_cdfs(),
+        drawn=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None)
+    def test_equals_searchsorted(self, cdf, drawn, seed):
+        # and rng.random's keys, multiples of 2**-53, as generate_trace reads them
+        drawn = np.concatenate([drawn, np.random.default_rng(seed).random(200)])
+        self.assert_exact(cdf, drawn)
 
 
 class TestChoiceCdf:
